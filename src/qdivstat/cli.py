@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import io as qio
 from . import limit_laws as ll
 from .experiments import ExperimentConfig, run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
-from .pauli_tomography import build_pauli_basis, estimate_rho, estimate_sigma, sample_record
+from .pauli_tomography import build_pauli_basis, estimate_rho, estimate_sigma, qubits_for_dim, sample_record
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -133,7 +132,7 @@ def _run_limit(args) -> int:
 
 def _run_tomography(args) -> int:
     state = qio.load_matrix(args.state)
-    basis = build_pauli_basis(int(math.log2(state.shape[0])))
+    basis = build_pauli_basis(qubits_for_dim(state.shape[0]))
     record = sample_record(state, basis, args.n, args.seed)
     estimator = estimate_sigma if args.sigma_estimator else estimate_rho
     est = estimator(record, basis)

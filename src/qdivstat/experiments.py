@@ -37,14 +37,13 @@ from .limit_laws import (
 )
 from .pauli_tomography import (
     build_pauli_basis,
-    estimate_rho,
-    estimate_sigma,
+    estimate,
+    qubits_for_dim,
     sample_record,
     sample_gaussian_limit,
     substream,
     variance_v1,
     variance_v2,
-    was_projected,
 )
 from .hypothesis_testing import derive_seed
 
@@ -185,7 +184,7 @@ def _limit_fn(cfg: ExperimentConfig):
 def sample_reference_law(cfg: ExperimentConfig, draws: int | None = None) -> np.ndarray:
     """Monte Carlo sample of the limit law with Gaussian Pauli directions."""
     draws = draws or cfg.reference_draws
-    basis = build_pauli_basis(int(math.log2(cfg.dim)))
+    basis = build_pauli_basis(qubits_for_dim(cfg.dim))
     fn = _limit_fn(cfg)
     rng = substream(cfg.seed, 10**6)
     out = np.empty(draws)
@@ -208,7 +207,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     lam_rho = float(np.linalg.eigvalsh(cfg.rho)[0])
     if lam_rho <= 0:
         raise ValueError("experiments require strictly positive states")
-    basis = build_pauli_basis(int(math.log2(cfg.dim)))
+    basis = build_pauli_basis(qubits_for_dim(cfg.dim))
     divergence = _divergence_fn(cfg)
     center = divergence(cfg.rho, cfg.sigma) if cfg.kind in ALT_KINDS else 0.0
 
@@ -228,12 +227,11 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         stats = np.empty(cfg.trials)
         for t in range(cfg.trials):
             rec_r = sample_record(cfg.rho, basis, n, derive_seed(cfg.seed, n, t, 0))
-            rho_hat = estimate_rho(rec_r, basis)
-            branch = was_projected(rec_r, basis)
+            rho_hat, branch = estimate(rec_r, basis)
             if cfg.two_sample:
                 rec_s = sample_record(cfg.sigma, basis, n, derive_seed(cfg.seed, n, t, 1))
-                sigma_hat = estimate_sigma(rec_s, basis)
-                branch = branch or was_projected(rec_s, basis)
+                sigma_hat, branch_s = estimate(rec_s, basis, floor=True)
+                branch = branch or branch_s
             else:
                 sigma_hat = cfg.sigma
             stat = scale * (divergence(rho_hat.mat, as_matrix(sigma_hat)) - center)

@@ -18,9 +18,9 @@ from .divergences import umegaki
 from .pauli_tomography import (
     PauliBasisSet,
     build_pauli_basis,
-    estimate_rho,
+    estimate,
+    qubits_for_dim,
     sample_record,
-    was_projected,
 )
 
 __all__ = [
@@ -190,7 +190,7 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         raise ValueError(f"{len(states)} states for {grid.hypothesis_count} hypotheses")
     d = sig.shape[0]
     if basis is None:
-        basis = build_pauli_basis(int(math.log2(d)))
+        basis = build_pauli_basis(qubits_for_dim(d))
     for i, rho in enumerate(states):
         div = umegaki(rho, sig)
         if not div.support_ok or grid.bucket(div.value) != i:
@@ -208,13 +208,12 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         projected = 0
         for t in range(trials):
             record = sample_record(rho, basis, n, derive_seed(seed, i, t))
-            rho_hat = estimate_rho(record, basis)
+            rho_hat, branch = estimate(record, basis)
             d_hat = umegaki(rho_hat, sig).value
             outcome = decide(d_hat, n, grid, c)
             if outcome.decided_index != i:
                 errors += 1
-            if was_projected(record, basis):
-                projected += 1
+            projected += branch
         low, high = wilson_interval(errors, trials)
         rate = errors / trials
         radius = (high - low) / 2

@@ -215,7 +215,7 @@ def moore_penrose_inverse(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> Hermitian
     S = eig_hermitian(A)
     lam = S.eigenvalues
     top = float(np.max(np.abs(lam), initial=0.0))
-    inv = np.where(np.abs(lam) > rel_tol * top, np.divide(1.0, lam, where=lam != 0), 0.0)
+    inv = np.where(np.abs(lam) > rel_tol * top, np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0), 0.0)
     return HermitianOperator(S.reassemble(inv))
 
 

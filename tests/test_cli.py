@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from qdivstat import io as qio
-from qdivstat.cli import cli_main
+from qdivstat.cli import EXIT_VALIDATION, cli_main
 from qdivstat.divergences import eigenbasis_povm, petz_renyi, umegaki
 from qdivstat.limit_laws import qre_null_limit
 
@@ -103,6 +104,13 @@ class TestTomographyCommand:
         payload = json.loads(out1)
         assert payload["record"]["n"] == 200
 
+    def test_dimension_not_power_of_two(self, tmp_path, capsys):
+        path = tmp_path / "qutrit.json"
+        qio.dump_matrix(np.eye(3) / 3, str(path))
+        rc = cli_main(["tomography", "--state", str(path), "--n", "200", "--seed", "4"])
+        assert rc == EXIT_VALIDATION
+        assert "dimension 3 " in capsys.readouterr().err
+
     def test_missing_seed_rejected_by_parser(self, states, capsys):
         _, _, rp, _ = states
         rc = cli_main(["tomography", "--state", rp, "--n", "200"])
@@ -163,8 +171,14 @@ class TestHypothesisCommand:
         rc, out = run(capsys, ["hypothesis", "--scenario", str(path), "--out", str(out_csv)])
         assert rc == 0
         header = out_csv.read_text().splitlines()[0]
-        assert header == "hypothesis,trials,errors,rate,wilson_low,wilson_high,copies_used"
-        assert json.loads(out)[0]["hypothesis"] == 0
+        assert header == ("hypothesis,trials,errors,rate,wilson_low,wilson_high,copies_used,"
+                          "projection_fraction,borderline")
+        row = json.loads(out)[0]
+        assert row["hypothesis"] == 0
+        with open(out_csv, newline="") as fh:
+            back = next(csv.DictReader(fh))
+        assert float(back["projection_fraction"]) == row["projection_fraction"]
+        assert back["borderline"] == str(row["borderline"])
 
     def test_bad_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

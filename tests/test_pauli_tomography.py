@@ -8,8 +8,10 @@ from qdivstat.pauli_tomography import (
     _bernoulli_weights,
     bloch_coefficients,
     build_pauli_basis,
+    estimate,
     estimate_rho,
     estimate_sigma,
+    qubits_for_dim,
     record_bloch_estimate,
     reconstruct,
     sample_gaussian_limit,
@@ -19,7 +21,8 @@ from qdivstat.pauli_tomography import (
     variance_v2,
     was_projected,
 )
-from conftest import rand_state
+from qdivstat.frechet import build_divided_differences, frechet1
+from conftest import rand_herm, rand_state
 
 
 class TestBasis:
@@ -56,6 +59,54 @@ class TestBasis:
 
     def test_pauli_matrix_table(self):
         assert np.allclose(PAULI_MATRICES[0], np.eye(2))
+
+    def test_qubits_for_dim(self):
+        assert [qubits_for_dim(2**n) for n in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+        for d in (0, 1, 3, 6, 12, 128):
+            with pytest.raises(ValueError, match=f"dimension {d} "):
+                qubits_for_dim(d)
+
+
+def _loop_coefficients(A, B):
+    return np.array([np.trace(A @ g).real for g in B.operators])
+
+
+def _loop_combination(coeffs, B, identity):
+    acc = identity * np.eye(B.dim, dtype=complex)
+    for c, g in zip(coeffs, B.operators):
+        acc += c * g
+    return acc
+
+
+class TestTransform:
+    """The tensorized transform against sums over the explicit operators."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_operator_loop(self, rng, n):
+        B = build_pauli_basis(n)
+        d = B.dim
+        tol = 1e-12 * d
+        H = rand_herm(rng, d)
+        s = _loop_coefficients(H, B)
+        assert np.max(np.abs(bloch_coefficients(H, B).coeffs - s)) < tol
+        assert np.max(np.abs(reconstruct(s, B).mat - _loop_combination(s, B, 1.0) / d)) < tol
+
+        rho = rand_state(rng, d, 0.05 / d)
+        std = np.sqrt((1 - _loop_coefficients(rho, B) ** 2) / d**2)
+        z = np.random.default_rng(n).normal(size=B.size) * std
+        got = sample_gaussian_limit(rho, B, np.random.default_rng(n))
+        assert np.max(np.abs(got - _loop_combination(z, B, 0.0))) < tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_variance_v2_matches_frechet_loop(self, rng, n):
+        B = build_pauli_basis(n)
+        d = B.dim
+        rho, sigma = rand_state(rng, d, 0.05 / d), rand_state(rng, d, 0.05 / d)
+        table = build_divided_differences(sigma, "log")
+        w = (1 - _loop_coefficients(sigma, B) ** 2) / d**2
+        terms = [np.trace(rho @ frechet1(table, g).mat).real ** 2 for g in B.operators]
+        want = variance_v1(rho, sigma, B) + float(np.sum(w * terms))
+        assert variance_v2(rho, sigma, B) == pytest.approx(want, rel=1e-12 * d)
 
 
 class TestBloch:
@@ -103,13 +154,6 @@ class TestSampling:
         c = sample_record(rho, B, 500, seed=10)
         assert not np.array_equal(a.plus_counts, c.plus_counts)
 
-    def test_per_shot_mode_same_law(self, rng):
-        B = build_pauli_basis(1)
-        rho = rand_state(rng, 2)
-        rec = sample_record(rho, B, 2000, seed=4, per_shot=True)
-        s = record_bloch_estimate(rec).coeffs
-        assert np.max(np.abs(s - bloch_coefficients(rho, B).coeffs)) < 0.12
-
     def test_unbiased_mean_within_binomial_ci(self):
         # mean of s_hat over many trials within 4 sigma for the mixed state
         B = build_pauli_basis(1)
@@ -145,6 +189,7 @@ class TestEstimators:
         assert np.allclose(record_bloch_estimate(rec).coeffs, s)
         est = estimate_rho(rec, B)
         assert np.max(np.abs(est.mat - rho)) < 1e-12
+        assert estimate(rec, B)[1] is False
 
     def test_projection_branch_yields_state(self):
         B = build_pauli_basis(1)
@@ -155,6 +200,9 @@ class TestEstimators:
         lam = np.linalg.eigvalsh(est.mat)
         assert lam[0] >= -1e-12
         assert np.trace(est.mat).real == pytest.approx(1.0)
+        est2, projected = estimate(rec, B)
+        assert projected == was_projected(rec, B)
+        assert np.array_equal(est2.mat, est.mat)
 
     def test_consistency_rate(self, rng):
         # median trace-norm error shrinks like n^(-1/2)
