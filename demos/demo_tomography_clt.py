@@ -52,9 +52,10 @@ s = run_convergence_experiment(cfg2)["summary"][0]
 print(f"\ntwo-sample variant at n = {s['n']}: var {s['var']:.5f} vs v2^2 {s['v_pred']:.5f}, "
       f"KS = {s['ks']:.3f}")
 
-print("\nnull case: n * D(rho_hat || rho) has a non-Gaussian limit; its law is")
-print("matched against a Monte Carlo sample of the limit functional:")
+print("\nnull case: n * D(rho_hat || rho) has a non-Gaussian limit, the weighted")
+print("chi-squared law sum_k lam_k Z_k^2 whose weights come from the Hessian of D")
+print("in Pauli coordinates; the statistic is matched against a sample of that law:")
 cfg3 = ExperimentConfig(kind="one_sample_null", rho=rho, n_grid=(1_000, 10_000),
-                        trials=800, seed=44, reference_draws=4000)
+                        trials=800, seed=44)
 for s in run_convergence_experiment(cfg3)["summary"]:
     print(f"  n = {s['n']:6d}: mean {s['mean']:.4f}  var {s['var']:.4f}  two-sample KS = {s['ks']:.3f}")

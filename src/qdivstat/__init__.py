@@ -57,7 +57,6 @@ from .divergences import (
 )
 from .limit_laws import (
     LimitDirection,
-    ScalingSequence,
     SupportViolation,
     fidelity_limit,
     maxdiv_limit,

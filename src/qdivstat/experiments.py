@@ -2,9 +2,11 @@
 
 A convergence experiment simulates tomography at several sample sizes,
 collects the scaled estimation-error statistic per trial, and summarizes the
-empirical law against the predicted one: a centered normal with the
-closed-form variance in the alternative case, a Monte Carlo sample of the
-limit functional with Gaussian directions otherwise.
+empirical law against the exact limit law of the estimator under the
+Gaussian Pauli directions of the tomography CLT.  In the alternative case
+the limit functional is linear in the directions, so its law is a centered
+normal; in the null case it is a quadratic form, so its law is a weighted
+sum of chi-squared(1) variables (Imhof, Biometrika 1961).
 
 Outputs are deterministic for a fixed seed: every (n, trial) pair draws from
 its own seed substream and rows are written in (n, trial) order.
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .operator_core import as_matrix
 from .divergences import (
@@ -28,19 +31,20 @@ from .divergences import (
     sandwiched_renyi,
     umegaki,
 )
+from .frechet import build_divided_differences, frechet1
 from .limit_laws import (
     measured_alt_limit,
     petz_alt_limit,
     qre_alt_limit,
-    qre_null_limit,
     sandwiched_alt_limit,
 )
 from .pauli_tomography import (
+    PauliBasisSet,
+    bernoulli_weights,
     build_pauli_basis,
     estimate,
     qubits_for_dim,
     sample_record,
-    sample_gaussian_limit,
     substream,
     variance_v1,
     variance_v2,
@@ -54,6 +58,9 @@ __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "run_convergence_experiment",
+    "alt_limit_variance",
+    "null_law_weights",
+    "sample_reference_law",
     "ks_statistic",
     "write_rows_csv",
     "write_summary_json",
@@ -63,7 +70,8 @@ ALT_KINDS = ("one_sample_alt", "two_sample_alt", "petz", "sandwiched", "measured
 NULL_KINDS = ("one_sample_null", "two_sample_null")
 KINDS = ALT_KINDS + NULL_KINDS
 
-DEFAULT_REFERENCE_DRAWS = 10_000
+# Size of the null reference sample drawn from the exact weighted chi-squared law.
+REFERENCE_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,6 @@ class ExperimentConfig:
     seed: int = 0
     output_path: str | None = None
     povm_family: list[Povm] | None = None
-    reference_draws: int = DEFAULT_REFERENCE_DRAWS
     experiment_id: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -142,8 +149,7 @@ def ks_statistic(sample, reference) -> float:
         _, mean, var = reference
         if var <= 0:
             raise ValueError("gaussian reference needs positive variance")
-        z = (x - mean) / math.sqrt(var)
-        cdf = 0.5 * (1 + np.array([math.erf(v / math.sqrt(2)) for v in z]))
+        cdf = ndtr((x - mean) / math.sqrt(var))
         grid = np.arange(1, len(x) + 1) / len(x)
         return float(max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1 / len(x))))))
     y = np.sort(np.asarray(reference, dtype=float))
@@ -167,10 +173,8 @@ def _divergence_fn(cfg: ExperimentConfig):
 
 
 def _limit_fn(cfg: ExperimentConfig):
-    """Limit functional of (L1, L2) used to sample the reference law."""
+    """Alternative-case limit functional of (L1, L2), linear in the directions."""
     rho, sigma = cfg.rho, cfg.sigma
-    if cfg.kind in NULL_KINDS:
-        return lambda l1, l2: qre_null_limit(rho, l1, l2)
     if cfg.kind in ("one_sample_alt", "two_sample_alt"):
         return lambda l1, l2: qre_alt_limit(rho, sigma, l1, l2)
     if cfg.kind == "petz":
@@ -181,17 +185,47 @@ def _limit_fn(cfg: ExperimentConfig):
     return lambda l1, l2: measured_alt_limit(rho, sigma, m_star, l1, l2)
 
 
-def sample_reference_law(cfg: ExperimentConfig, draws: int | None = None) -> np.ndarray:
-    """Monte Carlo sample of the limit law with Gaussian Pauli directions."""
-    draws = draws or cfg.reference_draws
-    basis = build_pauli_basis(qubits_for_dim(cfg.dim))
+def alt_limit_variance(cfg: ExperimentConfig, basis: PauliBasisSet) -> float:
+    """Variance v of the exact alternative-case law N(0, v).
+
+    The directions are L1 = sum_j gamma_j sqrt(w_rho_j) Z_j and, for two
+    samples, an independent L2 with the weights of sigma.  The functional f
+    is linear, so v = sum_j w_rho_j f(gamma_j, 0)^2 + sum_j w_sigma_j f(0, gamma_j)^2.
+    """
     fn = _limit_fn(cfg)
+    zero = np.zeros((cfg.dim, cfg.dim))
+    v = bernoulli_weights(cfg.rho, basis) @ np.square([fn(g, zero) for g in basis.operators])
+    if cfg.two_sample:
+        v += bernoulli_weights(cfg.sigma, basis) @ np.square([fn(zero, g) for g in basis.operators])
+    return float(v)
+
+
+def null_law_weights(cfg: ExperimentConfig, basis: PauliBasisSet) -> np.ndarray:
+    """Weights lam_k of the exact null law sum_k lam_k Z_k^2, ascending.
+
+    The null functional (1/2) Tr[delta Dlog_rho(delta)] is a quadratic form
+    in the Pauli coordinates x_j = sqrt(w_j) Z_j of delta, with Hessian
+    H[j, k] = Tr[gamma_j Dlog_rho(gamma_k)].  The weights are the eigenvalues
+    of (1/2) S H S with S = diag(sqrt(w)); the two-sample delta = L1 - L2
+    doubles w.  H is symmetric because Dlog_rho is self-adjoint, and
+    ``eigvalsh`` reads only its lower triangle.
+    """
+    table = build_divided_differences(cfg.rho, "log")
+    s = np.sqrt(bernoulli_weights(cfg.rho, basis) * (2.0 if cfg.two_sample else 1.0))
+    form = np.column_stack([s * basis.coefficients(frechet1(table, g).mat) for g in basis.operators])
+    form *= 0.5 * s
+    return np.linalg.eigvalsh(form)
+
+
+def sample_reference_law(cfg: ExperimentConfig) -> np.ndarray:
+    """REFERENCE_DRAWS seeded draws of the exact null law sum_k lam_k Z_k^2."""
+    if cfg.kind not in NULL_KINDS:
+        raise ValueError(f"{cfg.kind} has a Gaussian limit law; the reference sample is for null kinds")
+    lam = null_law_weights(cfg, build_pauli_basis(qubits_for_dim(cfg.dim)))
     rng = substream(cfg.seed, 10**6)
-    out = np.empty(draws)
-    for k in range(draws):
-        l1 = sample_gaussian_limit(cfg.rho, basis, rng)
-        l2 = sample_gaussian_limit(cfg.sigma, basis, rng) if cfg.two_sample else None
-        out[k] = fn(l1, l2)
+    out = np.zeros(REFERENCE_DRAWS)
+    for weight in lam:
+        out += weight * np.square(rng.standard_normal(REFERENCE_DRAWS))
     return out
 
 
@@ -219,6 +253,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         v_pred = variance_v1(cfg.rho, cfg.sigma, basis)
     elif cfg.kind == "two_sample_alt":
         v_pred = variance_v2(cfg.rho, cfg.sigma, basis)
+    elif cfg.kind in ALT_KINDS:
+        v_pred = alt_limit_variance(cfg, basis)
     else:
         reference = sample_reference_law(cfg)
 

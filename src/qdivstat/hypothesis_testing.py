@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .operator_core import as_matrix
 from .divergences import umegaki
@@ -36,45 +37,11 @@ __all__ = [
 ]
 
 
-# Rational approximation coefficients for the inverse normal CDF (Acklam).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _norm_ppf(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1))
-    if p > 1 - _P_LOW:
-        return -_norm_ppf(1 - p)
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1))
-
-
 def inverse_q(tau: float) -> float:
-    """z with Q(z) = tau, Q the complementary standard normal CDF.
-
-    Rational approximation followed by one Newton step on Q; absolute error
-    well below 1e-9 over (0, 1).
-    """
+    """z with Q(z) = tau, Q the complementary standard normal CDF."""
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    z = -_norm_ppf(tau)
-    q_z = 0.5 * math.erfc(z / math.sqrt(2))
-    pdf = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
-    if pdf > 0:
-        z += (q_z - tau) / pdf
-    return z
+    return -float(ndtri(tau))
 
 
 def threshold_c(tau: float, d: int, b: float) -> float:

@@ -43,6 +43,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     im = np.asarray(obj.get("im", np.zeros((d, d))), dtype=float)
     if re.shape != (d, d) or im.shape != (d, d):
         raise ValueError(f"matrix blocks do not match dim {d}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix has NaN or inf entries")
     return re + 1j * im
 
 

@@ -18,7 +18,6 @@ commutative case and is pinned by the finite-t oracle tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .frechet import (
 
 __all__ = [
     "LimitDirection",
-    "ScalingSequence",
     "SupportViolation",
     "qre_alt_limit",
     "qre_null_limit",
@@ -85,21 +83,6 @@ class LimitDirection:
 
     def __repr__(self) -> str:
         return f"LimitDirection(dim={self.op.dim})"
-
-
-@dataclass(frozen=True)
-class ScalingSequence:
-    """r_n = n**exponent."""
-
-    exponent: float
-    description: str = ""
-
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("scaling exponent must be positive")
-
-    def __call__(self, n: int | np.ndarray) -> float | np.ndarray:
-        return np.asarray(n, dtype=float) ** self.exponent
 
 
 def _dir_mat(L, dim: int) -> np.ndarray:

@@ -8,6 +8,7 @@ on top of the operations in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,8 +54,11 @@ class HermitianOperator:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
         if A.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
+        scale = float(np.max(np.abs(A)))
+        if not math.isfinite(scale):
+            raise ValueError("matrix has NaN or inf entries")
         asym = np.max(np.abs(A - A.conj().T))
-        if asym > atol * max(1.0, float(np.max(np.abs(A)))):
+        if asym > atol * max(1.0, scale):
             raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
         A = (A + A.conj().T) / 2
         A.setflags(write=False)
@@ -135,21 +139,14 @@ class EigensolverError(RuntimeError):
 
 
 def _fix_phases(U: np.ndarray) -> np.ndarray:
-    """Make the first nonzero component of every eigenvector real positive.
+    """Make the first component above 1e-12 in modulus of every eigenvector real positive.
 
     Fixes the U(1) phase freedom so runs are reproducible bit-for-bit given
-    a deterministic eigensolver.
+    a deterministic eigensolver.  Every column is a unit vector, so it has
+    such a component.
     """
-    U = U.copy()
-    d = U.shape[0]
-    for k in range(d):
-        col = U[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        i = idx[0] if len(idx) else 0
-        z = col[i]
-        if z != 0:
-            U[:, k] = col * (z.conjugate() / abs(z))
-    return U
+    lead = U[np.argmax(np.abs(U) > 1e-12, axis=0), np.arange(U.shape[1])]
+    return U * (lead.conj() / np.abs(lead))
 
 
 def eig_hermitian(A) -> SpectralDecomposition:

@@ -45,6 +45,7 @@ __all__ = [
     "estimate_rho",
     "estimate_sigma",
     "was_projected",
+    "bernoulli_weights",
     "variance_v1",
     "variance_v2",
     "sample_gaussian_limit",
@@ -263,7 +264,7 @@ def was_projected(record: MeasurementRecord, basis: PauliBasisSet,
     return estimate(record, basis, psd_atol=psd_atol)[1]
 
 
-def _bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:
+def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:
     """4 s_j^+ s_j^- / d^2: the per-operator CLT variances of s_hat_j scaled by 1/d^2."""
     s = bloch_coefficients(rho, basis).coeffs
     sp = (1.0 + s) / 2.0
@@ -275,7 +276,7 @@ def variance_v1(rho, sigma, basis: PauliBasisSet) -> float:
     """One-sample asymptotic variance of the scaled relative-entropy estimation error."""
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
-    weights = _bernoulli_weights(rho, basis)
+    weights = bernoulli_weights(rho, basis)
     terms = basis.coefficients(_log_psd(rho) - _log_psd(sigma)) ** 2
     return float(np.sum(weights * terms))
 
@@ -289,7 +290,7 @@ def variance_v2(rho, sigma, basis: PauliBasisSet) -> float:
     """
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
-    weights = _bernoulli_weights(sigma, basis)
+    weights = bernoulli_weights(sigma, basis)
     table = build_divided_differences(as_matrix(sigma), "log")
     terms = basis.coefficients(frechet1(table, rho).mat) ** 2
     return variance_v1(rho, sigma, basis) + float(np.sum(weights * terms))
@@ -297,7 +298,7 @@ def variance_v2(rho, sigma, basis: PauliBasisSet) -> float:
 
 def sample_gaussian_limit(rho, basis: PauliBasisSet, rng: np.random.Generator) -> np.ndarray:
     """One draw of the Gaussian weak limit sum_j gamma_j Z_j of the scaled estimator error."""
-    std = np.sqrt(_bernoulli_weights(rho, basis))
+    std = np.sqrt(bernoulli_weights(rho, basis))
     return basis.combine(rng.normal(size=basis.size) * std)
 
 

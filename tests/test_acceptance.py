@@ -287,12 +287,11 @@ def test_null_rate_discrimination():
     """Criterion: n D(rho_hat || rho) stable in n (KS <= 0.08) while sqrt(n) scaling drifts."""
     rho = np.array([[0.65, 0.15 - 0.1j], [0.15 + 0.1j, 0.35]])
     cfg = ExperimentConfig(kind="one_sample_null", rho=rho, n_grid=(1_000, 10_000),
-                           trials=2_000, seed=606, reference_draws=10_000)
+                           trials=2_000, seed=606)
     res = run_convergence_experiment(cfg)
     ks_largest = res["summary"][-1]["ks"]
     cfg_bad = ExperimentConfig(kind="one_sample_null", rho=rho, n_grid=(1_000, 10_000),
-                               trials=2_000, seed=606, scaling_exponent=0.5,
-                               reference_draws=200)
+                               trials=2_000, seed=606, scaling_exponent=0.5)
     res_bad = run_convergence_experiment(cfg_bad)
     vars_bad = [s["var"] for s in res_bad["summary"]]
     drift = max(vars_bad) / min(vars_bad)

@@ -111,6 +111,13 @@ class TestTomographyCommand:
         assert rc == EXIT_VALIDATION
         assert "dimension 3 " in capsys.readouterr().err
 
+    def test_nan_entry_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+        rc = cli_main(["tomography", "--state", str(path), "--n", "200", "--seed", "4"])
+        assert rc == EXIT_VALIDATION
+        assert "NaN or inf" in capsys.readouterr().err
+
     def test_missing_seed_rejected_by_parser(self, states, capsys):
         _, _, rp, _ = states
         rc = cli_main(["tomography", "--state", rp, "--n", "200"])

@@ -35,6 +35,14 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             qio.matrix_from_json({"dim": 3, "re": [[1, 0], [0, 1]]})
 
+    @pytest.mark.parametrize("block", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, block, bad):
+        obj = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+        obj[block][0][1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            qio.matrix_from_json(obj)
+
 
 class TestPovmAndRecordFormats:
     def test_povm_round_trip(self, rng):

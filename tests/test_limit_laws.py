@@ -12,7 +12,6 @@ from qdivstat.divergences import (
 )
 from qdivstat.limit_laws import (
     LimitDirection,
-    ScalingSequence,
     SupportViolation,
     fidelity_limit,
     maxdiv_limit,
@@ -54,12 +53,6 @@ class TestTypes:
         LimitDirection(np.diag([0.0, 0.0]), base=base)
         with pytest.raises(SupportViolation):
             LimitDirection(np.diag([0.5, -0.5]), base=base)
-
-    def test_scaling_sequence(self):
-        r = ScalingSequence(0.5)
-        assert r(10000) == pytest.approx(100.0)
-        with pytest.raises(ValueError):
-            ScalingSequence(0.0)
 
 
 class TestQreAlt:

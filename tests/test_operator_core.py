@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdivstat.operator_core import (
+    _fix_phases,
     DensityOperator,
     HermitianOperator,
     apply_scalar_function,
@@ -31,6 +32,11 @@ class TestConstruction:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             HermitianOperator(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            HermitianOperator(np.array([[bad, 0], [0, 1]]))
 
     def test_density_invariants(self):
         with pytest.raises(ValueError):
@@ -74,6 +80,27 @@ class TestEig:
             col = S1.eigenvectors[:, k]
             lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert lead.real > 0 and abs(lead.imag) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    def test_phase_fix_matches_column_loop(self, rng, d):
+        def loop(U):
+            U = U.copy()
+            for k in range(U.shape[1]):
+                col = U[:, k]
+                idx = np.flatnonzero(np.abs(col) > 1e-12)
+                z = col[idx[0] if len(idx) else 0]
+                if z != 0:
+                    U[:, k] = col * (z.conjugate() / abs(z))
+            return U
+
+        for t in range(20):
+            A = rand_herm(rng, d).copy()
+            if t % 2:
+                # a decoupled first basis vector puts exact zeros at the top of
+                # every other column
+                A[0, 1:] = A[1:, 0] = 0
+            U = np.linalg.eigh(A)[1]
+            assert np.array_equal(_fix_phases(U), loop(U))
 
 
 class TestScalarFunctions:

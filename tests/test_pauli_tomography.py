@@ -5,7 +5,7 @@ from qdivstat.divergences import umegaki
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
     MeasurementRecord,
-    _bernoulli_weights,
+    bernoulli_weights,
     bloch_coefficients,
     build_pauli_basis,
     estimate,
@@ -264,7 +264,7 @@ class TestVariances:
 
     def test_degenerate_weight_for_pure_direction(self):
         B = build_pauli_basis(1)
-        w = _bernoulli_weights(np.diag([1.0, 0.0]), B)
+        w = bernoulli_weights(np.diag([1.0, 0.0]), B)
         assert w[2] == pytest.approx(0.0, abs=1e-15)  # s_3 = 1
         assert w[0] == pytest.approx(0.25, abs=1e-12)
 
@@ -281,7 +281,7 @@ class TestVariances:
         q = np.array([0.4, 0.6])
         rho, sigma = np.diag(p), np.diag(q)
         got = variance_v2(rho, sigma, B) - variance_v1(rho, sigma, B)
-        w = _bernoulli_weights(sigma, B)
+        w = bernoulli_weights(sigma, B)
         want = sum(wj * np.trace(rho @ np.diag(1 / q) @ g).real ** 2
                    for wj, g in zip(w, B.operators))
         assert got == pytest.approx(want, abs=1e-12)
@@ -315,7 +315,7 @@ class TestGaussianLimit:
         traces = [np.trace(L).real for L in draws]
         assert np.max(np.abs(traces)) < 1e-12  # traceless by construction
         # empirical second moment of Tr[gamma_1 L] matches its weight
-        w = _bernoulli_weights(rho, B)
+        w = bernoulli_weights(rho, B)
         vals = np.array([np.trace(B.operators[0] @ L).real for L in draws])
         # Tr[gamma_j L] = d * Z_j, so var = d^2 w_j
         assert vals.var() == pytest.approx(4 * w[0], rel=0.15)
