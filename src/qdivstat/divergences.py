@@ -19,6 +19,7 @@ import numpy as np
 from .operator_core import (
     DEFAULT_SUPPORT_RTOL,
     HermitianOperator,
+    SpectralDecomposition,
     as_matrix,
     eig_hermitian,
     support_contained,
@@ -28,6 +29,7 @@ __all__ = [
     "DivergenceValue",
     "Povm",
     "umegaki",
+    "umegaki_spectral",
     "von_neumann_entropy",
     "classical_kl",
     "petz_renyi",
@@ -130,12 +132,16 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.conj().T) / 2
 
 
+def _support_mask(lam: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Eigenvalues above rel_tol times the largest modulus, along the last axis."""
+    return lam > rel_tol * np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
+
+
 def masked_power(A, p: float, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
     """A^p on the support of A; kernel eigenvalues map to zero."""
     S = eig_hermitian(A)
     lam = S.eigenvalues
-    top = float(np.max(np.abs(lam), initial=0.0))
-    keep = lam > rel_tol * top
+    keep = _support_mask(lam, rel_tol)
     vals = np.zeros_like(lam)
     vals[keep] = lam[keep] ** p
     return S.reassemble(vals)
@@ -145,17 +151,35 @@ def masked_log_trace(rho, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
     """Tr[rho log B] restricted to the support of B (0 log 0 = 0 convention)."""
     S = eig_hermitian(B)
     lam = S.eigenvalues
-    top = float(np.max(np.abs(lam), initial=0.0))
-    keep = lam > rel_tol * top
+    keep = _support_mask(lam, rel_tol)
     diag = np.real(np.einsum("ij,ji->i", S.eigenvectors.conj().T, as_matrix(rho) @ S.eigenvectors))
     return float(np.sum(diag[keep] * np.log(lam[keep])))
 
 
+def umegaki_spectral(rho: SpectralDecomposition, sigma: SpectralDecomposition,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Tr[rho (log rho - log sigma)] from the spectral decompositions of rho and sigma.
+
+    Either argument may be a stack; the result has their broadcast leading
+    shape and is +inf where supp(rho) is not contained in supp(sigma), that
+    is where the diagonal of rho in sigma's eigenbasis puts more than ``tol``
+    on sigma's kernel.  Kernels are masked as in ``masked_log_trace``.
+    """
+    overlap = np.abs(sigma.eigenvectors.conj().swapaxes(-1, -2) @ rho.eigenvectors) ** 2
+    diag = (overlap @ rho.eigenvalues[..., None])[..., 0]
+    keep_rho = _support_mask(rho.eigenvalues, DEFAULT_SUPPORT_RTOL)
+    keep_sigma = _support_mask(sigma.eigenvalues, DEFAULT_SUPPORT_RTOL)
+    own = np.sum(rho.eigenvalues * np.log(np.where(keep_rho, rho.eigenvalues, 1.0)), axis=-1)
+    cross = np.sum(diag * np.log(np.where(keep_sigma, sigma.eigenvalues, 1.0)), axis=-1)
+    leak = np.sum(np.where(keep_sigma, 0.0, diag), axis=-1)
+    return np.where(leak <= tol, own - cross, np.inf)
+
+
 def umegaki(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     """Quantum relative entropy Tr[rho (log rho - log sigma)], +inf without support containment."""
-    if not support_contained(rho, sigma, tol):
+    value = float(umegaki_spectral(eig_hermitian(rho), eig_hermitian(sigma), tol))
+    if math.isinf(value):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
-    value = masked_log_trace(rho, rho) - masked_log_trace(rho, sigma)
     return DivergenceValue(value)
 
 
@@ -247,6 +271,8 @@ def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
     """alpha/(alpha-1) log Tr[rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2) eta]."""
     T = _sandwich_base(rho, sigma, alpha)
     val = float(np.trace(T @ as_matrix(eta)).real)
+    if val <= 0:
+        raise ValueError(f"variational objective needs a positive overlap Tr[T eta], got {val:.6e}")
     return alpha / (alpha - 1) * math.log(val)
 
 

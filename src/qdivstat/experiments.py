@@ -9,7 +9,10 @@ normal; in the null case it is a quadratic form, so its law is a weighted
 sum of chi-squared(1) variables (Imhof, Biometrika 1961).
 
 Outputs are deterministic for a fixed seed: every (n, trial) pair draws from
-its own seed substream and rows are written in (n, trial) order.
+its own seed substream and rows are written in (n, trial) order.  The trials
+of one n run as stacks of at most ``STACK_ENTRIES`` matrix entries: their
+records are sampled, estimated by one stacked eigensolve and, for the
+relative entropy, evaluated on the spectra of the estimates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .operator_core import as_matrix
+from .operator_core import as_matrix, eig_hermitian
 from .divergences import (
     Povm,
     eigenbasis_povm,
@@ -30,6 +33,7 @@ from .divergences import (
     petz_renyi,
     sandwiched_renyi,
     umegaki,
+    umegaki_spectral,
 )
 from .frechet import build_divided_differences, frechet1
 from .limit_laws import (
@@ -42,10 +46,11 @@ from .pauli_tomography import (
     PauliBasisSet,
     bernoulli_weights,
     build_pauli_basis,
-    estimate,
+    estimate_stack,
     qubits_for_dim,
-    sample_record,
+    sample_counts,
     substream,
+    trial_chunks,
     variance_v1,
     variance_v2,
 )
@@ -69,6 +74,7 @@ __all__ = [
 ALT_KINDS = ("one_sample_alt", "two_sample_alt", "petz", "sandwiched", "measured")
 NULL_KINDS = ("one_sample_null", "two_sample_null")
 KINDS = ALT_KINDS + NULL_KINDS
+UMEGAKI_KINDS = ("one_sample_alt", "two_sample_alt", "one_sample_null", "two_sample_null")
 
 # Size of the null reference sample drawn from the exact weighted chi-squared law.
 REFERENCE_DRAWS = 10_000
@@ -162,7 +168,7 @@ def ks_statistic(sample, reference) -> float:
 
 
 def _divergence_fn(cfg: ExperimentConfig):
-    if cfg.kind in ("one_sample_alt", "two_sample_alt", "one_sample_null", "two_sample_null"):
+    if cfg.kind in UMEGAKI_KINDS:
         return lambda r, s: umegaki(r, s).value
     if cfg.kind == "petz":
         return lambda r, s: petz_renyi(r, s, cfg.alpha).value
@@ -258,21 +264,30 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     else:
         reference = sample_reference_law(cfg)
 
+    if cfg.kind in UMEGAKI_KINDS:
+        stack_divergence = umegaki_spectral
+    else:
+        def stack_divergence(rho_hat, sigma_hat):
+            return [divergence(r, s) for r, s in zip(rho_hat.reassemble(), sigma_hat.reassemble())]
+    fixed_sigma = None if cfg.two_sample else eig_hermitian(cfg.sigma)
+
     for n in cfg.n_grid:
         scale = float(n) ** cfg.scaling_exponent
         stats = np.empty(cfg.trials)
-        for t in range(cfg.trials):
-            rec_r = sample_record(cfg.rho, basis, n, derive_seed(cfg.seed, n, t, 0))
-            rho_hat, branch = estimate(rec_r, basis)
+        branches = np.empty(cfg.trials, dtype=bool)
+        for chunk in trial_chunks(cfg.trials, cfg.dim):
+            counts = sample_counts(cfg.rho, basis, n, [derive_seed(cfg.seed, n, t, 0) for t in chunk])
+            rho_hat, branch = estimate_stack(counts, n, basis)
             if cfg.two_sample:
-                rec_s = sample_record(cfg.sigma, basis, n, derive_seed(cfg.seed, n, t, 1))
-                sigma_hat, branch_s = estimate(rec_s, basis, floor=True)
-                branch = branch or branch_s
+                counts = sample_counts(cfg.sigma, basis, n, [derive_seed(cfg.seed, n, t, 1) for t in chunk])
+                sigma_hat, branch_s = estimate_stack(counts, n, basis, floor=True)
+                branch = branch | branch_s
             else:
-                sigma_hat = cfg.sigma
-            stat = scale * (divergence(rho_hat.mat, as_matrix(sigma_hat)) - center)
-            stats[t] = stat
-            rows.append(TrialRecord(n=n, trial_index=t, statistic=float(stat), branch_taken=branch))
+                sigma_hat = fixed_sigma
+            stats[chunk.start:chunk.stop] = scale * (np.asarray(stack_divergence(rho_hat, sigma_hat)) - center)
+            branches[chunk.start:chunk.stop] = branch
+        rows.extend(TrialRecord(n=n, trial_index=t, statistic=stat, branch_taken=flag)
+                    for t, (stat, flag) in enumerate(zip(stats.tolist(), branches.tolist())))
         entry = {
             "kind": cfg.kind,
             "n": n,

@@ -9,10 +9,10 @@ problem, so agreement between them is a meaningful cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .operator_core import (
     HermitianOperator,
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 DEFAULT_COALESCE_TOL = 1e-8
-DEFAULT_NODE_COUNT = 200
 
 
 @dataclass(frozen=True)
@@ -138,22 +137,28 @@ class DividedDifferenceTable:
     base_fn: ScalarFn
     eigen: SpectralDecomposition
     first: np.ndarray
-    second: np.ndarray = field(repr=False)
+    coalesce_tol: float = DEFAULT_COALESCE_TOL
 
     @property
     def dim(self) -> int:
         return self.eigen.dim
 
+    @cached_property
+    def second(self) -> np.ndarray:
+        """The O(d^3) second-order table, built on first access: ``frechet1`` never reads it."""
+        lam = self.eigen.eigenvalues
+        return _dd2(self.base_fn, lam[:, None, None], lam[None, :, None], lam[None, None, :],
+                    self.coalesce_tol)
+
 
 def build_divided_differences(A, fn, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> DividedDifferenceTable:
-    """Build the first and second divided-difference tables of ``fn`` at ``A``."""
+    """Build the divided-difference tables of ``fn`` at ``A``; the second order is lazy."""
     fn = _as_fn(fn)
     S = A if isinstance(A, SpectralDecomposition) else eig_hermitian(A)
     lam = S.eigenvalues
     _check_domain(fn, lam)
     first = _dd1(fn, lam[:, None], lam[None, :], coalesce_tol)
-    second = _dd2(fn, lam[:, None, None], lam[None, :, None], lam[None, None, :], coalesce_tol)
-    return DividedDifferenceTable(base_fn=fn, eigen=S, first=first, second=second)
+    return DividedDifferenceTable(base_fn=fn, eigen=S, first=first, coalesce_tol=coalesce_tol)
 
 
 def frechet1(T: DividedDifferenceTable, H) -> HermitianOperator:
@@ -232,19 +237,6 @@ class QuadratureRule:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    @classmethod
-    def half_line(cls, n: int = DEFAULT_NODE_COUNT) -> "QuadratureRule":
-        """Gauss-Legendre on (0, 1) pushed through tau = t/(1-t).
-
-        Adequate for integrands without algebraic weights on well-conditioned
-        spectra; the spectrum-adapted rule below is the default everywhere.
-        """
-        x, w = roots_legendre(n)
-        t = (x + 1) / 2
-        wt = w / 2
-        tau = t / (1 - t)
-        return cls(nodes=tau, weights=wt / (1 - t) ** 2)
 
     @classmethod
     def log_trapezoid(cls, lam_min: float, lam_max: float, growth_at_zero: float = 0.0,

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .operator_core import as_matrix
-from .divergences import umegaki
+from .operator_core import as_matrix, eig_hermitian
+from .divergences import umegaki_spectral
 from .pauli_tomography import (
     PauliBasisSet,
     build_pauli_basis,
-    estimate,
+    estimate_stack,
     qubits_for_dim,
-    sample_record,
+    sample_counts,
+    trial_chunks,
 )
 
 __all__ = [
@@ -142,10 +143,12 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     """Monte Carlo error-rate estimates of the threshold test, one row per hypothesis.
 
     Each trial simulates Pauli tomography of the true state, evaluates
-    D(rho_hat_n || sigma) and decides via the shifted grid.  Every state must
-    sit strictly inside its hypothesis bucket (validated up front), sigma is
-    known.  ``b`` defaults to the smallest eigenvalue over all scenario
-    states; ``c`` to the minimal admissible threshold for level ``tau``.
+    D(rho_hat_n || sigma) and decides via the shifted grid; the trials of a
+    hypothesis run as bounded stacks, and sigma is eigendecomposed once.
+    Every state must sit strictly inside its hypothesis bucket (validated up
+    front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
+    all scenario states; ``c`` to the minimal admissible threshold for level
+    ``tau``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -158,10 +161,11 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     d = sig.shape[0]
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
+    sig_eig = eig_hermitian(sig)
     for i, rho in enumerate(states):
-        div = umegaki(rho, sig)
-        if not div.support_ok or grid.bucket(div.value) != i:
-            raise ValueError(f"state {i} has D = {div.value}, outside bucket "
+        div = float(umegaki_spectral(eig_hermitian(rho), sig_eig))
+        if grid.bucket(div) != i:
+            raise ValueError(f"state {i} has D = {div}, outside bucket "
                              f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
     if b is None:
         b = min_eigenvalue_bound(states + [sig])
@@ -173,14 +177,13 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     for i, rho in enumerate(states):
         errors = 0
         projected = 0
-        for t in range(trials):
-            record = sample_record(rho, basis, n, derive_seed(seed, i, t))
-            rho_hat, branch = estimate(record, basis)
-            d_hat = umegaki(rho_hat, sig).value
-            outcome = decide(d_hat, n, grid, c)
-            if outcome.decided_index != i:
-                errors += 1
-            projected += branch
+        for chunk in trial_chunks(trials, d):
+            counts = sample_counts(rho, basis, n, [derive_seed(seed, i, t) for t in chunk])
+            rho_hat, branch = estimate_stack(counts, n, basis)
+            for d_hat in umegaki_spectral(rho_hat, sig_eig).tolist():
+                if decide(d_hat, n, grid, c).decided_index != i:
+                    errors += 1
+            projected += int(branch.sum())
         low, high = wilson_interval(errors, trials)
         rate = errors / trials
         radius = (high - low) / 2

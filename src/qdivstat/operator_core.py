@@ -8,7 +8,6 @@ on top of the operations in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,8 +17,10 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "DensityOperator",
+    "check_density_spectrum",
     "DEFAULT_SUPPORT_RTOL",
     "as_matrix",
+    "hermitian_part",
     "eig_hermitian",
     "apply_scalar_function",
     "schatten_norm",
@@ -50,17 +51,9 @@ class HermitianOperator:
 
     def __init__(self, mat: np.ndarray, *, atol: float = _HERMITICITY_ATOL):
         A = np.asarray(mat, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        if A.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("dimension must be >= 1")
-        scale = float(np.max(np.abs(A)))
-        if not math.isfinite(scale):
-            raise ValueError("matrix has NaN or inf entries")
-        asym = np.max(np.abs(A - A.conj().T))
-        if asym > atol * max(1.0, scale):
-            raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-        A = (A + A.conj().T) / 2
+        A = hermitian_part(A, atol=atol)
         A.setflags(write=False)
         self.mat = A
         self.dim = A.shape[0]
@@ -70,6 +63,29 @@ class HermitianOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
+
+
+def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray:
+    """(A + A^dagger)/2 for a matrix or a stack (..., d, d), each checked Hermitian.
+
+    Each matrix must be finite and its asymmetry below ``atol`` times
+    max(1, its largest entry modulus).
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.shape[-1] < 1:
+        raise ValueError("dimension must be >= 1")
+    entries = A.shape[:-2] + (-1,)
+    scale = np.abs(A).reshape(entries).max(axis=-1)
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix has NaN or inf entries")
+    AH = A.conj().swapaxes(-1, -2)
+    asym = np.abs(A - AH).reshape(entries).max(axis=-1)
+    ok = asym <= atol * np.maximum(1.0, scale)
+    if not ok.all():
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym[~ok].max():.3e})")
+    return (A + AH) / 2
 
 
 def as_matrix(op) -> np.ndarray:
@@ -87,20 +103,34 @@ def _hermitian(op) -> HermitianOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian operator."""
+    """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian operator.
+
+    For a stack of operators the leading axes index the operators:
+    eigenvalues (..., d) and eigenvectors (..., d, d).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
     def reassemble(self, values: np.ndarray | None = None) -> np.ndarray:
         """U diag(values) U^dagger; defaults to the original eigenvalues."""
         lam = self.eigenvalues if values is None else np.asarray(values)
         U = self.eigenvectors
-        return (U * lam) @ U.conj().T
+        return (U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+
+def check_density_spectrum(lam: np.ndarray, trace_atol: float = 1e-10, eig_atol: float = 1e-10) -> None:
+    """Raise unless ascending eigenvalues (..., d) sum to 1 and are PSD, row by row, within tolerance."""
+    off = np.abs(lam.sum(axis=-1) - 1.0)
+    if (off > trace_atol).any():
+        raise ValueError(f"trace is off 1 by {off.max():.3e}, more than {trace_atol}")
+    lo = lam[..., 0].min()
+    if lo < -eig_atol:
+        raise ValueError(f"matrix has negative eigenvalue {lo}")
 
 
 class DensityOperator:
@@ -110,12 +140,7 @@ class DensityOperator:
 
     def __init__(self, mat, *, trace_atol: float = 1e-10, eig_atol: float = 1e-10):
         op = _hermitian(mat)
-        tr = op.trace()
-        if abs(tr - 1.0) > trace_atol:
-            raise ValueError(f"trace {tr} is not 1 within {trace_atol}")
-        lo = float(np.linalg.eigvalsh(op.mat)[0])
-        if lo < -eig_atol:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        check_density_spectrum(np.linalg.eigvalsh(op.mat), trace_atol, eig_atol)
         self.op = op
 
     @property
@@ -143,19 +168,24 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
 
     Fixes the U(1) phase freedom so runs are reproducible bit-for-bit given
     a deterministic eigensolver.  Every column is a unit vector, so it has
-    such a component.
+    such a component.  Works on a stack (..., d, d) of eigenvector matrices.
     """
-    lead = U[np.argmax(np.abs(U) > 1e-12, axis=0), np.arange(U.shape[1])]
+    first = np.argmax(np.abs(U) > 1e-12, axis=-2)
+    lead = np.take_along_axis(U, first[..., None, :], axis=-2)
     return U * (lead.conj() / np.abs(lead))
 
 
 def eig_hermitian(A) -> SpectralDecomposition:
-    """Spectral decomposition with ascending eigenvalues and fixed phases."""
-    M = as_matrix(_hermitian(A))
+    """Spectral decomposition with ascending eigenvalues and fixed phases.
+
+    A stack (..., d, d) of Hermitian matrices is decomposed in one call,
+    matrix by matrix, into a stacked decomposition.
+    """
+    M = A.mat if isinstance(A, HermitianOperator) else hermitian_part(as_matrix(A))
     try:
         lam, U = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(M.shape[0]) from exc
+        raise EigensolverError(M.shape[-1]) from exc
     U = _fix_phases(U)
     lam = lam.copy()
     lam.setflags(write=False)
@@ -227,15 +257,17 @@ def loewner_leq(A, B, tol: float = 0.0) -> bool:
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex.
 
-    Standard sort-and-shift algorithm, O(d log d).
+    Standard sort-and-shift algorithm, O(d log d).  An array (..., d) is
+    projected along its last axis, row by row.
     """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(v) + 1)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1)
+    ks = np.arange(1, v.shape[-1] + 1)
     cond = u + (1.0 - css) / ks > 0
-    k = int(ks[cond][-1])
-    theta = (css[k - 1] - 1.0) / k
+    # k: the last position where cond holds
+    k = v.shape[-1] - np.argmax(np.flip(cond, axis=-1), axis=-1)
+    theta = (np.take_along_axis(css, k[..., None] - 1, axis=-1) - 1.0) / k[..., None]
     return np.maximum(v - theta, 0.0)
 
 

@@ -14,7 +14,7 @@ the d^2 entries of A, O(N 4^N) work instead of 4^N dense d x d products.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,11 @@ import numpy as np
 from .operator_core import (
     DensityOperator,
     HermitianOperator,
+    SpectralDecomposition,
     as_matrix,
+    check_density_spectrum,
     eig_hermitian,
+    hermitian_part,
     project_to_simplex,
 )
 from .frechet import build_divided_differences, frechet1
@@ -31,6 +34,7 @@ from .frechet import build_divided_differences, frechet1
 __all__ = [
     "PAULI_MATRICES",
     "MAX_QUBITS",
+    "STACK_ENTRIES",
     "PauliBasisSet",
     "BlochVector",
     "MeasurementRecord",
@@ -39,8 +43,11 @@ __all__ = [
     "bloch_coefficients",
     "reconstruct",
     "substream",
+    "sample_counts",
     "sample_record",
     "record_bloch_estimate",
+    "trial_chunks",
+    "estimate_stack",
     "estimate",
     "estimate_rho",
     "estimate_sigma",
@@ -59,6 +66,16 @@ PAULI_MATRICES = (
 )
 
 MAX_QUBITS = 6
+
+# Most complex matrix entries in one stack of trial estimates: every stack of
+# d x d matrices holds at most this many, so a batched run needs a bounded
+# amount of memory whatever its trial count: 16 trials per stack at d = 64,
+# where larger stacks cost memory and gain no speed, and one stack for up to
+# 4096 trials at d = 4.
+STACK_ENTRIES = 2**16
+
+# Most negative eigenvalue of a raw reconstruction still taken as PSD.
+_PSD_ATOL = 1e-12
 
 # Per-qubit maps between the entries (i, j) of a 2 x 2 block, flattened as
 # 2 i + j, and the Pauli index a: _TO_PAULI[a, 2i + j] = P_a[j, i] gives
@@ -80,7 +97,8 @@ def _per_qubit(mat: np.ndarray, x: np.ndarray, qubits: int) -> np.ndarray:
 
     Each step applies ``mat`` to the leading base-4 digit of the index and
     moves that digit to the end, so after ``qubits`` steps every digit is
-    transformed and back in place.
+    transformed and back in place.  Columns of a 2-D ``x`` are transformed
+    independently and come out as consecutive blocks of the result.
     """
     for _ in range(qubits):
         x = (mat @ x.reshape(4, -1)).T
@@ -127,11 +145,18 @@ class PauliBasisSet:
         return _per_qubit(_TO_PAULI, pairs, n)[1:].real
 
     def combine(self, coeffs: np.ndarray, identity: float = 0.0) -> np.ndarray:
-        """identity * I + sum_j coeffs_j gamma_j as a dense matrix."""
+        """identity * I + sum_j coeffs_j gamma_j as a dense matrix.
+
+        Coefficients of shape (T, d^2 - 1) give a (T, d, d) stack, one matrix per row.
+        """
         n = self.qubits
-        pairs = _per_qubit(_FROM_PAULI, np.concatenate(([identity], coeffs)).astype(complex), n)
-        entries = pairs.reshape((2,) * (2 * n)).transpose(np.argsort(_interleave(n)))
-        return entries.reshape(self.dim, self.dim)
+        coeffs = np.asarray(coeffs)
+        rows = coeffs.shape[:-1]
+        full = np.concatenate((np.full(rows + (1,), identity), coeffs), axis=-1).astype(complex)
+        pairs = _per_qubit(_FROM_PAULI, full.reshape(-1, 4**n).T, n)
+        order = list(range(len(rows))) + [len(rows) + a for a in np.argsort(_interleave(n))]
+        entries = pairs.reshape(rows + (2,) * (2 * n)).transpose(order)
+        return entries.reshape(rows + (self.dim, self.dim))
 
     def __repr__(self) -> str:
         return f"PauliBasisSet(qubits={self.qubits}, size={self.size})"
@@ -188,7 +213,12 @@ def reconstruct(s: BlochVector | np.ndarray, basis: PauliBasisSet) -> HermitianO
     coeffs = s.coeffs if isinstance(s, BlochVector) else np.asarray(s, dtype=float)
     if len(coeffs) != basis.size:
         raise ValueError(f"expected {basis.size} coefficients, got {len(coeffs)}")
-    return HermitianOperator(basis.combine(coeffs, identity=1.0) / basis.dim)
+    return HermitianOperator(_reconstruct_rows(coeffs, basis))
+
+
+def _reconstruct_rows(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:
+    """(1/d)(I + sum_j s_j gamma_j) for each row of s (..., d^2 - 1), checked Hermitian."""
+    return hermitian_part(basis.combine(s, identity=1.0) / basis.dim)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -211,44 +241,93 @@ class MeasurementRecord:
         object.__setattr__(self, "plus_counts", counts)
 
 
-def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:
-    """Simulate n measurement shots per Pauli operator on independent copies.
+def sample_counts(rho, basis: PauliBasisSet, n: int, seeds) -> np.ndarray:
+    """Plus counts of one record per seed, shape (len(seeds), d^2 - 1).
 
-    plus_counts[j] ~ Binomial(n, (1 + s_j)/2), independent across j, all
-    drawn in operator order from the one substream of ``seed``.
+    Row t holds n measurement shots per Pauli operator on independent copies:
+    counts[t, j] ~ Binomial(n, (1 + s_j)/2), independent across j, all drawn
+    in operator order from the one substream of ``seeds[t]``.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
     s = bloch_coefficients(rho, basis).coeffs
     p_plus = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
-    return MeasurementRecord(n=n, plus_counts=substream(seed).binomial(n, p_plus), seed=seed)
+    counts = np.empty((len(seeds), basis.size), dtype=np.int64)
+    for row, seed in zip(counts, seeds):
+        row[:] = substream(seed).binomial(n, p_plus)
+    return counts
+
+
+def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:
+    """Simulate one record: the row of ``sample_counts`` for ``seed``."""
+    return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, [seed])[0], seed=seed)
 
 
 def record_bloch_estimate(record: MeasurementRecord) -> BlochVector:
     """s_hat_j = (#plus - #minus)/n, in [-1, 1]."""
-    return BlochVector((2.0 * record.plus_counts - record.n) / record.n)
+    return BlochVector(_bloch_rows(record.plus_counts, record.n))
+
+
+def _bloch_rows(counts: np.ndarray, n: int) -> np.ndarray:
+    """s_hat = (#plus - #minus)/n for each row of plus counts (..., d^2 - 1)."""
+    return (2.0 * counts - n) / n
+
+
+def trial_chunks(trials: int, dim: int) -> Iterator[range]:
+    """Consecutive ranges of trial indices, each with at most STACK_ENTRIES d x d entries."""
+    step = max(1, STACK_ENTRIES // dim**2)
+    return (range(start, min(start + step, trials)) for start in range(0, trials, step))
+
+
+def _estimate_spectra(raw: np.ndarray, n: int, floor: bool,
+                      psd_atol: float) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Spectra of the estimates of a stack of raw reconstructions, and the projection flags.
+
+    The estimates share the eigenvectors of the raw reconstructions: the
+    projection maps the eigenvalues onto the simplex, and the floor mixes
+    them with 1/d; both keep them ascending.
+    """
+    S = eig_hermitian(raw)
+    lam = S.eigenvalues
+    projected = lam[:, 0] < -psd_atol
+    if projected.any():
+        lam = lam.copy()
+        lam[projected] = project_to_simplex(lam[projected])
+    if floor:
+        lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
+    check_density_spectrum(lam)
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=S.eigenvectors), projected
+
+
+def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
+                   floor: bool = False) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Tomographic estimates of a stack of records with n shots each, as spectra.
+
+    Row t of ``counts`` holds the plus counts of record t.  Returns the
+    stacked spectral decomposition of the estimates, from one stacked
+    eigensolve, and the (T,) projection flags; ``estimate`` gives the same
+    estimate for one record.
+    """
+    raw = _reconstruct_rows(_bloch_rows(np.asarray(counts), n), basis)
+    return _estimate_spectra(raw, n, floor, _PSD_ATOL)
 
 
 def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False,
-             psd_atol: float = 1e-12) -> tuple[DensityOperator, bool]:
+             psd_atol: float = _PSD_ATOL) -> tuple[DensityOperator, bool]:
     """Tomographic estimate of a record and whether it took the projection branch.
 
     The raw reconstruction is kept if PSD, else replaced by the nearest
     density operator.  ``floor`` gives the second-argument estimator, mixed
     with I/(nd) so that it is strictly positive.
     """
-    raw = reconstruct(record_bloch_estimate(record), basis)
-    S = eig_hermitian(raw)
-    projected = float(S.eigenvalues[0]) < -psd_atol
-    est = DensityOperator(S.reassemble(project_to_simplex(S.eigenvalues)) if projected else raw)
-    if floor:
-        n, d = record.n, basis.dim
-        est = DensityOperator(np.eye(d) / (n * d) + (1.0 - 1.0 / n) * est.mat)
-    return est, projected
+    raw = _reconstruct_rows(record_bloch_estimate(record).coeffs[None], basis)
+    S, projected = _estimate_spectra(raw, record.n, floor, psd_atol)
+    mat = S.reassemble()[0] if projected[0] or floor else raw[0]
+    return DensityOperator(mat), bool(projected[0])
 
 
 def estimate_rho(record: MeasurementRecord, basis: PauliBasisSet,
-                 psd_atol: float = 1e-12) -> DensityOperator:
+                 psd_atol: float = _PSD_ATOL) -> DensityOperator:
     """Tomographic estimator: raw reconstruction if PSD, nearest density operator otherwise."""
     return estimate(record, basis, psd_atol=psd_atol)[0]
 
@@ -259,7 +338,7 @@ def estimate_sigma(record: MeasurementRecord, basis: PauliBasisSet) -> DensityOp
 
 
 def was_projected(record: MeasurementRecord, basis: PauliBasisSet,
-                  psd_atol: float = 1e-12) -> bool:
+                  psd_atol: float = _PSD_ATOL) -> bool:
     """Whether the raw reconstruction was infeasible and took the projection branch."""
     return estimate(record, basis, psd_atol=psd_atol)[1]
 

@@ -16,9 +16,10 @@ from qdivstat.divergences import (
     sandwiched_variational_objective,
     trivial_povm,
     umegaki,
+    umegaki_spectral,
     von_neumann_entropy,
 )
-from qdivstat.operator_core import loewner_leq
+from qdivstat.operator_core import eig_hermitian, loewner_leq
 from qdivstat.random_ops import haar_unitary
 
 from conftest import rand_herm, rand_state
@@ -41,6 +42,18 @@ class TestUmegaki:
         assert not val.support_ok
         assert val.value == np.inf
         assert not val.is_finite
+
+    def test_spectral_stack_matches_pairs(self, rng):
+        sigma = np.diag([0.7, 0.3, 0.0])
+        rhos = [rand_state(rng, 3) for _ in range(4)] + [np.diag([0.5, 0.5, 0.0])]
+        got = umegaki_spectral(eig_hermitian(np.stack(rhos)), eig_hermitian(sigma))
+        assert got.shape == (5,)
+        assert np.all(np.isinf(got[:4]))  # full-rank rho leaks into sigma's kernel
+        assert got[4] == pytest.approx(umegaki(rhos[4], sigma).value, abs=1e-14)
+        sigmas = [rand_state(rng, 3) for _ in range(5)]
+        pairs = umegaki_spectral(eig_hermitian(np.stack(rhos)), eig_hermitian(np.stack(sigmas)))
+        for r, s, value in zip(rhos, sigmas, pairs):
+            assert value == pytest.approx(umegaki(r, s).value, abs=1e-14)
 
     def test_value_infinity_tagging_enforced(self):
         with pytest.raises(ValueError):
@@ -162,6 +175,12 @@ class TestDualOptimizer:
         pi = np.eye(2) / 2
         eta = sandwiched_dual_optimizer(pi, pi, 2.0)
         assert sandwiched_variational_objective(pi, pi, 2.0, eta) == pytest.approx(0.0, abs=1e-12)
+
+    def test_objective_rejects_non_positive_overlap(self, rng):
+        rho, sigma = rand_state(rng, 2), rand_state(rng, 2)
+        for eta in (np.zeros((2, 2)), -np.eye(2)):
+            with pytest.raises(ValueError, match="overlap"):
+                sandwiched_variational_objective(rho, sigma, 2.0, eta)
 
     @pytest.mark.parametrize("alpha", [0.7, 2.0, 3.0])
     def test_objective_attains_divergence(self, rng, alpha):

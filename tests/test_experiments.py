@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
 
+from qdivstat import pauli_tomography
 from qdivstat.experiments import (
+    ALT_KINDS,
     NULL_KINDS,
     REFERENCE_DRAWS,
     ExperimentConfig,
@@ -16,19 +18,48 @@ from qdivstat.experiments import (
     run_convergence_experiment,
     sample_reference_law,
 )
-from qdivstat.divergences import eigenbasis_povm
+from qdivstat.divergences import eigenbasis_povm, petz_renyi, umegaki
 from qdivstat.frechet import d_log
+from qdivstat.hypothesis_testing import derive_seed
 from qdivstat.limit_laws import qre_null_limit
 from qdivstat.pauli_tomography import (
     bernoulli_weights,
     build_pauli_basis,
+    estimate,
     qubits_for_dim,
     sample_gaussian_limit,
+    sample_record,
     variance_v1,
     variance_v2,
 )
+from qdivstat.random_ops import haar_unitary
 
 from conftest import rand_state
+
+
+def per_record_rows(cfg, divergence):
+    """(statistic, branch) per (n, trial): the per-record trial loop, kept as the oracle of the batched one."""
+    basis = build_pauli_basis(qubits_for_dim(cfg.dim))
+    center = divergence(cfg.rho, cfg.sigma) if cfg.kind in ALT_KINDS else 0.0
+    rows = []
+    for n in cfg.n_grid:
+        for t in range(cfg.trials):
+            rho_hat, branch = estimate(sample_record(cfg.rho, basis, n, derive_seed(cfg.seed, n, t, 0)), basis)
+            sigma_hat = cfg.sigma
+            if cfg.two_sample:
+                rec = sample_record(cfg.sigma, basis, n, derive_seed(cfg.seed, n, t, 1))
+                est, branch_s = estimate(rec, basis, floor=True)
+                sigma_hat, branch = est.mat, branch or branch_s
+            rows.append((n**cfg.scaling_exponent * (divergence(rho_hat.mat, sigma_hat) - center), branch))
+    return rows
+
+
+def near_pure_state(rng, d):
+    """Eigenvalues (0.997, 0.001, ...) in a Haar basis: most small-n estimates need projecting."""
+    lam = np.full(d, 0.001)
+    lam[0] = 1.0 - 0.001 * (d - 1)
+    U = haar_unitary(d, rng)
+    return (U * lam) @ U.conj().T
 
 
 def monte_carlo_limit_sample(cfg, draws, seed):
@@ -235,3 +266,32 @@ class TestExactLaws:
                                alpha=1.5, trials=100)
         with pytest.raises(ValueError):
             sample_reference_law(cfg)
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("kind,d,alpha", [("one_sample_null", 4, None), ("two_sample_alt", 4, None),
+                                              ("petz", 2, 1.5)])
+    def test_matches_per_record_oracle(self, rng, kind, d, alpha):
+        rho = near_pure_state(rng, d)
+        sigma = rand_state(rng, d, 0.1) if kind in ALT_KINDS else None
+        cfg = ExperimentConfig(kind=kind, rho=rho, sigma=sigma, alpha=alpha,
+                               n_grid=(100, 1000), trials=100, seed=41)
+        divergence = ((lambda r, s: petz_renyi(r, s, alpha).value) if kind == "petz"
+                      else (lambda r, s: umegaki(r, s).value))
+        oracle = per_record_rows(cfg, divergence)
+        rows = run_convergence_experiment(cfg)["rows"]
+        assert [r.branch_taken for r in rows] == [branch for _, branch in oracle]
+        for r, (stat, _) in zip(rows, oracle):
+            assert abs(r.statistic - stat) / r.n**cfg.scaling_exponent <= 1e-12
+        if d == 4:
+            assert sum(r.branch_taken for r in rows) > len(rows) / 2
+
+    @pytest.mark.parametrize("kind", ["one_sample_null", "two_sample_alt"])
+    def test_chunks_do_not_change_rows(self, rng, monkeypatch, kind):
+        rho = near_pure_state(rng, 4)
+        sigma = rand_state(rng, 4, 0.1) if kind in ALT_KINDS else None
+        cfg = ExperimentConfig(kind=kind, rho=rho, sigma=sigma, n_grid=(100, 1000), trials=100, seed=43)
+        whole = run_convergence_experiment(cfg)["rows"]
+        monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4 * 4)
+        assert [len(c) for c in pauli_tomography.trial_chunks(100, 4)] == [7] * 14 + [2]
+        assert run_convergence_experiment(cfg)["rows"] == whole

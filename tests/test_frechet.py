@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from qdivstat import frechet
 from qdivstat.frechet import (
     QuadratureRule,
     ScalarFn,
@@ -16,6 +17,7 @@ from qdivstat.frechet import (
     frechet_power_quadrature,
 )
 from qdivstat.operator_core import eig_hermitian, moore_penrose_inverse
+from qdivstat.pauli_tomography import build_pauli_basis, variance_v2
 
 from conftest import rand_herm
 
@@ -51,6 +53,25 @@ class TestTables:
     def test_first_table_symmetric(self, rng):
         T = build_divided_differences(positive_matrix(rng, 5), "log")
         assert np.allclose(T.first, T.first.T)
+
+    def test_second_table_is_lazy(self, rng, monkeypatch):
+        A = positive_matrix(rng, 4)
+        T = build_divided_differences(A, "log")
+        assert "second" not in vars(T)
+        # D^2 log(A)(I, I) = -A^-2, read from the table built on first access
+        inv = np.linalg.inv(A)
+        assert np.max(np.abs(frechet2(T, np.eye(4), np.eye(4)).mat + inv @ inv)) < 1e-10
+        assert "second" in vars(T)
+
+        def unbuilt(*args):
+            raise AssertionError("second-order table built")
+
+        monkeypatch.setattr(frechet, "_dd2", unbuilt)
+        T = build_divided_differences(A, "log")
+        frechet1(T, rand_herm(rng, 4))
+        d_power(A, rand_herm(rng, 4), 0.5)
+        variance_v2(A / np.trace(A).real, np.eye(4) / 4, build_pauli_basis(2))
+        assert "second" not in vars(T)
 
     def test_second_table_permutation_invariant(self, rng):
         T = build_divided_differences(positive_matrix(rng, 4), ScalarFn.power(0.5))
@@ -142,8 +163,9 @@ class TestFrechet2:
 
 class TestQuadratureOracle:
     def test_rule_invariants(self):
-        rule = QuadratureRule.half_line(50)
-        assert rule.node_count == 50
+        # window log(0.1) - 40 .. log(1) + 40 in steps of 0.5: ceil(82.30 / 0.5) + 1 nodes
+        rule = QuadratureRule.log_trapezoid(0.1, 1.0, step=0.5)
+        assert rule.node_count == 166
         assert np.all(rule.weights > 0)
         assert np.all(np.diff(rule.nodes) > 0)
 

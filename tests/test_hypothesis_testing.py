@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from qdivstat import pauli_tomography
 from qdivstat.divergences import umegaki
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
@@ -15,7 +16,13 @@ from qdivstat.hypothesis_testing import (
     threshold_c,
     wilson_interval,
 )
-from qdivstat.pauli_tomography import build_pauli_basis, reconstruct, variance_v1
+from qdivstat.pauli_tomography import (
+    build_pauli_basis,
+    estimate,
+    reconstruct,
+    sample_record,
+    variance_v1,
+)
 
 
 
@@ -186,6 +193,29 @@ class TestSimulation:
         b = min_eigenvalue_bound(states + [sigma])
         for r in states:
             assert variance_v1(r, sigma, basis) <= 4 * 4 * math.log(b) ** 2 + 1e-12
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_matches_per_record_oracle(self, monkeypatch, chunk):
+        # at n = 20 the estimates of the nearly pure second state often leave the Bloch ball
+        basis = build_pauli_basis(1)
+        sigma = np.eye(2) / 2
+        states = [reconstruct(np.array([0.1, 0.0, s3]), basis).mat for s3 in (0.3, 0.95)]
+        divs = [umegaki(r, sigma).value for r in states]
+        grid = HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.2))
+        n, trials, c = 20, 150, 0.5
+        if chunk:
+            monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", chunk * 4)
+        rows = simulate_error_rates(states, sigma, grid, tau=0.3, n=n, trials=trials, seed=17,
+                                    basis=basis, c=c)
+        for i, rho in enumerate(states):
+            errors = projected = 0
+            for t in range(trials):
+                rho_hat, branch = estimate(sample_record(rho, basis, n, derive_seed(17, i, t)), basis)
+                errors += decide(umegaki(rho_hat, sigma).value, n, grid, c).decided_index != i
+                projected += branch
+            assert rows[i]["errors"] == errors
+            assert rows[i]["projection_fraction"] == projected / trials
+        assert rows[1]["projection_fraction"] > 0
 
     def test_seed_derivation_stable(self):
         assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)

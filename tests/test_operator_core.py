@@ -102,6 +102,26 @@ class TestEig:
             U = np.linalg.eigh(A)[1]
             assert np.array_equal(_fix_phases(U), loop(U))
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_stack_matches_single(self, rng, d):
+        stack = np.stack([rand_herm(rng, d) for _ in range(9)])
+        S = eig_hermitian(stack)
+        assert S.dim == d
+        for A, lam, U, M in zip(stack, S.eigenvalues, S.eigenvectors, S.reassemble()):
+            single = eig_hermitian(A)
+            assert np.array_equal(lam, single.eigenvalues)
+            assert np.array_equal(U, single.eigenvectors)
+            assert np.array_equal(M, single.reassemble())
+
+    def test_stack_rejects_bad_member(self, rng):
+        stack = np.stack([rand_herm(rng, 3) for _ in range(4)])
+        stack[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig_hermitian(stack)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN or inf"):
+            eig_hermitian(stack)
+
 
 class TestScalarFunctions:
     def test_exp_of_zero(self):
@@ -224,6 +244,22 @@ class TestDensityProjection:
             before = np.linalg.norm(A - target)
             after = np.linalg.norm(project_to_density(A).mat - target)
             assert after <= before + 1e-10
+
+    def test_simplex_projection_row_wise(self, rng):
+        def one_row(v):
+            # sort-and-shift on a single vector
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u)
+            ks = np.arange(1, len(v) + 1)
+            k = int(ks[u + (1.0 - css) / ks > 0][-1])
+            return np.maximum(v - (css[k - 1] - 1.0) / k, 0.0)
+
+        for d in (2, 3, 4, 8, 64):
+            V = np.concatenate([rng.normal(size=(50, d)), rng.dirichlet(np.ones(d), size=5),
+                                np.full((1, d), 1.0 / d), rng.normal(size=(5, d)).round(1)])
+            got = project_to_simplex(V)
+            assert np.array_equal(got, np.stack([one_row(v) for v in V]))
+            assert np.array_equal(project_to_simplex(V[3]), got[3])
 
     def test_simplex_projection_known_values(self):
         assert np.allclose(project_to_simplex([1.2, -0.2]), [1.0, 0.0])

@@ -4,6 +4,7 @@ import pytest
 from qdivstat.divergences import umegaki
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
+    STACK_ENTRIES,
     MeasurementRecord,
     bernoulli_weights,
     bloch_coefficients,
@@ -17,6 +18,7 @@ from qdivstat.pauli_tomography import (
     sample_gaussian_limit,
     sample_record,
     substream,
+    trial_chunks,
     variance_v1,
     variance_v2,
     was_projected,
@@ -177,6 +179,12 @@ class TestSampling:
         b = substream(3, 1).normal(size=4)
         assert not np.allclose(a, b)
         assert np.allclose(a, substream(3, 0).normal(size=4))
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_trial_chunks_bounded(self, d):
+        chunks = list(trial_chunks(2000, d))
+        assert [t for c in chunks for t in c] == list(range(2000))
+        assert max(len(c) for c in chunks) * d * d <= max(STACK_ENTRIES, d * d)
 
 
 class TestEstimators:
