@@ -22,7 +22,10 @@ from .operator_core import (
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
+    hermitian_part,
+    spectral_map,
     support_contained,
+    support_mask,
 )
 
 __all__ = [
@@ -128,32 +131,15 @@ def povm_apply(M: Povm, A) -> np.ndarray:
     return np.array([float(np.trace(E.mat @ mat).real) for E in M.elements])
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2
-
-
-def _support_mask(lam: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Eigenvalues above rel_tol times the largest modulus, along the last axis."""
-    return lam > rel_tol * np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
-
-
 def masked_power(A, p: float, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
     """A^p on the support of A; kernel eigenvalues map to zero."""
-    S = eig_hermitian(A)
-    lam = S.eigenvalues
-    keep = _support_mask(lam, rel_tol)
-    vals = np.zeros_like(lam)
-    vals[keep] = lam[keep] ** p
-    return S.reassemble(vals)
+    return spectral_map(A, lambda lam: lam**p, lambda lam: support_mask(lam, rel_tol))
 
 
 def masked_log_trace(rho, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
     """Tr[rho log B] restricted to the support of B (0 log 0 = 0 convention)."""
-    S = eig_hermitian(B)
-    lam = S.eigenvalues
-    keep = _support_mask(lam, rel_tol)
-    diag = np.real(np.einsum("ij,ji->i", S.eigenvectors.conj().T, as_matrix(rho) @ S.eigenvectors))
-    return float(np.sum(diag[keep] * np.log(lam[keep])))
+    log_b = spectral_map(B, np.log, lambda lam: support_mask(lam, rel_tol))
+    return float(np.trace(as_matrix(rho) @ log_b).real)
 
 
 def umegaki_spectral(rho: SpectralDecomposition, sigma: SpectralDecomposition,
@@ -167,8 +153,8 @@ def umegaki_spectral(rho: SpectralDecomposition, sigma: SpectralDecomposition,
     """
     overlap = np.abs(sigma.eigenvectors.conj().swapaxes(-1, -2) @ rho.eigenvectors) ** 2
     diag = (overlap @ rho.eigenvalues[..., None])[..., 0]
-    keep_rho = _support_mask(rho.eigenvalues, DEFAULT_SUPPORT_RTOL)
-    keep_sigma = _support_mask(sigma.eigenvalues, DEFAULT_SUPPORT_RTOL)
+    keep_rho = support_mask(rho.eigenvalues)
+    keep_sigma = support_mask(sigma.eigenvalues)
     own = np.sum(rho.eigenvalues * np.log(np.where(keep_rho, rho.eigenvalues, 1.0)), axis=-1)
     cross = np.sum(diag * np.log(np.where(keep_sigma, sigma.eigenvalues, 1.0)), axis=-1)
     leak = np.sum(np.where(keep_sigma, 0.0, diag), axis=-1)
@@ -230,7 +216,7 @@ def _sandwich_base(rho, sigma, alpha: float) -> np.ndarray:
     q = (1 - alpha) / alpha
     root = masked_power(rho, 0.5)
     mid = masked_power(sigma, q) if q != 1 else as_matrix(sigma)
-    return _sym(root @ mid @ root)
+    return hermitian_part(root @ mid @ root, atol=np.inf)
 
 
 def sandwiched_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> DivergenceValue:
@@ -259,8 +245,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
     T = _sandwich_base(rho, sigma, alpha)
     lam = np.linalg.eigvalsh(T)
-    top = float(np.max(np.abs(lam), initial=0.0))
-    if top <= 0 or np.sum(lam > rel_tol * top) == 0:
+    if not support_mask(lam, rel_tol).any():
         raise ValueError("degenerate sigma support: variational base operator vanishes")
     norm_alpha = float(np.sum(np.clip(lam, 0.0, None) ** alpha)) ** (1.0 / alpha)
     num = masked_power(T, alpha - 1, rel_tol)
@@ -279,7 +264,7 @@ def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1]."""
     root = masked_power(rho, 0.5)
-    lam = np.clip(np.linalg.eigvalsh(_sym(root @ as_matrix(sigma) @ root)), 0.0, None)
+    lam = np.clip(np.linalg.eigvalsh(hermitian_part(root @ as_matrix(sigma) @ root, atol=np.inf)), 0.0, None)
     val = float(np.sum(np.sqrt(lam)) ** 2)
     return min(max(val, 0.0), 1.0)
 
@@ -289,7 +274,7 @@ def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     if not support_contained(rho, sigma, tol):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     inv_root = masked_power(sigma, -0.5)
-    lam_max = float(np.linalg.eigvalsh(_sym(inv_root @ as_matrix(rho) @ inv_root))[-1])
+    lam_max = float(np.linalg.eigvalsh(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf))[-1])
     return DivergenceValue(math.log(lam_max))
 
 

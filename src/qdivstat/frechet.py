@@ -20,6 +20,7 @@ from .operator_core import (
     as_matrix,
     eig_hermitian,
     schatten_norm,
+    spectral_map,
 )
 
 __all__ = [
@@ -103,12 +104,25 @@ def _check_domain(fn: ScalarFn, eigenvalues: np.ndarray) -> None:
 
 
 def _dd1(fn: ScalarFn, x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """First divided difference f(x)-f(y) over x-y, coalescing to f'((x+y)/2)."""
-    scale = np.maximum(np.abs(x), np.abs(y))
-    near = np.abs(x - y) <= tol * scale
-    diff = np.where(near, 1.0, x - y)
+    """First divided difference f(x)-f(y) over x-y, coalescing to f'((x+y)/2).
+
+    Positive arguments within a factor 2 of each other take the
+    cancellation-free forms of Higham, Functions of Matrices (SIAM 2008),
+    11.2: 2 atanh((x-y)/(x+y))/(x-y) for log, and for x^a
+    lo^a expm1(a log1p((hi-lo)/lo))/(hi-lo) with lo < hi the two arguments.
+    Elsewhere f(x) - f(y) loses no digits and the plain quotient is exact to
+    rounding; it also serves arguments <= 0.
+    """
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    near = hi - lo <= tol * np.maximum(np.abs(x), np.abs(y))
+    close = (lo > 0) & (hi <= 2 * lo)
+    gap = np.where(near, 1.0, hi - lo)
     with np.errstate(all="ignore"):
-        quotient = (fn.f(x) - fn.f(y)) / diff
+        if fn.name == "log":
+            stable = 2 * np.arctanh((hi - lo) / (hi + lo)) / gap
+        else:
+            stable = lo**fn.alpha * np.expm1(fn.alpha * np.log1p((hi - lo) / lo)) / gap
+        quotient = np.where(close, stable, (fn.f(hi) - fn.f(lo)) / gap)
         mid = fn.df((x + y) / 2)
     return np.where(near, mid, quotient)
 
@@ -400,12 +414,8 @@ def finite_difference_check(fn, A, H, h_step: float,
     bwd = eig_hermitian(M - h_step * N)
     for S in (fwd, bwd):
         _check_domain(fn, S.eigenvalues)
-    f_fwd = S_apply(fwd, fn)
-    f_bwd = S_apply(bwd, fn)
+    f_fwd = spectral_map(fwd, fn.f)
+    f_bwd = spectral_map(bwd, fn.f)
     table = build_divided_differences(M, fn, coalesce_tol)
     central = (f_fwd - f_bwd) / (2 * h_step)
     return schatten_norm(central - frechet1(table, N).mat, 1)
-
-
-def S_apply(S: SpectralDecomposition, fn: ScalarFn) -> np.ndarray:
-    return S.reassemble(fn.f(S.eigenvalues))

@@ -22,11 +22,14 @@ import math
 import numpy as np
 
 from .operator_core import (
-    DEFAULT_SUPPORT_RTOL,
     HermitianOperator,
     as_matrix,
     eig_hermitian,
+    hermitian_part,
+    spectral_map,
     support_contained,
+    support_leak,
+    support_mask,
 )
 from .frechet import (
     build_divided_differences,
@@ -95,26 +98,18 @@ def _dir_mat(L, dim: int) -> np.ndarray:
 
 
 def _direction_in_support(L: np.ndarray, base, tol: float) -> bool:
-    from .operator_core import support_projector
-
-    P = support_projector(base).mat
-    Q = np.eye(P.shape[0]) - P
-    leak = float(np.trace(Q @ L @ L @ Q).real)
-    norm2 = float(np.trace(L @ L).real)
-    return leak <= tol * max(norm2, 1.0)
+    square = L @ L
+    return support_leak(square, base) <= tol * max(float(np.trace(square).real), 1.0)
 
 
 def _retr(x) -> float:
     return float(np.trace(x).real)
 
 
-def _compress(support_of, *mats, rtol: float = DEFAULT_SUPPORT_RTOL):
+def _compress(support_of, *mats):
     """Restrict all matrices to the support subspace of ``support_of``."""
     S = eig_hermitian(support_of)
-    lam = S.eigenvalues
-    top = float(np.max(np.abs(lam), initial=0.0))
-    keep = lam > rtol * top
-    V = S.eigenvectors[:, keep]
+    V = S.eigenvectors[:, support_mask(S.eigenvalues)]
     return [V.conj().T @ M @ V for M in mats]
 
 
@@ -124,18 +119,17 @@ def _require_positive(name: str, M: np.ndarray) -> None:
         raise SupportViolation(f"{name} must be strictly positive on the working subspace (min eig {lo:.3e})")
 
 
-def _masked_log(M: np.ndarray, rtol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
-    S = eig_hermitian(M)
-    lam = S.eigenvalues
-    top = float(np.max(np.abs(lam), initial=0.0))
-    keep = lam > rtol * top
-    vals = np.zeros_like(lam)
-    vals[keep] = np.log(lam[keep])
-    return S.reassemble(vals)
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2
+def _alt_inputs(rho, sigma, L1, L2, tol: float):
+    """rho, sigma and the directions compressed to supp(sigma), where rho and sigma must be positive."""
+    R, Sg = as_matrix(rho), as_matrix(sigma)
+    d = R.shape[0]
+    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
+    if not support_contained(R, Sg, tol):
+        raise SupportViolation("rho is not supported inside sigma")
+    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
+    _require_positive("rho", R)
+    _require_positive("sigma", Sg)
+    return R, Sg, M1, M2
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +152,7 @@ def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
         raise SupportViolation("L1 has mass outside the support of rho")
     R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
     _require_positive("sigma", Sg)
-    term1 = _retr(M1 @ (_masked_log(R) - _masked_log(Sg)))
+    term1 = _retr(M1 @ (spectral_map(R, np.log, support_mask) - spectral_map(Sg, np.log, support_mask)))
     table = build_divided_differences(Sg, "log")
     term2 = _retr(R @ frechet1(table, M2).mat)
     return term1 - term2
@@ -183,7 +177,7 @@ def vn_entropy_limit(rho, L, tol: float = 1e-8) -> float:
     if not _direction_in_support(M, R, tol):
         raise SupportViolation("L has mass outside the support of rho")
     R, M = _compress(R, R, M)
-    return -_retr(M @ _masked_log(R))
+    return -_retr(M @ spectral_map(R, np.log, support_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +195,10 @@ def petz_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> 
     [Tr(sigma^(1-a) D[rho^a](L1)) + Tr(rho^a D[sigma^(1-a)](L2))] / ((a-1) Tr[rho^a sigma^(1-a)]).
     """
     _check_petz_alpha(alpha)
-    R, Sg = as_matrix(rho), as_matrix(sigma)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
-        raise SupportViolation("rho is not supported inside sigma")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("rho", R)
-    _require_positive("sigma", Sg)
+    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
     ab = 1 - alpha
-    r_pow = _power(R, alpha)
-    s_pow = _power(Sg, ab)
+    r_pow = spectral_map(R, lambda lam: lam**alpha)
+    s_pow = spectral_map(Sg, lambda lam: lam**ab)
     num = _retr(s_pow @ d_power(R, M1, alpha).mat) + _retr(r_pow @ d_power(Sg, M2, ab).mat)
     den = (alpha - 1) * _retr(r_pow @ s_pow)
     return num / den
@@ -238,13 +225,9 @@ def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
     t_b = build_divided_differences(R, ab)
     d1_b = frechet1(t_b, M2).mat
     d2_b = frechet2(t_b, M2, M2).mat
-    num = _retr(_power(R, ab) @ d2_a) + _retr(_power(R, alpha) @ d2_b) + 2 * _retr(d1_a @ d1_b)
+    num = (_retr(spectral_map(R, lambda lam: lam**ab) @ d2_a)
+           + _retr(spectral_map(R, lambda lam: lam**alpha) @ d2_b) + 2 * _retr(d1_a @ d1_b))
     return num / (2 * (alpha - 1))
-
-
-def _power(M: np.ndarray, p: float) -> np.ndarray:
-    S = eig_hermitian(M)
-    return S.reassemble(S.eigenvalues**p)
 
 
 # ---------------------------------------------------------------------------
@@ -255,44 +238,28 @@ def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-
     """Alternative-case sandwiched Renyi limit (vanishes when rho = sigma)."""
     if not (0.5 <= alpha < 1 or alpha > 1):
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
-    R, Sg = as_matrix(rho), as_matrix(sigma)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
-        raise SupportViolation("rho is not supported inside sigma")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("rho", R)
-    _require_positive("sigma", Sg)
+    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
     q = (1 - alpha) / alpha
-    root = _power(R, 0.5)
-    s_q = _power(Sg, q)
+    root = spectral_map(R, np.sqrt)
+    s_q = spectral_map(Sg, lambda lam: lam**q)
     d_root = d_power(R, M1, 0.5).mat
     d_sq = d_power(Sg, M2, q).mat if q != 1 else M2
-    T = _sym(root @ s_q @ root)
+    T = eig_hermitian(hermitian_part(root @ s_q @ root, atol=np.inf))
     dT = d_root @ s_q @ root + root @ s_q @ d_root + root @ d_sq @ root
-    lam = np.clip(np.linalg.eigvalsh(T), 0.0, None)
-    num = _retr(dT @ _power(T, alpha - 1))
-    den = float(np.sum(lam**alpha))
+    num = _retr(dT @ spectral_map(T, lambda lam: lam ** (alpha - 1)))
+    den = float(np.sum(np.clip(T.eigenvalues, 0.0, None) ** alpha))
     return alpha / (alpha - 1) * num / den
 
 
 def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     """First-order fidelity limit sqrt(F) Tr[dT (rho^(1/2) sigma rho^(1/2))^(-1/2)]."""
-    R, Sg = as_matrix(rho), as_matrix(sigma)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
-        raise SupportViolation("rho is not supported inside sigma")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("rho", R)
-    _require_positive("sigma", Sg)
-    root = _power(R, 0.5)
+    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
+    root = spectral_map(R, np.sqrt)
     d_root = d_power(R, M1, 0.5).mat
-    T = _sym(root @ Sg @ root)
+    T = eig_hermitian(hermitian_part(root @ Sg @ root, atol=np.inf))
     dT = d_root @ Sg @ root + root @ Sg @ d_root + root @ M2 @ root
-    lam = np.clip(np.linalg.eigvalsh(T), 0.0, None)
-    sqrt_fid = float(np.sum(np.sqrt(lam)))
-    return sqrt_fid * _retr(dT @ _power(T, -0.5))
+    sqrt_fid = float(np.sum(np.sqrt(np.clip(T.eigenvalues, 0.0, None))))
+    return sqrt_fid * _retr(dT @ spectral_map(T, lambda lam: lam**-0.5))
 
 
 def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8, gap_tol: float = 1e-8) -> float:
@@ -302,18 +269,10 @@ def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8, gap_tol: float = 1e
     otherwise the projection in the formula is ill-defined and an error is
     raised rather than silently picking a branch.
     """
-    R, Sg = as_matrix(rho), as_matrix(sigma)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
-        raise SupportViolation("rho is not supported inside sigma")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("rho", R)
-    _require_positive("sigma", Sg)
-    root = _power(R, 0.5)
-    s_inv = _power(Sg, -1.0)
-    M = _sym(root @ s_inv @ root)
-    S = eig_hermitian(M)
+    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
+    root = spectral_map(R, np.sqrt)
+    s_inv = spectral_map(Sg, np.reciprocal)
+    S = eig_hermitian(hermitian_part(root @ s_inv @ root, atol=np.inf))
     lam = S.eigenvalues
     lam_max = float(lam[-1])
     if len(lam) > 1 and (lam_max - float(lam[-2])) <= gap_tol * max(1.0, lam_max):

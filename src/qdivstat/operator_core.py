@@ -22,13 +22,17 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "eig_hermitian",
+    "support_mask",
+    "spectral_map",
     "apply_scalar_function",
     "schatten_norm",
     "support_projector",
+    "support_leak",
     "support_contained",
     "moore_penrose_inverse",
     "loewner_leq",
     "project_to_simplex",
+    "density_spectrum",
     "project_to_density",
 ]
 
@@ -69,7 +73,8 @@ def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray
     """(A + A^dagger)/2 for a matrix or a stack (..., d, d), each checked Hermitian.
 
     Each matrix must be finite and its asymmetry below ``atol`` times
-    max(1, its largest entry modulus).
+    max(1, its largest entry modulus).  ``atol=np.inf`` symmetrizes the
+    rounding asymmetry of a product of Hermitian factors, whatever its size.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -143,6 +148,14 @@ class DensityOperator:
         check_density_spectrum(np.linalg.eigvalsh(op.mat), trace_atol, eig_atol)
         self.op = op
 
+    @classmethod
+    def from_spectrum(cls, mat, eigenvalues: np.ndarray) -> "DensityOperator":
+        """The density operator of ``mat`` whose ascending eigenvalues are known: checked without another eigensolve."""
+        check_density_spectrum(eigenvalues)
+        rho = cls.__new__(cls)
+        rho.op = _hermitian(mat)
+        return rho
+
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
@@ -193,18 +206,41 @@ def eig_hermitian(A) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=U)
 
 
-def apply_scalar_function(S: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray] | Callable[[float], float]) -> HermitianOperator:
-    """f(A) = U diag(f(lambda)) U^dagger for a real scalar map f.
+def support_mask(lam: np.ndarray, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
+    """Support eigenvalues: lambda > rel_tol * max|lambda|, row by row along the last axis."""
+    return lam > rel_tol * np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
+
+
+def spectral_map(A, f: Callable[[np.ndarray], np.ndarray],
+                 keep: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """U diag(f(lambda) on the kept eigenvalues, 0 on the others) U^dagger.
+
+    ``A`` is a Hermitian matrix, a stack (..., d, d) of them or their
+    SpectralDecomposition.  ``f`` maps the eigenvalue array elementwise.
+    ``keep`` maps the eigenvalue array to the boolean mask of the eigenvalues
+    that f applies to; with ``support_mask`` the kernel maps to 0.  None keeps
+    every eigenvalue.  A non-finite value on a kept eigenvalue raises an
+    error naming that eigenvalue.
+    """
+    S = A if isinstance(A, SpectralDecomposition) else eig_hermitian(A)
+    lam = S.eigenvalues
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(lam), dtype=float)
+    if keep is not None:
+        vals = np.where(keep(lam), vals, 0.0)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"scalar function is not finite at eigenvalue {lam[bad][0]}")
+    return S.reassemble(vals)
+
+
+def apply_scalar_function(S: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
+    """f(A) = U diag(f(lambda)) U^dagger for a real map f of the eigenvalue array.
 
     The caller is responsible for masking kernel eigenvalues (log, negative
     powers); a non-finite value raises naming the offending eigenvalue.
     """
-    with np.errstate(all="ignore"):
-        vals = np.asarray([f(x) for x in S.eigenvalues], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise ValueError(f"scalar function is not finite at eigenvalue {S.eigenvalues[bad[0]]}")
-    return HermitianOperator(S.reassemble(vals))
+    return HermitianOperator(spectral_map(S, f))
 
 
 def schatten_norm(A, p: float) -> float:
@@ -220,30 +256,24 @@ def schatten_norm(A, p: float) -> float:
 
 
 def support_projector(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
-    """Orthogonal projector onto the span of eigenvectors with lambda > rel_tol * max(lambda)."""
-    S = eig_hermitian(A)
-    lam = S.eigenvalues
-    top = float(lam.max(initial=0.0))
-    keep = (lam > rel_tol * top) if top > 0 else np.zeros_like(lam, dtype=bool)
-    return HermitianOperator(S.reassemble(keep.astype(float)))
+    """Orthogonal projector onto the span of eigenvectors with lambda > rel_tol * max|lambda|."""
+    return HermitianOperator(spectral_map(A, np.ones_like, lambda lam: support_mask(lam, rel_tol)))
+
+
+def support_leak(A, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
+    """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B)."""
+    Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam, rel_tol))
+    return float(np.trace(Q @ as_matrix(A) @ Q).real)
 
 
 def support_contained(A, B, tol: float = 1e-9, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> bool:
     """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A."""
-    P = support_projector(B, rel_tol=rel_tol).mat
-    Q = np.eye(P.shape[0]) - P
-    MA = as_matrix(A)
-    leak = float(np.trace(Q @ MA @ Q).real)
-    return leak <= tol
+    return support_leak(A, B, rel_tol) <= tol
 
 
 def moore_penrose_inverse(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
-    """Generalized inverse: eigenvalues below rel_tol * max|lambda| map to 0, others to 1/lambda."""
-    S = eig_hermitian(A)
-    lam = S.eigenvalues
-    top = float(np.max(np.abs(lam), initial=0.0))
-    inv = np.where(np.abs(lam) > rel_tol * top, np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0), 0.0)
-    return HermitianOperator(S.reassemble(inv))
+    """Generalized inverse: eigenvalues with |lambda| <= rel_tol * max|lambda| map to 0, others to 1/lambda."""
+    return HermitianOperator(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam), rel_tol)))
 
 
 def loewner_leq(A, B, tol: float = 0.0) -> bool:
@@ -271,6 +301,20 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def density_spectrum(lam: np.ndarray, eig_atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest density spectra to ascending eigenvalues (..., d), and which rows moved.
+
+    A row that sums to 1 within 1e-10 and has no eigenvalue below -eig_atol
+    is kept as it is; any other row is projected onto the probability
+    simplex, which keeps it ascending.
+    """
+    moved = (np.abs(lam.sum(axis=-1) - 1.0) > 1e-10) | (lam[..., 0] < -eig_atol)
+    if moved.any():
+        lam = lam.copy()
+        lam[moved] = project_to_simplex(lam[moved])
+    return lam, moved
+
+
 def project_to_density(A) -> DensityOperator:
     """Frobenius-nearest density operator.
 
@@ -279,9 +323,6 @@ def project_to_density(A) -> DensityOperator:
     satisfies the density invariants is returned unchanged (re-tagged).
     """
     op = _hermitian(A)
-    lam = np.linalg.eigvalsh(op.mat)
-    if abs(float(lam.sum()) - 1.0) <= 1e-10 and float(lam[0]) >= -1e-10:
-        return DensityOperator(op)
     S = eig_hermitian(op)
-    probs = project_to_simplex(S.eigenvalues)
-    return DensityOperator(S.reassemble(probs))
+    lam, moved = density_spectrum(S.eigenvalues, eig_atol=1e-10)
+    return DensityOperator.from_spectrum(S.reassemble(lam) if moved else op, lam)

@@ -25,9 +25,10 @@ from .operator_core import (
     SpectralDecomposition,
     as_matrix,
     check_density_spectrum,
+    density_spectrum,
     eig_hermitian,
     hermitian_part,
-    project_to_simplex,
+    spectral_map,
 )
 from .frechet import build_divided_differences, frechet1
 
@@ -288,11 +289,7 @@ def _estimate_spectra(raw: np.ndarray, n: int, floor: bool,
     them with 1/d; both keep them ascending.
     """
     S = eig_hermitian(raw)
-    lam = S.eigenvalues
-    projected = lam[:, 0] < -psd_atol
-    if projected.any():
-        lam = lam.copy()
-        lam[projected] = project_to_simplex(lam[projected])
+    lam, projected = density_spectrum(S.eigenvalues, psd_atol)
     if floor:
         lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
     check_density_spectrum(lam)
@@ -323,7 +320,7 @@ def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = Fals
     raw = _reconstruct_rows(record_bloch_estimate(record).coeffs[None], basis)
     S, projected = _estimate_spectra(raw, record.n, floor, psd_atol)
     mat = S.reassemble()[0] if projected[0] or floor else raw[0]
-    return DensityOperator(mat), bool(projected[0])
+    return DensityOperator.from_spectrum(mat, S.eigenvalues[0]), bool(projected[0])
 
 
 def estimate_rho(record: MeasurementRecord, basis: PauliBasisSet,
@@ -356,7 +353,7 @@ def variance_v1(rho, sigma, basis: PauliBasisSet) -> float:
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
     weights = bernoulli_weights(rho, basis)
-    terms = basis.coefficients(_log_psd(rho) - _log_psd(sigma)) ** 2
+    terms = basis.coefficients(spectral_map(rho, np.log) - spectral_map(sigma, np.log)) ** 2
     return float(np.sum(weights * terms))
 
 
@@ -385,8 +382,3 @@ def _require_full_rank(rho, name: str) -> None:
     lo = float(np.linalg.eigvalsh(as_matrix(rho))[0])
     if lo <= 0:
         raise ValueError(f"{name} must be strictly positive definite (min eig {lo:.3e})")
-
-
-def _log_psd(rho) -> np.ndarray:
-    S = eig_hermitian(rho)
-    return S.reassemble(np.log(S.eigenvalues))

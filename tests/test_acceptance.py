@@ -17,6 +17,7 @@ from qdivstat.divergences import (
     sandwiched_renyi,
     trivial_povm,
     umegaki,
+    umegaki_spectral,
     von_neumann_entropy,
     Povm,
 )
@@ -53,7 +54,7 @@ from qdivstat.operator_core import (
     project_to_density,
     schatten_norm,
 )
-from qdivstat.pauli_tomography import build_pauli_basis, estimate_rho, estimate_sigma, sample_record, variance_v1, variance_v2
+from qdivstat.pauli_tomography import build_pauli_basis, estimate_stack, sample_counts, variance_v1, variance_v2
 from qdivstat.hypothesis_testing import derive_seed
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
@@ -266,14 +267,13 @@ def test_tomography_gaussian_limit():
         base = umegaki(rho, sigma).value
         v1 = variance_v1(rho, sigma, basis)
         v2 = variance_v2(rho, sigma, basis)
-        one, two = np.empty(trials), np.empty(trials)
-        for t in range(trials):
-            rec_r = sample_record(rho, basis, n, derive_seed(505, pair, t, 0))
-            rho_hat = estimate_rho(rec_r, basis)
-            one[t] = np.sqrt(n) * (umegaki(rho_hat.mat, sigma).value - base)
-            rec_s = sample_record(sigma, basis, n, derive_seed(505, pair, t, 1))
-            sigma_hat = estimate_sigma(rec_s, basis)
-            two[t] = np.sqrt(n) * (umegaki(rho_hat.mat, sigma_hat.mat).value - base)
+        # all trials as one stack, with the seeds of a per-record loop
+        counts = sample_counts(rho, basis, n, [derive_seed(505, pair, t, 0) for t in range(trials)])
+        rho_hat, _ = estimate_stack(counts, n, basis)
+        one = np.sqrt(n) * (umegaki_spectral(rho_hat, eig_hermitian(sigma)) - base)
+        counts = sample_counts(sigma, basis, n, [derive_seed(505, pair, t, 1) for t in range(trials)])
+        sigma_hat, _ = estimate_stack(counts, n, basis, floor=True)
+        two = np.sqrt(n) * (umegaki_spectral(rho_hat, sigma_hat) - base)
         dev1 = abs(one.var(ddof=1) - v1) / v1
         dev2 = abs(two.var(ddof=1) - v2) / v2
         ks1 = ks_statistic(one, ("gaussian", 0.0, v1))

@@ -84,6 +84,51 @@ class TestTables:
             build_divided_differences(np.diag([1.0, -1.0]), "log")
 
 
+def exact_divided_differences(name, alpha):
+    """50-digit mpmath first and second divided differences of log or x^alpha at doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    f = mpmath.log if name == "log" else (lambda x: mpmath.power(x, alpha))
+
+    def dd1(x, y):
+        with mpmath.workdps(50):
+            x, y = mpmath.mpf(x), mpmath.mpf(y)
+            return (f(x) - f(y)) / (x - y)
+
+    def dd2(x, y, z):
+        with mpmath.workdps(50):
+            return (dd1(x, y) - dd1(y, z)) / (mpmath.mpf(x) - mpmath.mpf(z))
+
+    return dd1, dd2
+
+
+class TestDividedDifferenceAccuracy:
+    FNS = [("log", None), ("power", 0.5), ("power", -0.5), ("power", 1.5)]
+    TOL = frechet.DEFAULT_COALESCE_TOL
+
+    @pytest.mark.parametrize("name,alpha", FNS)
+    def test_close_arguments(self, name, alpha):
+        # triples (b, b + g, b + 2g) with relative gaps g/b from 1e-12 to 1e-2
+        fn = ScalarFn(name, alpha)
+        dd1, dd2 = exact_divided_differences(name, alpha)
+        worst1 = worst2 = 0.0
+        for b in (1e-3, 0.3, 0.9):
+            for g in b * np.logspace(-12, -2, 41):
+                x, y, z = b, b + g, b + 2 * g
+                ref1, ref2 = dd1(x, y), dd2(x, y, z)
+                worst1 = max(worst1, float(abs(float(frechet._dd1(fn, x, y, self.TOL)) - ref1) / ref1))
+                worst2 = max(worst2, float(abs(float(frechet._dd2(fn, x, y, z, self.TOL)) - ref2) / abs(ref2)))
+        assert worst1 <= 1e-14
+        assert worst2 <= 1e-6
+
+    @pytest.mark.parametrize("name,alpha", FNS)
+    @pytest.mark.parametrize("x,y", [(1e-10, 0.9), (1e-3, 0.9), (0.2, 0.9), (0.45, 0.9)])
+    def test_far_arguments(self, name, alpha, x, y):
+        # beyond a factor 2 the plain quotient keeps every digit; atanh would not
+        ref = exact_divided_differences(name, alpha)[0](x, y)
+        got = float(frechet._dd1(ScalarFn(name, alpha), x, y, self.TOL))
+        assert float(abs(got - ref) / ref) <= 1e-14
+
+
 class TestFrechet1:
     def test_log_at_identity_is_identity_map(self, rng):
         H = rand_herm(rng, 3)
@@ -130,12 +175,13 @@ class TestFrechet1:
         assert np.max(np.abs(got + inv @ H @ inv)) < 1e-9
 
     def test_product_rule_cubic(self, rng):
-        # D[A^3](H) = A D[A^2](H) + H A^2, the product rule with f = x, g = x^2
-        A = positive_matrix(rng, 3)
-        H = rand_herm(rng, 3)
-        lhs = d_power(A, H, 3.0).mat
-        rhs = A @ d_power(A, H, 2).mat + H @ A @ A
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        # D[A^3](H) = A D[A^2](H) + H A^2, the product rule with f = x, g = x^2;
+        # an indefinite A takes the plain quotient at eigenvalues <= 0
+        for A in (positive_matrix(rng, 3), rand_herm(rng, 3)):
+            H = rand_herm(rng, 3)
+            lhs = d_power(A, H, 3.0).mat
+            rhs = A @ d_power(A, H, 2).mat + H @ A @ A
+            assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 class TestFrechet2:

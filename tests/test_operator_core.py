@@ -12,7 +12,10 @@ from qdivstat.operator_core import (
     project_to_density,
     project_to_simplex,
     schatten_norm,
+    spectral_map,
     support_contained,
+    support_leak,
+    support_mask,
     support_projector,
 )
 
@@ -44,6 +47,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityOperator(np.diag([1.5, -0.5]))
         DensityOperator(np.diag([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            DensityOperator.from_spectrum(np.diag([1.5, -0.5]), np.array([-0.5, 1.5]))
+        DensityOperator.from_spectrum(np.diag([0.5, 0.5]), np.array([0.5, 0.5]))
 
 
 class TestEig:
@@ -152,6 +158,24 @@ class TestScalarFunctions:
         S = eig_hermitian(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="0.0"):
             apply_scalar_function(S, np.log)
+        with pytest.raises(ValueError, match="at eigenvalue 0.0$"):
+            spectral_map(np.stack([np.eye(2), np.diag([1.0, 0.0])]), np.log)
+        # a mask on |lambda| keeps -0.25, where sqrt is not finite
+        with pytest.raises(ValueError, match="at eigenvalue -0.25$"):
+            spectral_map(np.diag([0.75, -0.25]), np.sqrt, lambda lam: support_mask(np.abs(lam)))
+
+    @pytest.mark.parametrize("f,keep", [
+        (np.log, support_mask),
+        (lambda lam: lam**-0.5, support_mask),
+        (np.exp, None),
+    ])
+    def test_stack_matches_loop(self, rng, f, keep):
+        stack = np.stack([rand_state(rng, 3, min_eig=0.0) for _ in range(6)])
+        stack[2] = np.diag([0.5, 0.5, 0.0])
+        got = spectral_map(stack, f, keep)
+        for A, M in zip(stack, got):
+            assert np.array_equal(M, spectral_map(A, f, keep))
+        assert np.array_equal(got, spectral_map(eig_hermitian(stack), f, keep))
 
 
 class TestSchatten:
@@ -181,6 +205,16 @@ class TestSupport:
         got = support_projector(np.diag([1.0, 1e-15]), rel_tol=1e-10).mat
         assert np.allclose(got, np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("f,kernel_free", [
+        (np.log, np.log(4.0)),
+        (lambda lam: lam**-0.5, 0.5),
+        (np.ones_like, 1.0),
+    ])
+    def test_kernel_maps_to_zero(self, f, kernel_free):
+        for lam in ([4.0, 0.0, 0.0], [4.0, 1e-12, -1e-13]):
+            got = spectral_map(np.diag(lam), f, support_mask)
+            assert np.allclose(got, np.diag([kernel_free, 0.0, 0.0]))
+
     def test_projector_idempotent(self, rng):
         P = support_projector(rand_state(rng, 4, min_eig=0.0)).mat
         assert np.max(np.abs(P @ P - P)) < 1e-10
@@ -189,6 +223,7 @@ class TestSupport:
         assert support_contained(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         assert not support_contained(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
         assert support_contained(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]))
+        assert support_leak(np.diag([0.3, 0.7]), np.diag([1.0, 0.0])) == pytest.approx(0.7)
 
 
 class TestPseudoInverse:
@@ -196,6 +231,9 @@ class TestPseudoInverse:
         assert np.allclose(moore_penrose_inverse(np.diag([2.0, 0.0])).mat, np.diag([0.5, 0.0]))
         assert np.allclose(moore_penrose_inverse(np.eye(2)).mat, np.eye(2))
         assert np.allclose(moore_penrose_inverse(np.diag([4.0, 1e-16])).mat, np.diag([0.25, 0.0]))
+        # indefinite: the mask is taken on |lambda|, so -4 is kept and 1e-12 < 1e-10 * 1e3 is not
+        assert np.allclose(moore_penrose_inverse(np.diag([2.0, -4.0, 1e-16])).mat, np.diag([0.5, -0.25, 0.0]))
+        assert np.allclose(moore_penrose_inverse(np.diag([1e-12, -1e3])).mat, np.diag([0.0, -1e-3]))
 
     def test_penrose_identity(self, rng):
         U = eig_hermitian(rand_herm(rng, 4)).eigenvectors
