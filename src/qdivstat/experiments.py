@@ -8,11 +8,12 @@ the limit functional is linear in the directions, so its law is a centered
 normal; in the null case it is a quadratic form, so its law is a weighted
 sum of chi-squared(1) variables (Imhof, Biometrika 1961).
 
-Outputs are deterministic for a fixed seed: every (n, trial) pair draws from
-its own seed substream and rows are written in (n, trial) order.  The trials
-of one n run as stacks of at most ``STACK_ENTRIES`` matrix entries: their
-records are sampled, estimated by one stacked eigensolve and, for the
-relative entropy, evaluated on the spectra of the estimates.
+Outputs are deterministic for a fixed seed: the records of each n and side
+(0 for rho, 1 for sigma) are drawn in blocks of ``SEED_BLOCK`` trials, one
+substream of (seed, n, side, block) each, and rows are written in (n, trial)
+order.  The trials of one n run as stacks of at most ``STACK_ENTRIES`` matrix
+entries: their records are sampled, estimated by one stacked eigensolve and,
+for the relative entropy, evaluated on the spectra of the estimates.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .pauli_tomography import (
     variance_v1,
     variance_v2,
 )
-from .hypothesis_testing import derive_seed
 
 __all__ = [
     "ALT_KINDS",
@@ -276,10 +276,10 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         stats = np.empty(cfg.trials)
         branches = np.empty(cfg.trials, dtype=bool)
         for chunk in trial_chunks(cfg.trials, cfg.dim):
-            counts = sample_counts(cfg.rho, basis, n, [derive_seed(cfg.seed, n, t, 0) for t in chunk])
+            counts = sample_counts(cfg.rho, basis, n, chunk, cfg.seed, n, 0)
             rho_hat, branch = estimate_stack(counts, n, basis)
             if cfg.two_sample:
-                counts = sample_counts(cfg.sigma, basis, n, [derive_seed(cfg.seed, n, t, 1) for t in chunk])
+                counts = sample_counts(cfg.sigma, basis, n, chunk, cfg.seed, n, 1)
                 sigma_hat, branch_s = estimate_stack(counts, n, basis, floor=True)
                 branch = branch | branch_s
             else:

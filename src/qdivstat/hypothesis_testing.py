@@ -34,7 +34,6 @@ __all__ = [
     "decide",
     "wilson_interval",
     "simulate_error_rates",
-    "derive_seed",
 ]
 
 
@@ -121,6 +120,18 @@ def decide(d_hat: float, n: int, grid: HypothesisGrid, c: float) -> TestOutcome:
     return TestOutcome(None, d_hat, intervals)
 
 
+def _decided_indices(d_hat: np.ndarray, n: int, grid: HypothesisGrid, c: float) -> np.ndarray:
+    """``decide``'s index for each statistic, -1 where it is None.
+
+    Index i + 1 of the left ``searchsorted`` is the half-open interval
+    (eps_i + s, eps_(i+1) + s]; index 0 (at or below the lowest boundary)
+    joins bucket 0, and index m + 1 (above the grid) is None.
+    """
+    bounds = np.asarray(grid.epsilons) + c / math.sqrt(n)
+    k = np.searchsorted(bounds, d_hat, side="left")
+    return np.where(k == len(bounds), -1, np.maximum(k - 1, 0))
+
+
 def wilson_interval(errors: int, trials: int, confidence_z: float = 1.959963984540054) -> tuple[float, float]:
     """95% (by default) Wilson score interval for a binomial proportion."""
     if trials < 1:
@@ -131,12 +142,6 @@ def wilson_interval(errors: int, trials: int, confidence_z: float = 1.9599639845
     return max(0.0, center - radius), min(1.0, center + radius)
 
 
-def derive_seed(master: int, *path: int) -> int:
-    """Deterministic 64-bit child seed for a (hypothesis, trial, ...) path."""
-    ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(path))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int,
                          trials: int, seed: int, basis: PauliBasisSet | None = None,
                          c: float | None = None, b: float | None = None) -> list[dict]:
@@ -144,7 +149,9 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
 
     Each trial simulates Pauli tomography of the true state, evaluates
     D(rho_hat_n || sigma) and decides via the shifted grid; the trials of a
-    hypothesis run as bounded stacks, and sigma is eigendecomposed once.
+    hypothesis run as bounded stacks, and sigma is eigendecomposed once.  The
+    records of hypothesis i are drawn in blocks of ``SEED_BLOCK`` trials, one
+    substream of (seed, i, block) each.
     Every state must sit strictly inside its hypothesis bucket (validated up
     front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
     all scenario states; ``c`` to the minimal admissible threshold for level
@@ -178,11 +185,10 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         errors = 0
         projected = 0
         for chunk in trial_chunks(trials, d):
-            counts = sample_counts(rho, basis, n, [derive_seed(seed, i, t) for t in chunk])
+            counts = sample_counts(rho, basis, n, chunk, seed, i)
             rho_hat, branch = estimate_stack(counts, n, basis)
-            for d_hat in umegaki_spectral(rho_hat, sig_eig).tolist():
-                if decide(d_hat, n, grid, c).decided_index != i:
-                    errors += 1
+            decided = _decided_indices(umegaki_spectral(rho_hat, sig_eig), n, grid, c)
+            errors += int(np.count_nonzero(decided != i))
             projected += int(branch.sum())
         low, high = wilson_interval(errors, trials)
         rate = errors / trials

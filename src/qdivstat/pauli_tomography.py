@@ -2,9 +2,11 @@
 
 Measurement outcomes for each basis operator are Bernoulli in its +1/-1
 eigenbasis, so a record stores one binomial count per operator.  Sampling is
-deterministic given the record seed: all counts of a record are drawn from
-one substream of it, which also makes trials embarrassingly parallel without
-sharing generator state.
+deterministic given a seed and a path: trial t is row t % SEED_BLOCK of the
+counts of block t // SEED_BLOCK, drawn by one call from the substream of
+(seed, path, block).  Blocks share no generator state, so they run in any
+order or in parallel, and a trial's counts depend neither on how many trials
+are drawn nor on how they are stacked.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -36,6 +38,7 @@ __all__ = [
     "PAULI_MATRICES",
     "MAX_QUBITS",
     "STACK_ENTRIES",
+    "SEED_BLOCK",
     "PauliBasisSet",
     "BlochVector",
     "MeasurementRecord",
@@ -74,6 +77,11 @@ MAX_QUBITS = 6
 # where larger stacks cost memory and gain no speed, and one stack for up to
 # 4096 trials at d = 4.
 STACK_ENTRIES = 2**16
+
+# Consecutive trials that draw their counts from one substream.  It divides
+# every trial_chunks step (STACK_ENTRIES / d^2, 16 at d = 64), so the stacks
+# of a run are unions of whole blocks.
+SEED_BLOCK = 16
 
 # Most negative eigenvalue of a raw reconstruction still taken as PSD.
 _PSD_ATOL = 1e-12
@@ -242,26 +250,34 @@ class MeasurementRecord:
         object.__setattr__(self, "plus_counts", counts)
 
 
-def sample_counts(rho, basis: PauliBasisSet, n: int, seeds) -> np.ndarray:
-    """Plus counts of one record per seed, shape (len(seeds), d^2 - 1).
+def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
+                  *path: int) -> np.ndarray:
+    """Plus counts of the records of ``trials``, shape (len(trials), d^2 - 1).
 
-    Row t holds n measurement shots per Pauli operator on independent copies:
-    counts[t, j] ~ Binomial(n, (1 + s_j)/2), independent across j, all drawn
-    in operator order from the one substream of ``seeds[t]``.
+    Each record holds n measurement shots per Pauli operator on independent
+    copies: counts[., j] ~ Binomial(n, (1 + s_j)/2), independent across j.
+    Block b holds trials b * SEED_BLOCK to (b + 1) * SEED_BLOCK - 1.  Its
+    rows are drawn by one ``binomial`` call on ``substream(seed, *path, b)``,
+    which fills them row by row in operator order, so a block cut short after
+    the last trial needed gives the same rows as the whole block.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
     s = bloch_coefficients(rho, basis).coeffs
     p_plus = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
-    counts = np.empty((len(seeds), basis.size), dtype=np.int64)
-    for row, seed in zip(counts, seeds):
-        row[:] = substream(seed).binomial(n, p_plus)
-    return counts
+    if not trials:
+        return np.empty((0, basis.size), dtype=np.int64)
+    start = min(trials) - min(trials) % SEED_BLOCK
+    stop = max(trials) + 1
+    blocks = [substream(seed, *path, b // SEED_BLOCK).binomial(
+                  n, p_plus, size=(min(SEED_BLOCK, stop - b), basis.size))
+              for b in range(start, stop, SEED_BLOCK)]
+    return np.concatenate(blocks)[np.asarray(trials) - start]
 
 
 def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:
-    """Simulate one record: the row of ``sample_counts`` for ``seed``."""
-    return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, [seed])[0], seed=seed)
+    """Simulate one record: trial 0 of ``sample_counts`` under ``seed``."""
+    return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, range(1), seed)[0], seed=seed)
 
 
 def record_bloch_estimate(record: MeasurementRecord) -> BlochVector:

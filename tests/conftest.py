@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qdivstat.pauli_tomography import SEED_BLOCK, MeasurementRecord, bloch_coefficients, substream
 from qdivstat.random_ops import random_density, random_hermitian, random_traceless
 
 
@@ -19,3 +20,10 @@ def rand_herm(rng, dim, scale=1.0):
 
 def rand_direction(rng, dim, scale=1.0):
     return random_traceless(dim, rng, scale).mat
+
+
+def replay_record(rho, basis, n, t, seed, *path):
+    """Record of trial t alone: row t % SEED_BLOCK of a whole-block draw from its substream."""
+    p_plus = np.clip((1.0 + bloch_coefficients(rho, basis).coeffs) / 2.0, 0.0, 1.0)
+    block = substream(seed, *path, t // SEED_BLOCK).binomial(n, p_plus, size=(SEED_BLOCK, basis.size))
+    return MeasurementRecord(n=n, plus_counts=block[t % SEED_BLOCK], seed=seed)

@@ -55,7 +55,6 @@ from qdivstat.operator_core import (
     schatten_norm,
 )
 from qdivstat.pauli_tomography import build_pauli_basis, estimate_stack, sample_counts, variance_v1, variance_v2
-from qdivstat.hypothesis_testing import derive_seed
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
 
@@ -267,11 +266,11 @@ def test_tomography_gaussian_limit():
         base = umegaki(rho, sigma).value
         v1 = variance_v1(rho, sigma, basis)
         v2 = variance_v2(rho, sigma, basis)
-        # all trials as one stack, with the seeds of a per-record loop
-        counts = sample_counts(rho, basis, n, [derive_seed(505, pair, t, 0) for t in range(trials)])
+        # all trials as one stack
+        counts = sample_counts(rho, basis, n, range(trials), 505, pair, 0)
         rho_hat, _ = estimate_stack(counts, n, basis)
         one = np.sqrt(n) * (umegaki_spectral(rho_hat, eig_hermitian(sigma)) - base)
-        counts = sample_counts(sigma, basis, n, [derive_seed(505, pair, t, 1) for t in range(trials)])
+        counts = sample_counts(sigma, basis, n, range(trials), 505, pair, 1)
         sigma_hat, _ = estimate_stack(counts, n, basis, floor=True)
         two = np.sqrt(n) * (umegaki_spectral(rho_hat, sigma_hat) - base)
         dev1 = abs(one.var(ddof=1) - v1) / v1

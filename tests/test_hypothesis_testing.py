@@ -8,8 +8,8 @@ from qdivstat import pauli_tomography
 from qdivstat.divergences import umegaki
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
+    _decided_indices,
     decide,
-    derive_seed,
     inverse_q,
     min_eigenvalue_bound,
     simulate_error_rates,
@@ -20,9 +20,10 @@ from qdivstat.pauli_tomography import (
     build_pauli_basis,
     estimate,
     reconstruct,
-    sample_record,
+    sample_counts,
     variance_v1,
 )
+from conftest import replay_record
 
 
 
@@ -127,6 +128,16 @@ class TestGridAndDecide:
         assert decide(d_hat, 10, g, 2.0).decided_index != 1
         assert decide(d_hat, 10**8, g, 2.0).decided_index == 1
 
+    def test_stacked_decisions_match_decide(self, rng):
+        g = HypothesisGrid((0.0, 0.1, 0.3, 0.7))
+        n, c = 50, 0.8
+        bounds = np.array(g.epsilons) + c / math.sqrt(n)
+        x = np.concatenate([rng.uniform(-0.5, 1.5, size=200), bounds, np.nextafter(bounds, np.inf),
+                            np.nextafter(bounds, -np.inf), [np.inf]])
+        expected = [decide(float(v), n, g, c).decided_index for v in x]
+        assert _decided_indices(x, n, g, c).tolist() == [-1 if i is None else i for i in expected]
+        assert None in expected and expected.count(0) > 2
+
     def test_partition(self, rng):
         g = HypothesisGrid((0.0, 0.1, 0.3, 0.7))
         for x in rng.uniform(-0.5, 1.5, size=200):
@@ -210,7 +221,7 @@ class TestSimulation:
         for i, rho in enumerate(states):
             errors = projected = 0
             for t in range(trials):
-                rho_hat, branch = estimate(sample_record(rho, basis, n, derive_seed(17, i, t)), basis)
+                rho_hat, branch = estimate(replay_record(rho, basis, n, t, 17, i), basis)
                 errors += decide(umegaki(rho_hat, sigma).value, n, grid, c).decided_index != i
                 projected += branch
             assert rows[i]["errors"] == errors
@@ -218,8 +229,12 @@ class TestSimulation:
         assert rows[1]["projection_fraction"] > 0
 
     def test_seed_derivation_stable(self):
-        assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
-        assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
+        # the block stream of one (seed, hypothesis) repeats; its blocks and hypotheses differ
+        basis, rho = build_pauli_basis(1), np.eye(2) / 2
+        counts = sample_counts(rho, basis, 1000, range(32), 7, 1)
+        assert np.array_equal(counts, sample_counts(rho, basis, 1000, range(32), 7, 1))
+        assert not np.array_equal(counts[:16], counts[16:])
+        assert not np.array_equal(counts, sample_counts(rho, basis, 1000, range(32), 7, 2))
 
     def test_borderline_flagging(self, rng):
         # tiny shift margin at small n: rates may exceed tau, which is flagged

@@ -4,6 +4,7 @@ import pytest
 from qdivstat.divergences import umegaki
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
+    SEED_BLOCK,
     STACK_ENTRIES,
     MeasurementRecord,
     bernoulli_weights,
@@ -15,6 +16,7 @@ from qdivstat.pauli_tomography import (
     qubits_for_dim,
     record_bloch_estimate,
     reconstruct,
+    sample_counts,
     sample_gaussian_limit,
     sample_record,
     substream,
@@ -180,11 +182,20 @@ class TestSampling:
         assert not np.allclose(a, b)
         assert np.allclose(a, substream(3, 0).normal(size=4))
 
+    @pytest.mark.parametrize("n", [100, 10**4, 10**8])
+    def test_counts_do_not_depend_on_trial_count(self, rng, n):
+        B = build_pauli_basis(2)
+        rho = rand_state(rng, 4)
+        many = sample_counts(rho, B, n, range(2000), 3, n, 0)
+        assert np.array_equal(many[:37], sample_counts(rho, B, n, range(37), 3, n, 0))
+        assert np.array_equal(many[1990:], sample_counts(rho, B, n, range(1990, 2000), 3, n, 0))
+
     @pytest.mark.parametrize("d", [2, 4, 16, 64])
     def test_trial_chunks_bounded(self, d):
         chunks = list(trial_chunks(2000, d))
         assert [t for c in chunks for t in c] == list(range(2000))
         assert max(len(c) for c in chunks) * d * d <= max(STACK_ENTRIES, d * d)
+        assert all(c.start % SEED_BLOCK == 0 for c in chunks)  # stacks hold whole seed blocks
 
 
 class TestEstimators:
