@@ -19,6 +19,7 @@ from . import io as qio
 from . import limit_laws as ll
 from .experiments import ExperimentConfig, run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
+from .operator_core import EigensolverError
 from .pauli_tomography import build_pauli_basis, estimate_rho, estimate_sigma, qubits_for_dim, sample_record
 
 EXIT_OK = 0
@@ -204,7 +205,7 @@ def cli_main(argv=None) -> int:
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, EigensolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -7,6 +7,8 @@ max-divergence, and measured relative entropy over finite POVM families.
 All logarithms are natural; values are in nats.  Support conventions are
 realized with masked spectral functions: +infinity is a tagged value on the
 returned :class:`DivergenceValue`, never a float that enters arithmetic.
+The relative entropy is read as -S(rho) - Tr[rho log sigma]: the eigenvalues
+of rho and one decomposition of sigma suffice, for one pair or a stack.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .operator_core import (
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
+    eigvals_hermitian,
     hermitian_part,
     spectral_map,
     support_contained,
@@ -142,28 +145,32 @@ def masked_log_trace(rho, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
     return float(np.trace(as_matrix(rho) @ log_b).real)
 
 
-def umegaki_spectral(rho: SpectralDecomposition, sigma: SpectralDecomposition,
+def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma: SpectralDecomposition,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Tr[rho (log rho - log sigma)] from the spectral decompositions of rho and sigma.
+    """Tr[rho (log rho - log sigma)] from rho's matrix and eigenvalues and sigma's decomposition.
 
-    Either argument may be a stack; the result has their broadcast leading
-    shape and is +inf where supp(rho) is not contained in supp(sigma), that
-    is where the diagonal of rho in sigma's eigenbasis puts more than ``tol``
-    on sigma's kernel.  Kernels are masked as in ``masked_log_trace``.
+    ``rho`` is a Hermitian matrix or a stack (..., d, d), with its ascending
+    eigenvalues (..., d); ``sigma`` is one decomposition or a stack.  The
+    result has their broadcast leading shape: D = sum lam log lam over the
+    support of rho, minus Tr[rho L], with L the log of sigma on its support.
+    D is +inf where supp(rho) is not contained in supp(sigma), that is where
+    the leak Tr[rho Q] onto the kernel projector Q of sigma exceeds ``tol``.
+    Kernels are masked as in ``masked_log_trace``.  Every term is linear in
+    rho or reads its eigenvalues, so rho's eigenvectors are never needed.
     """
-    overlap = np.abs(sigma.eigenvectors.conj().swapaxes(-1, -2) @ rho.eigenvectors) ** 2
-    diag = (overlap @ rho.eigenvalues[..., None])[..., 0]
-    keep_rho = support_mask(rho.eigenvalues)
-    keep_sigma = support_mask(sigma.eigenvalues)
-    own = np.sum(rho.eigenvalues * np.log(np.where(keep_rho, rho.eigenvalues, 1.0)), axis=-1)
-    cross = np.sum(diag * np.log(np.where(keep_sigma, sigma.eigenvalues, 1.0)), axis=-1)
-    leak = np.sum(np.where(keep_sigma, 0.0, diag), axis=-1)
-    return np.where(leak <= tol, own - cross, np.inf)
+    lam = rho_eigenvalues
+    own = np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
+    # L + iQ: both are Hermitian, so for Hermitian rho the real part of
+    # Tr[rho (L + iQ)] is the cross term and its imaginary part the leak
+    log_and_kernel = spectral_map(sigma, lambda s: np.where(support_mask(s), np.log(s), 1j))
+    cross_and_leak = np.einsum("...ij,...ji->...", rho, log_and_kernel)
+    return np.where(cross_and_leak.imag <= tol, own - cross_and_leak.real, np.inf)
 
 
 def umegaki(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     """Quantum relative entropy Tr[rho (log rho - log sigma)], +inf without support containment."""
-    value = float(umegaki_spectral(eig_hermitian(rho), eig_hermitian(sigma), tol))
+    mat = hermitian_part(as_matrix(rho))
+    value = float(umegaki_spectral(mat, eigvals_hermitian(mat, checked=True), eig_hermitian(sigma), tol))
     if math.isinf(value):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     return DivergenceValue(value)

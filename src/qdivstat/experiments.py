@@ -12,8 +12,10 @@ Outputs are deterministic for a fixed seed: the records of each n and side
 (0 for rho, 1 for sigma) are drawn in blocks of ``SEED_BLOCK`` trials, one
 substream of (seed, n, side, block) each, and rows are written in (n, trial)
 order.  The trials of one n run as stacks of at most ``STACK_ENTRIES`` matrix
-entries: their records are sampled, estimated by one stacked eigensolve and,
-for the relative entropy, evaluated on the spectra of the estimates.
+entries: their records are sampled and estimated together.  The estimates of
+rho come as matrices with their eigenvalues, from one stacked ``eigvalsh``;
+those of sigma as spectra, from one stacked eigensolve.  The relative entropy
+reads both directly; the other divergences take the matrices of each trial.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .pauli_tomography import (
     PauliBasisSet,
     bernoulli_weights,
     build_pauli_basis,
+    estimate_sigma_stack,
     estimate_stack,
     qubits_for_dim,
     sample_counts,
@@ -264,11 +267,6 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     else:
         reference = sample_reference_law(cfg)
 
-    if cfg.kind in UMEGAKI_KINDS:
-        stack_divergence = umegaki_spectral
-    else:
-        def stack_divergence(rho_hat, sigma_hat):
-            return [divergence(r, s) for r, s in zip(rho_hat.reassemble(), sigma_hat.reassemble())]
     fixed_sigma = None if cfg.two_sample else eig_hermitian(cfg.sigma)
 
     for n in cfg.n_grid:
@@ -277,14 +275,18 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         branches = np.empty(cfg.trials, dtype=bool)
         for chunk in trial_chunks(cfg.trials, cfg.dim):
             counts = sample_counts(cfg.rho, basis, n, chunk, cfg.seed, n, 0)
-            rho_hat, branch = estimate_stack(counts, n, basis)
+            rho_hat, lam, branch = estimate_stack(counts, n, basis)
             if cfg.two_sample:
                 counts = sample_counts(cfg.sigma, basis, n, chunk, cfg.seed, n, 1)
-                sigma_hat, branch_s = estimate_stack(counts, n, basis, floor=True)
+                sigma_hat, branch_s = estimate_sigma_stack(counts, n, basis)
                 branch = branch | branch_s
             else:
                 sigma_hat = fixed_sigma
-            stats[chunk.start:chunk.stop] = scale * (np.asarray(stack_divergence(rho_hat, sigma_hat)) - center)
+            if cfg.kind in UMEGAKI_KINDS:
+                values = umegaki_spectral(rho_hat, lam, sigma_hat)
+            else:
+                values = [divergence(r, s) for r, s in zip(rho_hat, sigma_hat.reassemble())]
+            stats[chunk.start:chunk.stop] = scale * (np.asarray(values) - center)
             branches[chunk.start:chunk.stop] = branch
         rows.extend(TrialRecord(n=n, trial_index=t, statistic=stat, branch_taken=flag)
                     for t, (stat, flag) in enumerate(zip(stats.tolist(), branches.tolist())))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .operator_core import as_matrix, eig_hermitian
+from .operator_core import as_matrix, eig_hermitian, eigvals_hermitian, hermitian_part
 from .divergences import umegaki_spectral
 from .pauli_tomography import (
     PauliBasisSet,
@@ -149,19 +149,20 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
 
     Each trial simulates Pauli tomography of the true state, evaluates
     D(rho_hat_n || sigma) and decides via the shifted grid; the trials of a
-    hypothesis run as bounded stacks, and sigma is eigendecomposed once.  The
+    hypothesis run as bounded stacks, sigma is eigendecomposed once and each
+    state's eigenvalues are computed once, for its bucket check and ``b``.  The
     records of hypothesis i are drawn in blocks of ``SEED_BLOCK`` trials, one
     substream of (seed, i, block) each.
     Every state must sit strictly inside its hypothesis bucket (validated up
     front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
-    all scenario states; ``c`` to the minimal admissible threshold for level
-    ``tau``.
+    the states and sigma, which must all be strictly positive; ``c`` to the
+    minimal admissible threshold for level ``tau``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 < tau < 1:
         raise ValueError("tau must be in (0, 1)")
-    states = [as_matrix(s) for s in states]
+    states = [hermitian_part(as_matrix(s)) for s in states]
     sig = as_matrix(sigma)
     if len(states) != grid.hypothesis_count:
         raise ValueError(f"{len(states)} states for {grid.hypothesis_count} hypotheses")
@@ -169,13 +170,19 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
     sig_eig = eig_hermitian(sig)
-    for i, rho in enumerate(states):
-        div = float(umegaki_spectral(eig_hermitian(rho), sig_eig))
+    spectra = [eigvals_hermitian(rho, checked=True) for rho in states]
+    for i, (rho, lam) in enumerate(zip(states, spectra)):
+        div = float(umegaki_spectral(rho, lam, sig_eig))
         if grid.bucket(div) != i:
             raise ValueError(f"state {i} has D = {div}, outside bucket "
                              f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
     if b is None:
-        b = min_eigenvalue_bound(states + [sig])
+        lows = {f"state {i}": float(lam[0]) for i, lam in enumerate(spectra)}
+        lows["sigma"] = float(sig_eig.eigenvalues[0])
+        for name, lo in lows.items():
+            if lo <= 0:
+                raise ValueError(f"{name} has non-positive eigenvalue {lo:.3e}")
+        b = min(lows.values())
     if c is None:
         c = threshold_c(tau, d, b)
     copies = n * (d * d - 1)
@@ -186,8 +193,8 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         projected = 0
         for chunk in trial_chunks(trials, d):
             counts = sample_counts(rho, basis, n, chunk, seed, i)
-            rho_hat, branch = estimate_stack(counts, n, basis)
-            decided = _decided_indices(umegaki_spectral(rho_hat, sig_eig), n, grid, c)
+            rho_hat, lam, branch = estimate_stack(counts, n, basis)
+            decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_eig), n, grid, c)
             errors += int(np.count_nonzero(decided != i))
             projected += int(branch.sum())
         low, high = wilson_interval(errors, trials)

@@ -22,6 +22,7 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "eig_hermitian",
+    "eigvals_hermitian",
     "support_mask",
     "spectral_map",
     "apply_scalar_function",
@@ -188,13 +189,21 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
     return U * (lead.conj() / np.abs(lead))
 
 
-def eig_hermitian(A) -> SpectralDecomposition:
+def _hermitian_array(A, checked: bool) -> np.ndarray:
+    """The matrix (or stack) of ``A``, checked Hermitian unless ``checked`` says it already is."""
+    if isinstance(A, HermitianOperator):
+        return A.mat
+    return np.asarray(A) if checked else hermitian_part(as_matrix(A))
+
+
+def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
     """Spectral decomposition with ascending eigenvalues and fixed phases.
 
     A stack (..., d, d) of Hermitian matrices is decomposed in one call,
-    matrix by matrix, into a stacked decomposition.
+    matrix by matrix, into a stacked decomposition.  ``checked=True`` takes
+    an array returned by ``hermitian_part`` as it is, without a second check.
     """
-    M = A.mat if isinstance(A, HermitianOperator) else hermitian_part(as_matrix(A))
+    M = _hermitian_array(A, checked)
     try:
         lam, U = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
@@ -204,6 +213,18 @@ def eig_hermitian(A) -> SpectralDecomposition:
     lam.setflags(write=False)
     U.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=U)
+
+
+def eigvals_hermitian(A, *, checked: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack (..., d, d), without eigenvectors.
+
+    ``checked`` is as in ``eig_hermitian``.
+    """
+    M = _hermitian_array(A, checked)
+    try:
+        return np.linalg.eigvalsh(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(M.shape[-1]) from exc
 
 
 def support_mask(lam: np.ndarray, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
@@ -216,7 +237,8 @@ def spectral_map(A, f: Callable[[np.ndarray], np.ndarray],
     """U diag(f(lambda) on the kept eigenvalues, 0 on the others) U^dagger.
 
     ``A`` is a Hermitian matrix, a stack (..., d, d) of them or their
-    SpectralDecomposition.  ``f`` maps the eigenvalue array elementwise.
+    SpectralDecomposition.  ``f`` maps the eigenvalue array elementwise, to
+    real or complex values.
     ``keep`` maps the eigenvalue array to the boolean mask of the eigenvalues
     that f applies to; with ``support_mask`` the kernel maps to 0.  None keeps
     every eigenvalue.  A non-finite value on a kept eigenvalue raises an
@@ -225,7 +247,7 @@ def spectral_map(A, f: Callable[[np.ndarray], np.ndarray],
     S = A if isinstance(A, SpectralDecomposition) else eig_hermitian(A)
     lam = S.eigenvalues
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(lam), dtype=float)
+        vals = np.asarray(f(lam))
     if keep is not None:
         vals = np.where(keep(lam), vals, 0.0)
     bad = ~np.isfinite(vals)

@@ -12,6 +12,12 @@ The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
 Binkowski and Gupta, arXiv:2310.13421): one 4 x 4 map applied per qubit to
 the d^2 entries of A, O(N 4^N) work instead of 4^N dense d x d products.
+
+Estimates are made a stack of records at a time.  The first-argument
+estimate needs only its eigenvalues, so ``estimate_stack`` solves for them
+alone and eigendecomposes just the rows it projects onto the state space; the
+floored second-argument estimate, whose log is taken, comes as a spectral
+decomposition from ``estimate_sigma_stack``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .operator_core import (
     check_density_spectrum,
     density_spectrum,
     eig_hermitian,
+    eigvals_hermitian,
     hermitian_part,
     spectral_map,
 )
@@ -52,6 +59,7 @@ __all__ = [
     "record_bloch_estimate",
     "trial_chunks",
     "estimate_stack",
+    "estimate_sigma_stack",
     "estimate",
     "estimate_rho",
     "estimate_sigma",
@@ -296,33 +304,40 @@ def trial_chunks(trials: int, dim: int) -> Iterator[range]:
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
-def _estimate_spectra(raw: np.ndarray, n: int, floor: bool,
-                      psd_atol: float) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Spectra of the estimates of a stack of raw reconstructions, and the projection flags.
-
-    The estimates share the eigenvectors of the raw reconstructions: the
-    projection maps the eigenvalues onto the simplex, and the floor mixes
-    them with 1/d; both keep them ascending.
-    """
-    S = eig_hermitian(raw)
-    lam, projected = density_spectrum(S.eigenvalues, psd_atol)
-    if floor:
-        lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
-    check_density_spectrum(lam)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=S.eigenvectors), projected
-
-
 def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
-                   floor: bool = False) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Tomographic estimates of a stack of records with n shots each, as spectra.
+                   psd_atol: float = _PSD_ATOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-argument tomographic estimates of a stack of records with n shots each.
 
     Row t of ``counts`` holds the plus counts of record t.  Returns the
-    stacked spectral decomposition of the estimates, from one stacked
-    eigensolve, and the (T,) projection flags; ``estimate`` gives the same
-    estimate for one record.
+    (T, d, d) estimate matrices, their (T, d) ascending eigenvalues and the
+    (T,) projection flags.  The eigenvalues come from one stacked
+    ``eigvalsh``: a row that is a state keeps its raw reconstruction, and
+    only the rows that left the state space are eigendecomposed, to
+    reassemble their projection onto the simplex with the same eigenvectors.
     """
     raw = _reconstruct_rows(_bloch_rows(np.asarray(counts), n), basis)
-    return _estimate_spectra(raw, n, floor, _PSD_ATOL)
+    lam, projected = density_spectrum(eigvals_hermitian(raw, checked=True), psd_atol)
+    check_density_spectrum(lam)
+    if projected.any():
+        raw[projected] = eig_hermitian(raw[projected], checked=True).reassemble(lam[projected])
+    return raw, lam, projected
+
+
+def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
+                         psd_atol: float = _PSD_ATOL) -> tuple[SpectralDecomposition, np.ndarray]:
+    """Second-argument estimates of a stack of records, as spectra, and the projection flags.
+
+    Each estimate is the first-argument estimate mixed with I/(nd), so that
+    it is strictly positive and has a log.  It shares the eigenvectors of
+    the raw reconstruction, from one stacked eigensolve: the projection and
+    the floor map ascending eigenvalues to ascending eigenvalues.
+    """
+    raw = _reconstruct_rows(_bloch_rows(np.asarray(counts), n), basis)
+    S = eig_hermitian(raw, checked=True)
+    lam, projected = density_spectrum(S.eigenvalues, psd_atol)
+    lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
+    check_density_spectrum(lam)
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=S.eigenvectors), projected
 
 
 def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False,
@@ -331,12 +346,17 @@ def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = Fals
 
     The raw reconstruction is kept if PSD, else replaced by the nearest
     density operator.  ``floor`` gives the second-argument estimator, mixed
-    with I/(nd) so that it is strictly positive.
+    with I/(nd) so that it is strictly positive.  This is the one-row case
+    of ``estimate_stack`` and ``estimate_sigma_stack``.
     """
-    raw = _reconstruct_rows(record_bloch_estimate(record).coeffs[None], basis)
-    S, projected = _estimate_spectra(raw, record.n, floor, psd_atol)
-    mat = S.reassemble()[0] if projected[0] or floor else raw[0]
-    return DensityOperator.from_spectrum(mat, S.eigenvalues[0]), bool(projected[0])
+    counts = record.plus_counts[None]
+    if floor:
+        S, projected = estimate_sigma_stack(counts, record.n, basis, psd_atol)
+        mat, lam = S.reassemble()[0], S.eigenvalues[0]
+    else:
+        mats, lams, projected = estimate_stack(counts, record.n, basis, psd_atol)
+        mat, lam = mats[0], lams[0]
+    return DensityOperator.from_spectrum(mat, lam), bool(projected[0])
 
 
 def estimate_rho(record: MeasurementRecord, basis: PauliBasisSet,

@@ -54,7 +54,14 @@ from qdivstat.operator_core import (
     project_to_density,
     schatten_norm,
 )
-from qdivstat.pauli_tomography import build_pauli_basis, estimate_stack, sample_counts, variance_v1, variance_v2
+from qdivstat.pauli_tomography import (
+    build_pauli_basis,
+    estimate_sigma_stack,
+    estimate_stack,
+    sample_counts,
+    variance_v1,
+    variance_v2,
+)
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
 
@@ -268,11 +275,11 @@ def test_tomography_gaussian_limit():
         v2 = variance_v2(rho, sigma, basis)
         # all trials as one stack
         counts = sample_counts(rho, basis, n, range(trials), 505, pair, 0)
-        rho_hat, _ = estimate_stack(counts, n, basis)
-        one = np.sqrt(n) * (umegaki_spectral(rho_hat, eig_hermitian(sigma)) - base)
+        rho_hat, lam, _ = estimate_stack(counts, n, basis)
+        one = np.sqrt(n) * (umegaki_spectral(rho_hat, lam, eig_hermitian(sigma)) - base)
         counts = sample_counts(sigma, basis, n, range(trials), 505, pair, 1)
-        sigma_hat, _ = estimate_stack(counts, n, basis, floor=True)
-        two = np.sqrt(n) * (umegaki_spectral(rho_hat, sigma_hat) - base)
+        sigma_hat, _ = estimate_sigma_stack(counts, n, basis)
+        two = np.sqrt(n) * (umegaki_spectral(rho_hat, lam, sigma_hat) - base)
         dev1 = abs(one.var(ddof=1) - v1) / v1
         dev2 = abs(two.var(ddof=1) - v2) / v2
         ks1 = ks_statistic(one, ("gaussian", 0.0, v1))

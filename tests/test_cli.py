@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdivstat import io as qio
-from qdivstat.cli import EXIT_VALIDATION, cli_main
+from qdivstat.cli import EXIT_NUMERIC, EXIT_VALIDATION, cli_main
 from qdivstat.divergences import eigenbasis_povm, petz_renyi, umegaki
 from qdivstat.limit_laws import qre_null_limit
 
@@ -71,6 +71,17 @@ class TestDivergenceCommand:
                                "--sigma", sp, "--povm", str(pv)])
         assert rc == 0
         assert json.loads(out)["argmax_index"] == 0
+
+    def test_eigensolver_failure_is_numeric_error(self, states, monkeypatch, capsys):
+        _, _, rp, sp = states
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rc = cli_main(["divergence", "--kind", "umegaki", "--rho", rp, "--sigma", sp])
+        assert rc == EXIT_NUMERIC
+        assert "numeric failure: Hermitian eigensolver did not converge" in capsys.readouterr().err
 
 
 class TestLimitCommand:

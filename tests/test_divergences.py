@@ -19,12 +19,33 @@ from qdivstat.divergences import (
     umegaki_spectral,
     von_neumann_entropy,
 )
-from qdivstat.operator_core import eig_hermitian, loewner_leq
+from qdivstat.operator_core import eig_hermitian, eigvals_hermitian, loewner_leq, support_mask
 from qdivstat.random_ops import haar_unitary
 
 from conftest import rand_herm, rand_state
 
 KL_75_50 = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)  # ~0.130812 nats
+
+
+def _umegaki_overlap(rho, sigma, tol=1e-9):
+    """D(rho || sigma) from both spectral decompositions, via the overlaps |<s_k|r_j>|^2.
+
+    The diagonal of rho in sigma's eigenbasis gives the cross term and the
+    leak onto sigma's kernel; an oracle for ``umegaki_spectral``.
+    """
+    overlap = np.abs(sigma.eigenvectors.conj().swapaxes(-1, -2) @ rho.eigenvectors) ** 2
+    diag = (overlap @ rho.eigenvalues[..., None])[..., 0]
+    keep_rho = support_mask(rho.eigenvalues)
+    keep_sigma = support_mask(sigma.eigenvalues)
+    own = np.sum(rho.eigenvalues * np.log(np.where(keep_rho, rho.eigenvalues, 1.0)), axis=-1)
+    cross = np.sum(diag * np.log(np.where(keep_sigma, sigma.eigenvalues, 1.0)), axis=-1)
+    leak = np.sum(np.where(keep_sigma, 0.0, diag), axis=-1)
+    return np.where(leak <= tol, own - cross, np.inf)
+
+
+def _on_columns(V, p):
+    """sum_k p_k v_k v_k^dagger over the orthonormal columns v_k of V."""
+    return (V * p) @ V.conj().T
 
 
 class TestUmegaki:
@@ -45,15 +66,36 @@ class TestUmegaki:
 
     def test_spectral_stack_matches_pairs(self, rng):
         sigma = np.diag([0.7, 0.3, 0.0])
-        rhos = [rand_state(rng, 3) for _ in range(4)] + [np.diag([0.5, 0.5, 0.0])]
-        got = umegaki_spectral(eig_hermitian(np.stack(rhos)), eig_hermitian(sigma))
+        rhos = np.stack([rand_state(rng, 3) for _ in range(4)] + [np.diag([0.5, 0.5, 0.0])])
+        got = umegaki_spectral(rhos, eigvals_hermitian(rhos), eig_hermitian(sigma))
         assert got.shape == (5,)
         assert np.all(np.isinf(got[:4]))  # full-rank rho leaks into sigma's kernel
         assert got[4] == pytest.approx(umegaki(rhos[4], sigma).value, abs=1e-14)
         sigmas = [rand_state(rng, 3) for _ in range(5)]
-        pairs = umegaki_spectral(eig_hermitian(np.stack(rhos)), eig_hermitian(np.stack(sigmas)))
+        pairs = umegaki_spectral(rhos, eigvals_hermitian(rhos), eig_hermitian(np.stack(sigmas)))
         for r, s, value in zip(rhos, sigmas, pairs):
             assert value == pytest.approx(umegaki(r, s).value, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_spectral_matches_overlap_oracle(self, rng, d):
+        # sigma of rank d/2, supported on the first d/2 columns of U; rho full
+        # rank (+inf against it) or inside its support, itself of full or lower rank
+        U = haar_unitary(d, rng)
+        half = d // 2
+        deficient = _on_columns(U[:, :half], rng.dirichlet(np.ones(half)))
+        inside = [_on_columns(U[:, :half] @ haar_unitary(half, rng), p)
+                  for p in (rng.dirichlet(np.ones(half)), np.eye(half)[0])]
+        rhos = np.stack([rand_state(rng, d) for _ in range(4)] + inside)
+        lam = eigvals_hermitian(rhos)
+        for sigma in (rand_state(rng, d), deficient,
+                      np.stack([rand_state(rng, d) if t % 2 else deficient for t in range(len(rhos))])):
+            got = umegaki_spectral(rhos, lam, eig_hermitian(sigma))
+            want = _umegaki_overlap(eig_hermitian(rhos), eig_hermitian(sigma))
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert finite.any()
+            assert np.max(np.abs(got[finite] - want[finite])) <= 1e-12
+        assert np.isinf(got[0]) and np.isfinite(got[-1])
 
     def test_value_infinity_tagging_enforced(self):
         with pytest.raises(ValueError):

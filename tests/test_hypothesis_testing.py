@@ -178,6 +178,17 @@ class TestSimulation:
             simulate_error_rates([states[1], states[0]], sigma, grid,
                                  tau=0.2, n=100, trials=10, seed=1, basis=basis)
 
+    @pytest.mark.parametrize("state, sigma, culprit", [
+        # a zero eigenvalue of the state, or one of sigma with the state's leak below tol
+        (np.diag([0.9, 0.1, 0.0, 0.0]), np.eye(4) / 4, "state 0"),
+        (np.diag([0.9, 0.1 - 2e-10, 1e-10, 1e-10]), np.diag([0.5, 0.5, 0.0, 0.0]), "sigma"),
+    ])
+    def test_eigenvalue_bound_names_culprit(self, state, sigma, culprit):
+        grid = HypothesisGrid((0.0, 2.0))
+        with pytest.raises(ValueError, match=f"^{culprit} has non-positive eigenvalue"):
+            simulate_error_rates([state], sigma, grid, tau=0.2, n=100, trials=1, seed=1)
+        assert simulate_error_rates([state], sigma, grid, tau=0.2, n=100, trials=1, seed=1, b=0.1)
+
     def test_validates_trials(self, rng):
         states, sigma, grid, basis = self._scenario(rng)
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qdivstat import pauli_tomography
 from qdivstat.divergences import umegaki
+from qdivstat.operator_core import density_spectrum, eig_hermitian
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
     SEED_BLOCK,
@@ -13,6 +15,7 @@ from qdivstat.pauli_tomography import (
     estimate,
     estimate_rho,
     estimate_sigma,
+    estimate_stack,
     qubits_for_dim,
     record_bloch_estimate,
     reconstruct,
@@ -273,6 +276,35 @@ class TestEstimators:
             fracs.append(hits / 400)
         assert fracs[0] > 0  # the projection branch is actually exercised
         assert fracs[0] >= fracs[1] >= fracs[2]
+
+    def test_stack_matches_full_solve(self):
+        # nearly every n = 10 record of a pure d = 4 state leaves the state space
+        B = build_pauli_basis(2)
+        counts = sample_counts(np.diag([1.0, 0.0, 0.0, 0.0]), B, 10, range(64), 3)
+        mats, lam, projected = estimate_stack(counts, 10, B)
+        raw = np.stack([reconstruct(record_bloch_estimate(MeasurementRecord(10, c, 3)), B).mat
+                        for c in counts])
+        S = eig_hermitian(raw)
+        want_lam, want_projected = density_spectrum(S.eigenvalues, 1e-12)
+        want = np.where(want_projected[:, None, None], S.reassemble(want_lam), raw)
+        assert projected.mean() > 0.5
+        assert np.array_equal(projected, want_projected)
+        assert np.max(np.abs(mats - want)) <= 1e-14
+        assert np.max(np.abs(lam - want_lam)) <= 1e-14
+
+    def test_unprojected_stack_solves_no_eigenvectors(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigenvectors solved")
+
+        monkeypatch.setattr(pauli_tomography, "eig_hermitian", fail)
+        B = build_pauli_basis(2)
+        counts = sample_counts(np.eye(4) / 4, B, 10**5, range(32), 5)
+        mats, lam, projected = estimate_stack(counts, 10**5, B)
+        assert not projected.any()
+        assert np.allclose(lam.sum(axis=-1), 1.0)
+        pure = sample_counts(np.diag([1.0, 0.0, 0.0, 0.0]), B, 10, range(32), 5)
+        with pytest.raises(AssertionError, match="eigenvectors solved"):
+            estimate_stack(pure, 10, B)
 
 
 class TestVariances:
