@@ -35,6 +35,7 @@ __all__ = [
     "DivergenceValue",
     "Povm",
     "umegaki",
+    "log_with_kernel",
     "umegaki_spectral",
     "von_neumann_entropy",
     "classical_kl",
@@ -145,25 +146,34 @@ def masked_log_trace(rho, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
     return float(np.trace(as_matrix(rho) @ log_b).real)
 
 
-def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma: SpectralDecomposition,
+def log_with_kernel(sigma) -> np.ndarray:
+    """L + iQ, with L the log of sigma on its support and Q its kernel projector.
+
+    ``sigma`` is a Hermitian matrix, a stack (..., d, d) or their
+    decomposition.  L and Q are Hermitian, so for Hermitian rho the real part
+    of Tr[rho (L + iQ)] is Tr[rho L] and its imaginary part the leak Tr[rho Q].
+    """
+    return spectral_map(sigma, lambda s: np.where(support_mask(s), np.log(s), 1j))
+
+
+def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Tr[rho (log rho - log sigma)] from rho's matrix and eigenvalues and sigma's decomposition.
 
     ``rho`` is a Hermitian matrix or a stack (..., d, d), with its ascending
-    eigenvalues (..., d); ``sigma`` is one decomposition or a stack.  The
-    result has their broadcast leading shape: D = sum lam log lam over the
-    support of rho, minus Tr[rho L], with L the log of sigma on its support.
-    D is +inf where supp(rho) is not contained in supp(sigma), that is where
-    the leak Tr[rho Q] onto the kernel projector Q of sigma exceeds ``tol``.
-    Kernels are masked as in ``masked_log_trace``.  Every term is linear in
-    rho or reads its eigenvalues, so rho's eigenvectors are never needed.
+    eigenvalues (..., d); ``sigma`` is one decomposition or a stack, or the
+    ``log_with_kernel`` array built once for a fixed sigma.  The result has
+    their broadcast leading shape: D = sum lam log lam over the support of
+    rho, minus Tr[rho L], with L the log of sigma on its support.  D is +inf
+    where supp(rho) is not contained in supp(sigma), that is where the leak
+    Tr[rho Q] onto the kernel projector Q of sigma exceeds ``tol``.  Kernels
+    are masked as in ``masked_log_trace``.  Every term is linear in rho or
+    reads its eigenvalues, so rho's eigenvectors are never needed.
     """
     lam = rho_eigenvalues
     own = np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
-    # L + iQ: both are Hermitian, so for Hermitian rho the real part of
-    # Tr[rho (L + iQ)] is the cross term and its imaginary part the leak
-    log_and_kernel = spectral_map(sigma, lambda s: np.where(support_mask(s), np.log(s), 1j))
-    cross_and_leak = np.einsum("...ij,...ji->...", rho, log_and_kernel)
+    log_kernel = log_with_kernel(sigma) if isinstance(sigma, SpectralDecomposition) else sigma
+    cross_and_leak = np.einsum("...ij,...ji->...", rho, log_kernel)
     return np.where(cross_and_leak.imag <= tol, own - cross_and_leak.real, np.inf)
 
 

@@ -28,22 +28,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .operator_core import as_matrix, eig_hermitian
+from .operator_core import as_matrix
 from .divergences import (
     Povm,
     eigenbasis_povm,
+    log_with_kernel,
     measured_relative_entropy,
     petz_renyi,
     sandwiched_renyi,
     umegaki,
     umegaki_spectral,
 )
-from .frechet import build_divided_differences, frechet1
+from .frechet import build_divided_differences
 from .limit_laws import (
-    measured_alt_limit,
-    petz_alt_limit,
-    qre_alt_limit,
-    sandwiched_alt_limit,
+    measured_alt_gradient,
+    petz_alt_gradient,
+    qre_alt_gradient,
+    sandwiched_alt_gradient,
 )
 from .pauli_tomography import (
     PauliBasisSet,
@@ -51,12 +52,11 @@ from .pauli_tomography import (
     build_pauli_basis,
     estimate_sigma_stack,
     estimate_stack,
+    linear_law_variance,
     qubits_for_dim,
     sample_counts,
     substream,
     trial_chunks,
-    variance_v1,
-    variance_v2,
 )
 
 __all__ = [
@@ -93,7 +93,11 @@ class TrialRecord:
 
 @dataclass
 class ExperimentConfig:
-    """Description of one seeded convergence experiment."""
+    """Description of one seeded convergence experiment.
+
+    A measured experiment without a POVM family gets the eigenbases of rho,
+    sigma and rho - sigma.
+    """
 
     kind: str
     rho: np.ndarray
@@ -119,6 +123,9 @@ class ExperimentConfig:
             if self.sigma is None:
                 raise ValueError(f"{self.kind} requires a sigma state")
             self.sigma = as_matrix(self.sigma)
+        if self.kind == "measured" and not self.povm_family:
+            self.povm_family = [eigenbasis_povm(self.rho), eigenbasis_povm(self.sigma),
+                                eigenbasis_povm(self.rho - self.sigma)]
         if self.kind in ("petz", "sandwiched") and self.alpha is None:
             raise ValueError(f"{self.kind} requires alpha")
         self.n_grid = tuple(int(n) for n in self.n_grid)
@@ -181,32 +188,26 @@ def _divergence_fn(cfg: ExperimentConfig):
     return lambda r, s: measured_relative_entropy(r, s, family)[0].value
 
 
-def _limit_fn(cfg: ExperimentConfig):
-    """Alternative-case limit functional of (L1, L2), linear in the directions."""
-    rho, sigma = cfg.rho, cfg.sigma
-    if cfg.kind in ("one_sample_alt", "two_sample_alt"):
-        return lambda l1, l2: qre_alt_limit(rho, sigma, l1, l2)
-    if cfg.kind == "petz":
-        return lambda l1, l2: petz_alt_limit(rho, sigma, cfg.alpha, l1, l2)
-    if cfg.kind == "sandwiched":
-        return lambda l1, l2: sandwiched_alt_limit(rho, sigma, cfg.alpha, l1, l2)
-    m_star = cfg.povm_family[measured_relative_entropy(rho, sigma, cfg.povm_family)[1]]
-    return lambda l1, l2: measured_alt_limit(rho, sigma, m_star, l1, l2)
-
-
 def alt_limit_variance(cfg: ExperimentConfig, basis: PauliBasisSet) -> float:
     """Variance v of the exact alternative-case law N(0, v).
 
-    The directions are L1 = sum_j gamma_j sqrt(w_rho_j) Z_j and, for two
-    samples, an independent L2 with the weights of sigma.  The functional f
-    is linear, so v = sum_j w_rho_j f(gamma_j, 0)^2 + sum_j w_sigma_j f(0, gamma_j)^2.
+    The limit functional is Tr[L1 G_rho] + Tr[L2 G_sigma], with L2 = 0 for
+    one sample; v is read off the gradient of the kind's divergence.
     """
-    fn = _limit_fn(cfg)
-    zero = np.zeros((cfg.dim, cfg.dim))
-    v = bernoulli_weights(cfg.rho, basis) @ np.square([fn(g, zero) for g in basis.operators])
-    if cfg.two_sample:
-        v += bernoulli_weights(cfg.sigma, basis) @ np.square([fn(zero, g) for g in basis.operators])
-    return float(v)
+    rho, sigma = cfg.rho, cfg.sigma
+    if cfg.kind in ("one_sample_alt", "two_sample_alt"):
+        g_rho, g_sigma = qre_alt_gradient(rho, sigma)
+    elif cfg.kind == "petz":
+        g_rho, g_sigma = petz_alt_gradient(rho, sigma, cfg.alpha)
+    elif cfg.kind == "sandwiched":
+        g_rho, g_sigma = sandwiched_alt_gradient(rho, sigma, cfg.alpha)
+    elif cfg.kind == "measured":
+        m_star = cfg.povm_family[measured_relative_entropy(rho, sigma, cfg.povm_family)[1]]
+        g_rho, g_sigma = measured_alt_gradient(rho, sigma, m_star)
+    else:
+        raise ValueError(f"{cfg.kind} has a weighted chi-squared limit law; the variance is for alternative kinds")
+    terms = [(rho, g_rho), (sigma, g_sigma)] if cfg.two_sample else [(rho, g_rho)]
+    return linear_law_variance(basis, *terms)
 
 
 def null_law_weights(cfg: ExperimentConfig, basis: PauliBasisSet) -> np.ndarray:
@@ -216,12 +217,17 @@ def null_law_weights(cfg: ExperimentConfig, basis: PauliBasisSet) -> np.ndarray:
     in the Pauli coordinates x_j = sqrt(w_j) Z_j of delta, with Hessian
     H[j, k] = Tr[gamma_j Dlog_rho(gamma_k)].  The weights are the eigenvalues
     of (1/2) S H S with S = diag(sqrt(w)); the two-sample delta = L1 - L2
-    doubles w.  H is symmetric because Dlog_rho is self-adjoint, and
-    ``eigvalsh`` reads only its lower triangle.
+    doubles w.  Column k of H is the Pauli transform of Dlog_rho(gamma_k),
+    with gamma_k combined from its unit coefficient vector; the columns are
+    built in stacks bounded as the trial stacks are.  H is symmetric because
+    Dlog_rho is self-adjoint, and ``eigvalsh`` reads only its lower triangle.
     """
     table = build_divided_differences(cfg.rho, "log")
     s = np.sqrt(bernoulli_weights(cfg.rho, basis) * (2.0 if cfg.two_sample else 1.0))
-    form = np.column_stack([s * basis.coefficients(frechet1(table, g).mat) for g in basis.operators])
+    form = np.empty((basis.size, basis.size))
+    for chunk in trial_chunks(basis.size, basis.dim):
+        paulis = basis.combine(np.eye(len(chunk), basis.size, chunk.start))
+        form[:, chunk.start:chunk.stop] = s[:, None] * basis.coefficients(table.derivative(paulis)).T
     form *= 0.5 * s
     return np.linalg.eigvalsh(form)
 
@@ -244,9 +250,6 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.
     """
-    if cfg.kind == "measured" and not cfg.povm_family:
-        cfg.povm_family = [eigenbasis_povm(cfg.rho), eigenbasis_povm(cfg.sigma),
-                           eigenbasis_povm(cfg.rho - cfg.sigma)]
     lam_rho = float(np.linalg.eigvalsh(cfg.rho)[0])
     if lam_rho <= 0:
         raise ValueError("experiments require strictly positive states")
@@ -256,18 +259,12 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
 
     rows: list[TrialRecord] = []
     summary: list[dict] = []
-    reference = None
-    v_pred = None
-    if cfg.kind == "one_sample_alt":
-        v_pred = variance_v1(cfg.rho, cfg.sigma, basis)
-    elif cfg.kind == "two_sample_alt":
-        v_pred = variance_v2(cfg.rho, cfg.sigma, basis)
-    elif cfg.kind in ALT_KINDS:
-        v_pred = alt_limit_variance(cfg, basis)
+    if cfg.kind in ALT_KINDS:
+        v_pred, reference = alt_limit_variance(cfg, basis), None
     else:
-        reference = sample_reference_law(cfg)
+        v_pred, reference = None, sample_reference_law(cfg)
 
-    fixed_sigma = None if cfg.two_sample else eig_hermitian(cfg.sigma)
+    fixed_sigma = None if cfg.two_sample else log_with_kernel(cfg.sigma)
 
     for n in cfg.n_grid:
         scale = float(n) ** cfg.scaling_exponent

@@ -157,6 +157,12 @@ class DividedDifferenceTable:
     def dim(self) -> int:
         return self.eigen.dim
 
+    def derivative(self, H: np.ndarray) -> np.ndarray:
+        """D[f(A)](H) as an array, for one direction or a stack (..., d, d) of them."""
+        U = self.eigen.eigenvectors
+        Uh = U.conj().T
+        return U @ (self.first * (Uh @ H @ U)) @ Uh
+
     @cached_property
     def second(self) -> np.ndarray:
         """The O(d^3) second-order table, built on first access: ``frechet1`` never reads it."""
@@ -180,9 +186,7 @@ def frechet1(T: DividedDifferenceTable, H) -> HermitianOperator:
     M = as_matrix(H)
     if M.shape[0] != T.dim:
         raise ValueError(f"direction has dim {M.shape[0]}, base point {T.dim}")
-    U = T.eigen.eigenvectors
-    Ht = U.conj().T @ M @ U
-    return HermitianOperator(U @ (T.first * Ht) @ U.conj().T)
+    return HermitianOperator(T.derivative(M))
 
 
 def frechet2(T: DividedDifferenceTable, H1, H2) -> HermitianOperator:

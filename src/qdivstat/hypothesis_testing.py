@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .operator_core import as_matrix, eig_hermitian, eigvals_hermitian, hermitian_part
-from .divergences import umegaki_spectral
+from .divergences import log_with_kernel, umegaki_spectral
 from .pauli_tomography import (
     PauliBasisSet,
     build_pauli_basis,
@@ -149,10 +149,10 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
 
     Each trial simulates Pauli tomography of the true state, evaluates
     D(rho_hat_n || sigma) and decides via the shifted grid; the trials of a
-    hypothesis run as bounded stacks, sigma is eigendecomposed once and each
-    state's eigenvalues are computed once, for its bucket check and ``b``.  The
-    records of hypothesis i are drawn in blocks of ``SEED_BLOCK`` trials, one
-    substream of (seed, i, block) each.
+    hypothesis run as bounded stacks, sigma's log with its kernel is built once
+    and each state's eigenvalues are computed once, for its bucket check and
+    ``b``.  The records of hypothesis i are drawn in blocks of ``SEED_BLOCK``
+    trials, one substream of (seed, i, block) each.
     Every state must sit strictly inside its hypothesis bucket (validated up
     front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
     the states and sigma, which must all be strictly positive; ``c`` to the
@@ -170,9 +170,10 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
     sig_eig = eig_hermitian(sig)
+    sig_log = log_with_kernel(sig_eig)
     spectra = [eigvals_hermitian(rho, checked=True) for rho in states]
     for i, (rho, lam) in enumerate(zip(states, spectra)):
-        div = float(umegaki_spectral(rho, lam, sig_eig))
+        div = float(umegaki_spectral(rho, lam, sig_log))
         if grid.bucket(div) != i:
             raise ValueError(f"state {i} has D = {div}, outside bucket "
                              f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
@@ -194,7 +195,7 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         for chunk in trial_chunks(trials, d):
             counts = sample_counts(rho, basis, n, chunk, seed, i)
             rho_hat, lam, branch = estimate_stack(counts, n, basis)
-            decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_eig), n, grid, c)
+            decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_log), n, grid, c)
             errors += int(np.count_nonzero(decided != i))
             projected += int(branch.sum())
         low, high = wilson_interval(errors, trials)

@@ -1,9 +1,18 @@
-"""Deterministic limit-distribution functionals of estimator fluctuations.
+"""Limit functionals of estimator fluctuations, and the gradients behind them.
 
-Every function here evaluates the weak-limit trace functional of a scaled
+Every functional evaluates the weak-limit trace functional of a scaled
 divergence estimation error at concrete realizations (L1, L2) of the limit
 directions.  Distribution-level statements live in the experiment runner,
 where the directions have known Gaussian laws.
+
+In the alternative case the functional is linear, Tr[L1 G_rho] + Tr[L2 G_sigma].
+Each divergence has one ``*_gradient`` routine returning (G_rho, G_sigma);
+its functional checks the directions and pairs them with it, and the
+experiment runner reads the Gaussian law's variance off the same gradient.
+The gradients move each Frechet derivative onto the fixed operator it is
+traced against, by self-adjointness: Tr[X D[f(A)](H)] = Tr[H D[f(A)](X)].
+They work on supp(sigma), in sigma's eigenbasis, with one eigendecomposition
+per distinct matrix, and lift the result back to the full space.
 
 The two-sample null functional for the relative entropy is implemented as
 
@@ -17,12 +26,11 @@ commutative case and is pinned by the finite-t oracle tests.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .operator_core import (
     HermitianOperator,
+    SpectralDecomposition,
     as_matrix,
     eig_hermitian,
     hermitian_part,
@@ -31,9 +39,9 @@ from .operator_core import (
     support_leak,
     support_mask,
 )
+from .divergences import fidelity, povm_apply
 from .frechet import (
     build_divided_differences,
-    d_power,
     frechet1,
     frechet2,
 )
@@ -41,14 +49,19 @@ from .frechet import (
 __all__ = [
     "LimitDirection",
     "SupportViolation",
+    "qre_alt_gradient",
     "qre_alt_limit",
     "qre_null_limit",
     "vn_entropy_limit",
+    "petz_alt_gradient",
     "petz_alt_limit",
     "petz_null_limit",
+    "sandwiched_alt_gradient",
     "sandwiched_alt_limit",
     "fidelity_limit",
+    "maxdiv_gradient",
     "maxdiv_limit",
+    "measured_alt_gradient",
     "measured_alt_limit",
     "qre_alt_commutative",
     "qre_null_commutative",
@@ -113,28 +126,49 @@ def _compress(support_of, *mats):
     return [V.conj().T @ M @ V for M in mats]
 
 
-def _require_positive(name: str, M: np.ndarray) -> None:
-    lo = float(np.linalg.eigvalsh(M)[0])
-    if lo <= 0:
-        raise SupportViolation(f"{name} must be strictly positive on the working subspace (min eig {lo:.3e})")
+def _require_positive(name: str, lam: np.ndarray) -> None:
+    """Raise unless the ascending eigenvalues ``lam`` are all strictly positive."""
+    if lam[0] <= 0:
+        raise SupportViolation(f"{name} must be strictly positive on the working subspace (min eig {lam[0]:.3e})")
 
 
-def _alt_inputs(rho, sigma, L1, L2, tol: float):
-    """rho, sigma and the directions compressed to supp(sigma), where rho and sigma must be positive."""
-    R, Sg = as_matrix(rho), as_matrix(sigma)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
+def _support_frame(rho, sigma, tol: float):
+    """(V, rho_c, eig(rho_c), eig(sigma_c)): V spans supp(sigma) with sigma's eigenvectors, rho_c = V^dagger rho V.
+
+    sigma_c is diagonal, so its decomposition takes no second eigensolve.
+    """
+    R = as_matrix(rho)
+    S = eig_hermitian(sigma)
+    if not support_contained(R, S, tol):
         raise SupportViolation("rho is not supported inside sigma")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("rho", R)
-    _require_positive("sigma", Sg)
-    return R, Sg, M1, M2
+    keep = support_mask(S.eigenvalues)
+    V = S.eigenvectors[:, keep]
+    R = V.conj().T @ R @ V
+    return V, R, eig_hermitian(R), SpectralDecomposition(S.eigenvalues[keep], np.eye(len(R)))
+
+
+def _lift(V: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V X V^dagger for each operator X on supp(sigma): back to the full space."""
+    return tuple(V @ X @ V.conj().T for X in ops)
+
+
+def _pair(gradient, L1, L2) -> float:
+    """Tr[L1 G_rho] + Tr[L2 G_sigma]; a direction of None is zero."""
+    g_rho, g_sigma = gradient
+    d = g_rho.shape[0]
+    return _retr(_dir_mat(L1, d) @ g_rho) + _retr(_dir_mat(L2, d) @ g_sigma)
 
 
 # ---------------------------------------------------------------------------
 # Quantum relative entropy and entropy
 # ---------------------------------------------------------------------------
+
+def qre_alt_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
+    V, R, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+    log_ratio = spectral_map(rho_eig, np.log, support_mask) - spectral_map(sigma_eig, np.log)
+    return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
+
 
 def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     """Alternative-case limit Tr[L1 (log rho - log sigma) - rho D[log sigma](L2)].
@@ -144,18 +178,12 @@ def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     R, Sg = as_matrix(rho), as_matrix(sigma)
     d = R.shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    if not support_contained(R, Sg, tol):
-        raise SupportViolation("rho is not supported inside sigma")
+    gradient = qre_alt_gradient(R, Sg, tol)
     if not _direction_in_support(M2, Sg, tol):
         raise SupportViolation("L2 has mass outside the support of sigma")
     if not _direction_in_support(M1, R, tol):
         raise SupportViolation("L1 has mass outside the support of rho")
-    R, Sg, M1, M2 = _compress(Sg, R, Sg, M1, M2)
-    _require_positive("sigma", Sg)
-    term1 = _retr(M1 @ (spectral_map(R, np.log, support_mask) - spectral_map(Sg, np.log, support_mask)))
-    table = build_divided_differences(Sg, "log")
-    term2 = _retr(R @ frechet1(table, M2).mat)
-    return term1 - term2
+    return _pair(gradient, M1, M2)
 
 
 def qre_null_limit(rho, L1, L2=None, tol: float = 1e-8) -> float:
@@ -189,19 +217,25 @@ def _check_petz_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} outside (0,1) u (1,2]")
 
 
+def petz_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(D[rho^a](sigma^(1-a)), D[sigma^(1-a)](rho^a)) / ((a-1) Tr[rho^a sigma^(1-a)])."""
+    _check_petz_alpha(alpha)
+    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+    _require_positive("rho", rho_eig.eigenvalues)
+    r_pow = spectral_map(rho_eig, lambda lam: lam**alpha)
+    s_pow = spectral_map(sigma_eig, lambda lam: lam ** (1 - alpha))
+    den = (alpha - 1) * _retr(r_pow @ s_pow)
+    g_rho = frechet1(build_divided_differences(rho_eig, alpha), s_pow).mat
+    g_sigma = frechet1(build_divided_differences(sigma_eig, 1 - alpha), r_pow).mat
+    return _lift(V, g_rho / den, g_sigma / den)
+
+
 def petz_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
     """Alternative-case Petz-Renyi limit.
 
     [Tr(sigma^(1-a) D[rho^a](L1)) + Tr(rho^a D[sigma^(1-a)](L2))] / ((a-1) Tr[rho^a sigma^(1-a)]).
     """
-    _check_petz_alpha(alpha)
-    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
-    ab = 1 - alpha
-    r_pow = spectral_map(R, lambda lam: lam**alpha)
-    s_pow = spectral_map(Sg, lambda lam: lam**ab)
-    num = _retr(s_pow @ d_power(R, M1, alpha).mat) + _retr(r_pow @ d_power(Sg, M2, ab).mat)
-    den = (alpha - 1) * _retr(r_pow @ s_pow)
-    return num / den
+    return _pair(petz_alt_gradient(rho, sigma, alpha, tol), L1, L2)
 
 
 def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
@@ -234,60 +268,94 @@ def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
 # Sandwiched Renyi, fidelity, max-divergence
 # ---------------------------------------------------------------------------
 
-def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
-    """Alternative-case sandwiched Renyi limit (vanishes when rho = sigma)."""
+def _sandwich_gradient(rho, sigma, q: float, weight, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of c Tr[X T] at fixed (c, X) = weight(T), for T = rho^(1/2) sigma^q rho^(1/2).
+
+    c D[rho^(1/2)](Y + Y^dagger) with Y = sigma^q rho^(1/2) X, and
+    c D[sigma^q](rho^(1/2) X rho^(1/2)).  ``weight`` receives the
+    decomposition of T.
+    """
+    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+    _require_positive("rho", rho_eig.eigenvalues)
+    root = spectral_map(rho_eig, np.sqrt)
+    s_q = spectral_map(sigma_eig, lambda lam: lam**q)
+    c, X = weight(eig_hermitian(hermitian_part(root @ s_q @ root, atol=np.inf), checked=True))
+    Y = s_q @ root @ X
+    g_rho = frechet1(build_divided_differences(rho_eig, 0.5), Y + Y.conj().T).mat
+    g_sigma = frechet1(build_divided_differences(sigma_eig, q), root @ X @ root).mat
+    return _lift(V, c * g_rho, c * g_sigma)
+
+
+def sandwiched_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the sandwiched Renyi divergence (1/(a-1)) log Tr T^a, T = rho^(1/2) sigma^q rho^(1/2).
+
+    q = (1-a)/a; the weight is X = T^(a-1) with c = a / ((a-1) Tr T^a).
+    """
     if not (0.5 <= alpha < 1 or alpha > 1):
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
-    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
-    q = (1 - alpha) / alpha
-    root = spectral_map(R, np.sqrt)
-    s_q = spectral_map(Sg, lambda lam: lam**q)
-    d_root = d_power(R, M1, 0.5).mat
-    d_sq = d_power(Sg, M2, q).mat if q != 1 else M2
-    T = eig_hermitian(hermitian_part(root @ s_q @ root, atol=np.inf))
-    dT = d_root @ s_q @ root + root @ s_q @ d_root + root @ d_sq @ root
-    num = _retr(dT @ spectral_map(T, lambda lam: lam ** (alpha - 1)))
-    den = float(np.sum(np.clip(T.eigenvalues, 0.0, None) ** alpha))
-    return alpha / (alpha - 1) * num / den
+
+    def weight(T):
+        den = float(np.sum(np.clip(T.eigenvalues, 0.0, None) ** alpha))
+        return alpha / ((alpha - 1) * den), spectral_map(T, lambda lam: lam ** (alpha - 1))
+
+    return _sandwich_gradient(rho, sigma, (1 - alpha) / alpha, weight, tol)
+
+
+def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
+    """Alternative-case sandwiched Renyi limit (vanishes when rho = sigma)."""
+    return _pair(sandwiched_alt_gradient(rho, sigma, alpha, tol), L1, L2)
 
 
 def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
-    """First-order fidelity limit sqrt(F) Tr[dT (rho^(1/2) sigma rho^(1/2))^(-1/2)]."""
-    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
-    root = spectral_map(R, np.sqrt)
-    d_root = d_power(R, M1, 0.5).mat
-    T = eig_hermitian(hermitian_part(root @ Sg @ root, atol=np.inf))
-    dT = d_root @ Sg @ root + root @ Sg @ d_root + root @ M2 @ root
-    sqrt_fid = float(np.sum(np.sqrt(np.clip(T.eigenvalues, 0.0, None))))
-    return sqrt_fid * _retr(dT @ spectral_map(T, lambda lam: lam**-0.5))
+    """First-order fidelity limit -F dD_(1/2), since F = exp(-D_(1/2)) for the sandwiched order 1/2."""
+    return -sandwiched_alt_limit(rho, sigma, 0.5, L1, L2, tol) * fidelity(rho, sigma)
+
+
+def maxdiv_gradient(rho, sigma, tol: float = 1e-8, gap_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the max-divergence log lambda_max(T), T = rho^(1/2) sigma^-1 rho^(1/2).
+
+    The weight is the top eigenprojection of T, with c = 1/lambda_max.  The
+    maximal eigenvalue must be simple within ``gap_tol`` (relative), else the
+    projection is ill-defined and an error is raised rather than silently
+    picking a branch.
+    """
+
+    def weight(T):
+        lam = T.eigenvalues
+        lam_max = float(lam[-1])
+        if len(lam) > 1 and (lam_max - float(lam[-2])) <= gap_tol * max(1.0, lam_max):
+            raise ValueError("top eigenvalue of rho^(1/2) sigma^-1 rho^(1/2) is degenerate; "
+                             "the limit projection is ill-defined")
+        v = T.eigenvectors[:, -1]
+        return 1.0 / lam_max, np.outer(v, v.conj())
+
+    return _sandwich_gradient(rho, sigma, -1.0, weight, tol)
 
 
 def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8, gap_tol: float = 1e-8) -> float:
-    """First-order max-divergence limit, using the top eigenprojection of rho^(1/2) sigma^-1 rho^(1/2).
-
-    The maximal eigenvalue must be simple within ``gap_tol`` (relative),
-    otherwise the projection in the formula is ill-defined and an error is
-    raised rather than silently picking a branch.
-    """
-    R, Sg, M1, M2 = _alt_inputs(rho, sigma, L1, L2, tol)
-    root = spectral_map(R, np.sqrt)
-    s_inv = spectral_map(Sg, np.reciprocal)
-    S = eig_hermitian(hermitian_part(root @ s_inv @ root, atol=np.inf))
-    lam = S.eigenvalues
-    lam_max = float(lam[-1])
-    if len(lam) > 1 and (lam_max - float(lam[-2])) <= gap_tol * max(1.0, lam_max):
-        raise ValueError("top eigenvalue of rho^(1/2) sigma^-1 rho^(1/2) is degenerate; "
-                         "the limit projection is ill-defined")
-    v = S.eigenvectors[:, -1]
-    proj = np.outer(v, v.conj())
-    d_root = d_power(R, M1, 0.5).mat
-    dM = d_root @ s_inv @ root + root @ s_inv @ d_root - root @ s_inv @ M2 @ s_inv @ root
-    return (1.0 / lam_max) * _retr(dM @ proj)
+    """First-order max-divergence limit, using the top eigenprojection of rho^(1/2) sigma^-1 rho^(1/2)."""
+    return _pair(maxdiv_gradient(rho, sigma, tol, gap_tol), L1, L2)
 
 
 # ---------------------------------------------------------------------------
 # Measured relative entropy
 # ---------------------------------------------------------------------------
+
+def measured_alt_gradient(rho, sigma, m_star, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i log(p_i/q_i) M_i, -sum_i (p_i/q_i) M_i) over the outcomes i with p_i > tol.
+
+    p and q are the outcome distributions of rho and sigma under the POVM
+    ``m_star``; q may vanish only where p does.
+    """
+    p, q = povm_apply(m_star, rho), povm_apply(m_star, sigma)
+    if np.any((q <= tol) & (p > tol)):
+        raise SupportViolation("outcome distribution of sigma vanishes where rho does not")
+    live = p > tol
+    ratio = np.where(live, p, 0.0) / np.where(live, q, 1.0)
+    elements = np.stack([E.mat for E in m_star.elements])
+    return (np.tensordot(np.log(np.where(live, ratio, 1.0)), elements, axes=1),
+            -np.tensordot(ratio, elements, axes=1))
+
 
 def measured_alt_limit(rho, sigma, m_star, L1, L2=None, tol: float = 1e-10) -> float:
     """Alternative-case limit for measured relative entropy at the optimal POVM.
@@ -295,26 +363,16 @@ def measured_alt_limit(rho, sigma, m_star, L1, L2=None, tol: float = 1e-10) -> f
     sum_i P_L1(i) log(P_rho(i)/P_sigma(i)) - P_L2(i) P_rho(i)/P_sigma(i),
     with outcome cells dropped when rho, L1 and L2 all put zero mass there.
     """
-    from .divergences import povm_apply
-
     d = as_matrix(rho).shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    p_rho = povm_apply(m_star, rho)
-    p_sig = povm_apply(m_star, sigma)
-    p_l1 = povm_apply(m_star, M1)
-    p_l2 = povm_apply(m_star, M2)
-    total = 0.0
-    for pr, ps, a, b in zip(p_rho, p_sig, p_l1, p_l2):
-        if ps <= tol:
-            if pr <= tol and abs(a) <= tol and abs(b) <= tol:
-                continue
+    cells = zip(povm_apply(m_star, rho), povm_apply(m_star, sigma),
+                povm_apply(m_star, M1), povm_apply(m_star, M2))
+    for pr, ps, a, b in cells:
+        if ps <= tol and max(pr, abs(a), abs(b)) > tol:
             raise SupportViolation("outcome distribution of sigma vanishes where rho or a direction does not")
-        if pr <= tol:
-            if abs(a) > tol:
-                raise SupportViolation("L1 outcome mass outside the support of the rho distribution")
-            continue
-        total += a * math.log(pr / ps) - b * pr / ps
-    return total
+        if ps > tol and pr <= tol and abs(a) > tol:
+            raise SupportViolation("L1 outcome mass outside the support of the rho distribution")
+    return _pair(measured_alt_gradient(rho, sigma, m_star, tol), M1, M2)
 
 
 # ---------------------------------------------------------------------------

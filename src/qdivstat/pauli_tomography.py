@@ -22,7 +22,7 @@ decomposition from ``estimate_sigma_stack``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +37,8 @@ from .operator_core import (
     eig_hermitian,
     eigvals_hermitian,
     hermitian_part,
-    spectral_map,
 )
-from .frechet import build_divided_differences, frechet1
+from .limit_laws import _require_positive, qre_alt_gradient
 
 __all__ = [
     "PAULI_MATRICES",
@@ -65,6 +64,7 @@ __all__ = [
     "estimate_sigma",
     "was_projected",
     "bernoulli_weights",
+    "linear_law_variance",
     "variance_v1",
     "variance_v2",
     "sample_gaussian_limit",
@@ -150,16 +150,18 @@ class PauliBasisSet:
     def labels(self) -> tuple[str, ...]:
         return tuple(np.base_repr(code, base=4).zfill(self.qubits) for code in range(1, self.size + 1))
 
-    @property
-    def operators(self) -> Sequence[np.ndarray]:
-        """The operators as dense matrices, each built from its label when indexed."""
-        return _KroneckerProducts(self.labels)
-
     def coefficients(self, A: np.ndarray) -> np.ndarray:
-        """Tr[A gamma_j] for every operator j; real for Hermitian A."""
+        """Tr[A gamma_j] for every operator j; real for Hermitian A.
+
+        A stack (T, d, d) of matrices gives (T, d^2 - 1), one row per matrix.
+        """
         n = self.qubits
-        pairs = A.reshape((2,) * (2 * n)).transpose(_interleave(n))
-        return _per_qubit(_TO_PAULI, pairs, n)[1:].real
+        A = np.asarray(A)
+        rows = A.shape[:-2]
+        order = list(range(len(rows))) + [len(rows) + a for a in _interleave(n)]
+        pairs = A.reshape(rows + (2,) * (2 * n)).transpose(order)
+        entries = _per_qubit(_TO_PAULI, pairs.reshape(-1, 4**n).T, n)
+        return entries.reshape(rows + (4**n,))[..., 1:].real
 
     def combine(self, coeffs: np.ndarray, identity: float = 0.0) -> np.ndarray:
         """identity * I + sum_j coeffs_j gamma_j as a dense matrix.
@@ -177,22 +179,6 @@ class PauliBasisSet:
 
     def __repr__(self) -> str:
         return f"PauliBasisSet(qubits={self.qubits}, size={self.size})"
-
-
-class _KroneckerProducts(Sequence):
-    """Read-only sequence of Pauli operators that stores only their labels."""
-
-    def __init__(self, labels: tuple[str, ...]):
-        self._labels = labels
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        g = np.ones((1, 1), dtype=complex)
-        for digit in self._labels[j]:
-            g = np.kron(g, PAULI_MATRICES[int(digit)])
-        return g
 
 
 def _interleave(n: int) -> list[int]:
@@ -384,28 +370,40 @@ def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:
     return 4.0 * sp * sm / basis.dim**2
 
 
+def linear_law_variance(basis: PauliBasisSet, *terms) -> float:
+    """Variance v of the Gaussian law N(0, v) of sum_i Tr[L_i G_i], for pairs ``terms`` (rho_i, G_i).
+
+    The L_i are independent limits sum_j gamma_j sqrt(w_j) Z_j of the scaled
+    tomography errors of rho_i, w = ``bernoulli_weights(rho_i)``, so
+    v = sum_i w . coefficients(G_i)^2: one Pauli transform per gradient.
+    """
+    return float(sum(bernoulli_weights(rho, basis) @ basis.coefficients(g) ** 2 for rho, g in terms))
+
+
+def _umegaki_gradient(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The relative-entropy gradient (log rho - log sigma, -Dlog_sigma(rho)) of two positive definite states."""
+    for name, state in (("rho", rho), ("sigma", sigma)):
+        _require_positive(name, eigvals_hermitian(state))
+    return qre_alt_gradient(rho, sigma)
+
+
 def variance_v1(rho, sigma, basis: PauliBasisSet) -> float:
-    """One-sample asymptotic variance of the scaled relative-entropy estimation error."""
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
-    weights = bernoulli_weights(rho, basis)
-    terms = basis.coefficients(spectral_map(rho, np.log) - spectral_map(sigma, np.log)) ** 2
-    return float(np.sum(weights * terms))
+    """One-sample asymptotic variance of the scaled relative-entropy estimation error.
+
+    The relative-entropy case of ``linear_law_variance``: w_rho . coefficients(log rho - log sigma)^2.
+    """
+    g_rho, _ = _umegaki_gradient(rho, sigma)
+    return linear_law_variance(basis, (rho, g_rho))
 
 
 def variance_v2(rho, sigma, basis: PauliBasisSet) -> float:
-    """Two-sample asymptotic variance: v1^2 plus the sigma-estimation contribution.
+    """Two-sample asymptotic variance: v1 plus the sigma-estimation contribution.
 
-    The contribution weighs Tr[rho Dlog_sigma(gamma_j)]^2.  Dlog_sigma is
-    self-adjoint in the trace inner product, so these are the coefficients
-    Tr[Dlog_sigma(rho) gamma_j] of a single derivative.
+    The contribution is w_sigma . coefficients(Dlog_sigma(rho))^2, the
+    sigma half of the same gradient.
     """
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
-    weights = bernoulli_weights(sigma, basis)
-    table = build_divided_differences(as_matrix(sigma), "log")
-    terms = basis.coefficients(frechet1(table, rho).mat) ** 2
-    return variance_v1(rho, sigma, basis) + float(np.sum(weights * terms))
+    g_rho, g_sigma = _umegaki_gradient(rho, sigma)
+    return linear_law_variance(basis, (rho, g_rho), (sigma, g_sigma))
 
 
 def sample_gaussian_limit(rho, basis: PauliBasisSet, rng: np.random.Generator) -> np.ndarray:
@@ -413,8 +411,3 @@ def sample_gaussian_limit(rho, basis: PauliBasisSet, rng: np.random.Generator) -
     std = np.sqrt(bernoulli_weights(rho, basis))
     return basis.combine(rng.normal(size=basis.size) * std)
 
-
-def _require_full_rank(rho, name: str) -> None:
-    lo = float(np.linalg.eigvalsh(as_matrix(rho))[0])
-    if lo <= 0:
-        raise ValueError(f"{name} must be strictly positive definite (min eig {lo:.3e})")

@@ -1,7 +1,16 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
-from qdivstat.pauli_tomography import SEED_BLOCK, MeasurementRecord, bloch_coefficients, substream
+from qdivstat.pauli_tomography import (
+    PAULI_MATRICES,
+    SEED_BLOCK,
+    MeasurementRecord,
+    PauliBasisSet,
+    bloch_coefficients,
+    substream,
+)
 from qdivstat.random_ops import random_density, random_hermitian, random_traceless
 
 
@@ -27,3 +36,27 @@ def replay_record(rho, basis, n, t, seed, *path):
     p_plus = np.clip((1.0 + bloch_coefficients(rho, basis).coeffs) / 2.0, 0.0, 1.0)
     block = substream(seed, *path, t // SEED_BLOCK).binomial(n, p_plus, size=(SEED_BLOCK, basis.size))
     return MeasurementRecord(n=n, plus_counts=block[t % SEED_BLOCK], seed=seed)
+
+
+class _KroneckerProducts(Sequence):
+    """Read-only sequence of Pauli operators that stores only their labels."""
+
+    def __init__(self, labels: tuple[str, ...]):
+        self._labels = labels
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        g = np.ones((1, 1), dtype=complex)
+        for digit in self._labels[j]:
+            g = np.kron(g, PAULI_MATRICES[int(digit)])
+        return g
+
+
+def pauli_operators(basis: PauliBasisSet) -> Sequence[np.ndarray]:
+    """The operators of ``basis`` as dense Kronecker products, each built when indexed.
+
+    The reference for the tensorized transform, which never forms them.
+    """
+    return _KroneckerProducts(basis.labels)

@@ -64,6 +64,8 @@ from qdivstat.pauli_tomography import (
 )
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
+from conftest import pauli_operators
+
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -383,11 +385,12 @@ def test_structural_properties():
     for n_q in (1, 2, 3):
         B = build_pauli_basis(n_q)
         d = B.dim
-        for j, gj in enumerate(B.operators):
+        ops = pauli_operators(B)
+        for j, gj in enumerate(ops):
             pauli_ok &= abs(np.trace(gj)) < 1e-12
             for k in range(j, B.size):
                 want = d if j == k else 0.0
-                pauli_ok &= abs(np.trace(gj @ B.operators[k]).real - want) < 1e-12
+                pauli_ok &= abs(np.trace(gj @ ops[k]).real - want) < 1e-12
     ok &= pauli_ok
     notes.append(f"Pauli orthogonality exhaustive N<=3: {pauli_ok}")
 

@@ -10,7 +10,6 @@ from qdivstat.experiments import (
     NULL_KINDS,
     REFERENCE_DRAWS,
     ExperimentConfig,
-    _limit_fn,
     alt_limit_variance,
     ks_statistic,
     null_law_weights,
@@ -18,8 +17,16 @@ from qdivstat.experiments import (
     run_convergence_experiment,
     sample_reference_law,
 )
-from qdivstat.divergences import eigenbasis_povm, petz_renyi, umegaki
-from qdivstat.frechet import d_log
+from qdivstat import divergences
+from qdivstat import experiments
+from qdivstat.divergences import (
+    eigenbasis_povm,
+    log_with_kernel,
+    measured_relative_entropy,
+    petz_renyi,
+    umegaki,
+)
+from qdivstat.frechet import build_divided_differences, d_log, frechet1
 from qdivstat.limit_laws import qre_null_limit
 from qdivstat.pauli_tomography import (
     bernoulli_weights,
@@ -32,7 +39,8 @@ from qdivstat.pauli_tomography import (
 )
 from qdivstat.random_ops import haar_unitary
 
-from conftest import rand_state, replay_record
+import directional_limits as directional
+from conftest import pauli_operators, rand_state, replay_record
 
 
 def per_record_rows(cfg, divergence):
@@ -60,13 +68,28 @@ def near_pure_state(rng, d):
     return (U * lam) @ U.conj().T
 
 
+def limit_functional(cfg):
+    """The kind's limit functional of (L1, L2); the directional form in the alternative case."""
+    rho, sigma = cfg.rho, cfg.sigma
+    if cfg.kind in NULL_KINDS:
+        return partial(qre_null_limit, rho)
+    if cfg.kind in ("one_sample_alt", "two_sample_alt"):
+        return partial(directional.qre_alt, rho, sigma)
+    if cfg.kind == "petz":
+        return partial(directional.petz_alt, rho, sigma, cfg.alpha)
+    if cfg.kind == "sandwiched":
+        return partial(directional.sandwiched_alt, rho, sigma, cfg.alpha)
+    m_star = cfg.povm_family[measured_relative_entropy(rho, sigma, cfg.povm_family)[1]]
+    return partial(directional.measured_alt, rho, sigma, m_star)
+
+
 def monte_carlo_limit_sample(cfg, draws, seed):
     """The limit functional at independent draws of the Gaussian Pauli directions.
 
     The per-draw sampler that the exact laws replace, kept as their oracle.
     """
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
-    fn = partial(qre_null_limit, cfg.rho) if cfg.kind in NULL_KINDS else _limit_fn(cfg)
+    fn = limit_functional(cfg)
     rng = np.random.default_rng(seed)
     out = np.empty(draws)
     for k in range(draws):
@@ -239,7 +262,7 @@ class TestExactLaws:
         basis = build_pauli_basis(qubits_for_dim(d))
         lam = null_law_weights(cfg, basis)
         w = bernoulli_weights(cfg.rho, basis) * (2 if cfg.two_sample else 1)
-        diag = [np.trace(g @ d_log(cfg.rho, g).mat).real for g in basis.operators]
+        diag = [np.trace(g @ d_log(cfg.rho, g).mat).real for g in pauli_operators(basis)]
         mean = 0.5 * float(np.dot(w, diag))
         assert abs(lam.sum() - mean) <= 1e-12 * mean
         assert lam[0] > 0
@@ -252,6 +275,46 @@ class TestExactLaws:
             cfg = ExperimentConfig(kind=kind, rho=rho, sigma=sigma, trials=100)
             v = closed(rho, sigma, basis)
             assert abs(alt_limit_variance(cfg, basis) - v) <= 1e-12 * v
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_null_weights_match_operator_loop(self, rng, kind, d):
+        cfg = ExperimentConfig(kind=kind, rho=rand_state(rng, d, 0.1), trials=100)
+        basis = build_pauli_basis(qubits_for_dim(d))
+        table = build_divided_differences(cfg.rho, "log")
+        s = np.sqrt(bernoulli_weights(cfg.rho, basis) * (2.0 if cfg.two_sample else 1.0))
+        form = np.column_stack([s * basis.coefficients(frechet1(table, g).mat) for g in pauli_operators(basis)])
+        want = np.linalg.eigvalsh(form * (0.5 * s))
+        assert np.max(np.abs(null_law_weights(cfg, basis) - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("kind,alpha", [("one_sample_alt", None), ("two_sample_alt", None), ("petz", 0.4),
+                                            ("petz", 1.5), ("sandwiched", 0.5), ("sandwiched", 2.0),
+                                            ("measured", None)])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_alt_variance_matches_operator_loop(self, rng, kind, alpha, d):
+        rho, sigma = rand_state(rng, d, 0.1), rand_state(rng, d, 0.1)
+        cfg = ExperimentConfig(kind=kind, rho=rho, sigma=sigma, alpha=alpha, trials=100)
+        basis = build_pauli_basis(qubits_for_dim(d))
+        fn = limit_functional(cfg)
+        zero = np.zeros((d, d))
+        want = bernoulli_weights(rho, basis) @ np.square([fn(g, zero) for g in pauli_operators(basis)])
+        if cfg.two_sample:
+            want += bernoulli_weights(sigma, basis) @ np.square([fn(zero, g) for g in pauli_operators(basis)])
+        assert abs(alt_limit_variance(cfg, basis) - want) <= 1e-12 * want
+
+    def test_measured_default_family(self, rng):
+        rho, sigma = rand_state(rng, 2, 0.1), rand_state(rng, 2, 0.1)
+        cfg = ExperimentConfig(kind="measured", rho=rho, sigma=sigma, n_grid=(1000,), trials=100)
+        family = cfg.povm_family
+        assert len(family) == 3
+        assert alt_limit_variance(cfg, build_pauli_basis(1)) > 0
+        run_convergence_experiment(cfg)
+        assert cfg.povm_family is family
+
+    def test_null_kinds_have_no_gaussian_variance(self, rng):
+        cfg = ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), trials=100)
+        with pytest.raises(ValueError, match="chi-squared"):
+            alt_limit_variance(cfg, build_pauli_basis(1))
 
     @pytest.mark.parametrize("kind,alpha", [("petz", 1.5), ("sandwiched", 2.0), ("measured", None)])
     def test_alt_law_matches_monte_carlo(self, rng, kind, alpha):
@@ -296,3 +359,19 @@ class TestBatchedTrials:
         monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4 * 4)
         assert [len(c) for c in pauli_tomography.trial_chunks(100, 4)] == [7] * 14 + [2]
         assert run_convergence_experiment(cfg)["rows"] == whole
+
+    def test_fixed_sigma_log_built_once(self, rng, monkeypatch):
+        cfg = ExperimentConfig(kind="one_sample_alt", rho=rand_state(rng, 4, 0.1), sigma=rand_state(rng, 4, 0.1),
+                               n_grid=(100, 1000), trials=100, seed=43)
+        builds = []
+
+        def counted(s):
+            builds.append(s)
+            return log_with_kernel(s)
+
+        for module in (divergences, experiments):
+            monkeypatch.setattr(module, "log_with_kernel", counted)
+        monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4 * 4)
+        run_convergence_experiment(cfg)
+        # one for the centre D(rho || sigma), one shared by the 30 trial stacks
+        assert len(builds) == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from qdivstat import pauli_tomography
-from qdivstat.divergences import umegaki
+from qdivstat import divergences, hypothesis_testing, pauli_tomography
+from qdivstat.divergences import log_with_kernel, umegaki
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
     _decided_indices,
@@ -215,6 +215,20 @@ class TestSimulation:
         b = min_eigenvalue_bound(states + [sigma])
         for r in states:
             assert variance_v1(r, sigma, basis) <= 4 * 4 * math.log(b) ** 2 + 1e-12
+
+    def test_sigma_log_built_once(self, rng, monkeypatch):
+        states, sigma, grid, basis = self._scenario(rng)
+        builds = []
+
+        def counted(s):
+            builds.append(s)
+            return log_with_kernel(s)
+
+        for module in (divergences, hypothesis_testing):
+            monkeypatch.setattr(module, "log_with_kernel", counted)
+        monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4)
+        simulate_error_rates(states, sigma, grid, tau=0.3, n=200, trials=40, seed=5, basis=basis)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_matches_per_record_oracle(self, monkeypatch, chunk):

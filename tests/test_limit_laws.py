@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -14,21 +16,27 @@ from qdivstat.limit_laws import (
     LimitDirection,
     SupportViolation,
     fidelity_limit,
+    maxdiv_gradient,
     maxdiv_limit,
+    measured_alt_gradient,
     measured_alt_limit,
     petz_alt_commutative,
+    petz_alt_gradient,
     petz_alt_limit,
     petz_null_commutative,
     petz_null_limit,
     qre_alt_commutative,
+    qre_alt_gradient,
     qre_alt_limit,
     qre_null_commutative,
     qre_null_limit,
+    sandwiched_alt_gradient,
     sandwiched_alt_limit,
     vn_entropy_limit,
 )
 from qdivstat.divergences import von_neumann_entropy
 
+import directional_limits as directional
 from conftest import rand_direction, rand_state
 
 
@@ -340,3 +348,68 @@ class TestMeasuredLimit:
         m = eigenbasis_povm(np.diag([1.0, 2.0]))
         with pytest.raises(SupportViolation):
             measured_alt_limit(rho, sigma, m, np.diag([0.5, -0.5]), None)
+
+
+def _functionals(rho, sigma):
+    """(name, library functional, directional oracle, gradient, distinct matrices) per alternative case.
+
+    The distinct matrices are rho, sigma and T = rho^(1/2) sigma^q rho^(1/2) where there is one.
+    """
+    m = eigenbasis_povm(rho - sigma)
+    cases = [("qre", partial(qre_alt_limit, rho, sigma), partial(directional.qre_alt, rho, sigma),
+              partial(qre_alt_gradient, rho, sigma), 2)]
+    cases += [(f"petz-{a}", partial(petz_alt_limit, rho, sigma, a), partial(directional.petz_alt, rho, sigma, a),
+               partial(petz_alt_gradient, rho, sigma, a), 2) for a in (0.4, 1.5, 2.0)]
+    cases += [(f"sandwiched-{a}", partial(sandwiched_alt_limit, rho, sigma, a),
+               partial(directional.sandwiched_alt, rho, sigma, a),
+               partial(sandwiched_alt_gradient, rho, sigma, a), 3) for a in (0.5, 0.8, 2.0, 3.0)]
+    cases += [("fidelity", partial(fidelity_limit, rho, sigma), partial(directional.fidelity_alt, rho, sigma),
+               None, None),
+              ("maxdiv", partial(maxdiv_limit, rho, sigma), partial(directional.maxdiv_alt, rho, sigma),
+               partial(maxdiv_gradient, rho, sigma), 3),
+              ("measured", partial(measured_alt_limit, rho, sigma, m), partial(directional.measured_alt, rho, sigma, m),
+               partial(measured_alt_gradient, rho, sigma, m), 0)]
+    return cases
+
+
+class TestGradients:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_pairing_matches_directional_oracle(self, rng, d):
+        for _ in range(3):
+            rho, sigma = rand_state(rng, d), rand_state(rng, d)
+            L1, L2 = rand_direction(rng, d), rand_direction(rng, d)
+            for name, fn, oracle, _, _ in _functionals(rho, sigma):
+                for l1, l2 in ((L1, L2), (L1, None), (None, L2)):
+                    got, want = fn(l1, l2), oracle(l1, l2)
+                    assert abs(got - want) <= 1e-12 * abs(want) + 1e-14, (name, got, want)
+
+    def test_one_eigendecomposition_per_matrix(self, rng, monkeypatch):
+        rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
+        calls = []
+
+        def counted(solver):
+            def solve(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return solve
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        for name, _, _, gradient, matrices in _functionals(rho, sigma):
+            if gradient is None:
+                continue
+            calls.clear()
+            g_rho, g_sigma = gradient()
+            assert len(calls) <= matrices, (name, calls)
+            assert g_rho.shape == g_sigma.shape == (4, 4)
+
+    def test_gradients_live_on_the_support_of_sigma(self):
+        rho = np.diag([0.5, 0.5, 0.0])
+        sigma = np.diag([0.6, 0.3, 0.1])
+        sigma_low = np.diag([0.6, 0.4, 0.0])
+        for g in qre_alt_gradient(rho, sigma_low):
+            assert np.max(np.abs(g[2])) == 0.0 and np.max(np.abs(g[:, 2])) == 0.0
+        with pytest.raises(SupportViolation, match="not supported inside sigma"):
+            qre_alt_gradient(sigma, sigma_low)
+        with pytest.raises(SupportViolation, match="strictly positive"):
+            petz_alt_gradient(rho, sigma, 1.5)

@@ -29,31 +29,32 @@ from qdivstat.pauli_tomography import (
     was_projected,
 )
 from qdivstat.frechet import build_divided_differences, frechet1
-from conftest import rand_herm, rand_state
+from conftest import pauli_operators, rand_herm, rand_state
 
 
 class TestBasis:
     def test_single_qubit_matrices(self):
         B = build_pauli_basis(1)
         assert B.labels == ("1", "2", "3")
-        assert np.allclose(B.operators[0], [[0, 1], [1, 0]])
-        assert np.allclose(B.operators[1], [[0, -1j], [1j, 0]])
-        assert np.allclose(B.operators[2], [[1, 0], [0, -1]])
+        ops = pauli_operators(B)
+        assert np.allclose(ops[0], [[0, 1], [1, 0]])
+        assert np.allclose(ops[1], [[0, -1j], [1j, 0]])
+        assert np.allclose(ops[2], [[1, 0], [0, -1]])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_orthogonality_exhaustive(self, n):
         B = build_pauli_basis(n)
         d = B.dim
-        for j, gj in enumerate(B.operators):
+        for j, gj in enumerate(pauli_operators(B)):
             assert abs(np.trace(gj)) < 1e-12
-            for k, gk in enumerate(B.operators):
+            for k, gk in enumerate(pauli_operators(B)):
                 want = d if j == k else 0.0
                 assert np.trace(gj @ gk).real == pytest.approx(want, abs=1e-12)
 
     def test_two_qubit_involutions(self):
         B = build_pauli_basis(2)
         assert B.size == 15
-        for g in B.operators:
+        for g in pauli_operators(B):
             assert np.allclose(g @ g, np.eye(4))
             lam = np.linalg.eigvalsh(g)
             assert np.allclose(np.sort(np.abs(lam)), 1.0)
@@ -75,12 +76,12 @@ class TestBasis:
 
 
 def _loop_coefficients(A, B):
-    return np.array([np.trace(A @ g).real for g in B.operators])
+    return np.array([np.trace(A @ g).real for g in pauli_operators(B)])
 
 
 def _loop_combination(coeffs, B, identity):
     acc = identity * np.eye(B.dim, dtype=complex)
-    for c, g in zip(coeffs, B.operators):
+    for c, g in zip(coeffs, pauli_operators(B)):
         acc += c * g
     return acc
 
@@ -111,7 +112,7 @@ class TestTransform:
         rho, sigma = rand_state(rng, d, 0.05 / d), rand_state(rng, d, 0.05 / d)
         table = build_divided_differences(sigma, "log")
         w = (1 - _loop_coefficients(sigma, B) ** 2) / d**2
-        terms = [np.trace(rho @ frechet1(table, g).mat).real ** 2 for g in B.operators]
+        terms = [np.trace(rho @ frechet1(table, g).mat).real ** 2 for g in pauli_operators(B)]
         want = variance_v1(rho, sigma, B) + float(np.sum(w * terms))
         assert variance_v2(rho, sigma, B) == pytest.approx(want, rel=1e-12 * d)
 
@@ -334,7 +335,7 @@ class TestVariances:
         got = variance_v2(rho, sigma, B) - variance_v1(rho, sigma, B)
         w = bernoulli_weights(sigma, B)
         want = sum(wj * np.trace(rho @ np.diag(1 / q) @ g).real ** 2
-                   for wj, g in zip(w, B.operators))
+                   for wj, g in zip(w, pauli_operators(B)))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_v1_formula_against_direct_sum(self, rng):
@@ -349,7 +350,7 @@ class TestVariances:
         diff = logm(rho) - logm(sigma)
         s = bloch_coefficients(rho, B).coeffs
         want = sum((1 - sj**2) / 4 * np.trace(g @ diff).real ** 2
-                   for sj, g in zip(s, B.operators))
+                   for sj, g in zip(s, pauli_operators(B)))
         assert variance_v1(rho, sigma, B) == pytest.approx(want, abs=1e-12)
 
     def test_singular_state_rejected(self):
@@ -367,7 +368,7 @@ class TestGaussianLimit:
         assert np.max(np.abs(traces)) < 1e-12  # traceless by construction
         # empirical second moment of Tr[gamma_1 L] matches its weight
         w = bernoulli_weights(rho, B)
-        vals = np.array([np.trace(B.operators[0] @ L).real for L in draws])
+        vals = np.array([np.trace(pauli_operators(B)[0] @ L).real for L in draws])
         # Tr[gamma_j L] = d * Z_j, so var = d^2 w_j
         assert vals.var() == pytest.approx(4 * w[0], rel=0.15)
 
