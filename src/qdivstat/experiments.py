@@ -9,21 +9,27 @@ normal; in the null case it is a quadratic form, so its law is a weighted
 sum of chi-squared(1) variables (Imhof, Biometrika 1961).
 
 Outputs are deterministic for a fixed seed: the records of each n and side
-(0 for rho, 1 for sigma) are drawn in blocks of ``SEED_BLOCK`` trials, one
-substream of (seed, n, side, block) each, and rows are written in (n, trial)
-order.  The trials of one n run as stacks of at most ``STACK_ENTRIES`` matrix
-entries: their records are sampled and estimated together.  The estimates of
-rho come as matrices with their eigenvalues, from one stacked ``eigvalsh``;
-those of sigma as spectra, from one stacked eigensolve.  The relative entropy
-reads both directly; the other divergences take the matrices of each trial.
+(0 for rho, 1 for sigma) are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2
+trials, one substream of (seed, n, side, block) each, and rows are written in
+(n, trial) order.  The trials of one n run as stacks of at most
+``STACK_ENTRIES`` matrix entries: their records are sampled and estimated
+together, and by default a stack is one seed block.  The estimates of rho
+come as matrices with their eigenvalues, from one stacked ``eigvalsh``; those
+of sigma as spectra, from one stacked eigensolve.  The relative entropy reads
+both directly; the other divergences take the matrices of each trial.  The
+rows of one n are built and written from its columns of statistics and
+branch flags in one pass.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import ndtr
@@ -285,8 +291,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
                 values = [divergence(r, s) for r, s in zip(rho_hat, sigma_hat.reassemble())]
             stats[chunk.start:chunk.stop] = scale * (np.asarray(values) - center)
             branches[chunk.start:chunk.stop] = branch
-        rows.extend(TrialRecord(n=n, trial_index=t, statistic=stat, branch_taken=flag)
-                    for t, (stat, flag) in enumerate(zip(stats.tolist(), branches.tolist())))
+        rows.extend(map(TrialRecord, itertools.repeat(n), range(cfg.trials), stats.tolist(), branches.tolist()))
         entry = {
             "kind": cfg.kind,
             "n": n,
@@ -312,13 +317,22 @@ CSV_FIELDS = ("experiment_id", "kind", "d", "alpha", "n", "trial", "statistic", 
 
 
 def write_rows_csv(cfg: ExperimentConfig, rows, path: str) -> None:
+    """Write the rows as CSV, with the bytes a ``csv.writer`` row per record would give.
+
+    The fields shared by every row go through ``csv.writer`` once, so an
+    experiment id that needs quoting gets it.  The per-row fields (two ints,
+    the ``repr`` of a float and 0/1) never need quoting, so each n's rows are
+    joined as text and written at once.
+    """
+    shared = io.StringIO()
+    csv.writer(shared).writerow([cfg.experiment_id, cfg.kind, cfg.dim,
+                                 "" if cfg.alpha is None else repr(cfg.alpha), ""])
+    prefix = shared.getvalue().removesuffix("\r\n")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for r in rows:
-            w.writerow([cfg.experiment_id, cfg.kind, cfg.dim,
-                        "" if cfg.alpha is None else repr(cfg.alpha),
-                        r.n, r.trial_index, repr(r.statistic), int(r.branch_taken)])
+        csv.writer(fh).writerow(CSV_FIELDS)
+        for _, group in itertools.groupby(rows, attrgetter("n")):
+            fh.write("".join(f"{prefix}{r.n},{r.trial_index},{r.statistic!r},{int(r.branch_taken)}\r\n"
+                             for r in group))
 
 
 def read_rows_csv(path: str) -> list[dict]:

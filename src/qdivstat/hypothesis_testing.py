@@ -151,8 +151,9 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     D(rho_hat_n || sigma) and decides via the shifted grid; the trials of a
     hypothesis run as bounded stacks, sigma's log with its kernel is built once
     and each state's eigenvalues are computed once, for its bucket check and
-    ``b``.  The records of hypothesis i are drawn in blocks of ``SEED_BLOCK``
-    trials, one substream of (seed, i, block) each.
+    ``b``.  The records of hypothesis i are drawn in blocks of
+    ``SEED_BLOCK_ENTRIES`` / d^2 trials (16 at d = 64), one substream of
+    (seed, i, block) each; a default stack is one block.
     Every state must sit strictly inside its hypothesis bucket (validated up
     front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
     the states and sigma, which must all be strictly positive; ``c`` to the

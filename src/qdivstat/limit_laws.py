@@ -12,7 +12,9 @@ experiment runner reads the Gaussian law's variance off the same gradient.
 The gradients move each Frechet derivative onto the fixed operator it is
 traced against, by self-adjointness: Tr[X D[f(A)](H)] = Tr[H D[f(A)](X)].
 They work on supp(sigma), in sigma's eigenbasis, with one eigendecomposition
-per distinct matrix, and lift the result back to the full space.
+per distinct matrix, and lift the result back to the full space.  The
+functionals check their directions against the same decompositions, so
+checking costs no further eigensolve.
 
 The two-sample null functional for the relative entropy is implemented as
 
@@ -119,11 +121,15 @@ def _retr(x) -> float:
     return float(np.trace(x).real)
 
 
-def _compress(support_of, *mats):
-    """Restrict all matrices to the support subspace of ``support_of``."""
-    S = eig_hermitian(support_of)
-    V = S.eigenvectors[:, support_mask(S.eigenvalues)]
-    return [V.conj().T @ M @ V for M in mats]
+def _compress(S: SpectralDecomposition, *mats):
+    """The decomposed matrix and ``mats`` restricted to the support of its decomposition ``S``.
+
+    In the support eigenvectors the restricted matrix is diagonal, so it is
+    returned as a decomposition that takes no second eigensolve.
+    """
+    keep = support_mask(S.eigenvalues)
+    V = S.eigenvectors[:, keep]
+    return [SpectralDecomposition(S.eigenvalues[keep], np.eye(V.shape[1]))] + [V.conj().T @ M @ V for M in mats]
 
 
 def _require_positive(name: str, lam: np.ndarray) -> None:
@@ -135,10 +141,11 @@ def _require_positive(name: str, lam: np.ndarray) -> None:
 def _support_frame(rho, sigma, tol: float):
     """(V, rho_c, eig(rho_c), eig(sigma_c)): V spans supp(sigma) with sigma's eigenvectors, rho_c = V^dagger rho V.
 
-    sigma_c is diagonal, so its decomposition takes no second eigensolve.
+    ``sigma`` is a matrix or its decomposition.  sigma_c is diagonal, so its
+    decomposition takes no second eigensolve.
     """
     R = as_matrix(rho)
-    S = eig_hermitian(sigma)
+    S = sigma if isinstance(sigma, SpectralDecomposition) else eig_hermitian(sigma)
     if not support_contained(R, S, tol):
         raise SupportViolation("rho is not supported inside sigma")
     keep = support_mask(S.eigenvalues)
@@ -152,6 +159,17 @@ def _lift(V: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(V @ X @ V.conj().T for X in ops)
 
 
+def _lift_spectrum(S: SpectralDecomposition, V: np.ndarray, rho_eig: SpectralDecomposition) -> SpectralDecomposition:
+    """rho's decomposition on the full space, from that of its compression onto supp(sigma) = span V.
+
+    rho is supported inside sigma, so ker(sigma), read off sigma's
+    decomposition ``S``, is part of its kernel.  The eigenvalues are not sorted.
+    """
+    kernel = S.eigenvectors[:, ~support_mask(S.eigenvalues)]
+    return SpectralDecomposition(np.concatenate((np.zeros(kernel.shape[1]), rho_eig.eigenvalues)),
+                                 np.concatenate((kernel, V @ rho_eig.eigenvectors), axis=1))
+
+
 def _pair(gradient, L1, L2) -> float:
     """Tr[L1 G_rho] + Tr[L2 G_sigma]; a direction of None is zero."""
     g_rho, g_sigma = gradient
@@ -163,11 +181,15 @@ def _pair(gradient, L1, L2) -> float:
 # Quantum relative entropy and entropy
 # ---------------------------------------------------------------------------
 
-def qre_alt_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
-    V, R, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+def _qre_gradient(V, R, rho_eig, sigma_eig) -> tuple[np.ndarray, np.ndarray]:
+    """The relative-entropy gradient in a support frame of ``_support_frame``."""
     log_ratio = spectral_map(rho_eig, np.log, support_mask) - spectral_map(sigma_eig, np.log)
     return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
+
+
+def qre_alt_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
+    return _qre_gradient(*_support_frame(rho, sigma, tol))
 
 
 def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
@@ -175,13 +197,15 @@ def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
 
     The one-sample variant is obtained with L2 = 0 (or None).
     """
-    R, Sg = as_matrix(rho), as_matrix(sigma)
+    R = as_matrix(rho)
     d = R.shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    gradient = qre_alt_gradient(R, Sg, tol)
-    if not _direction_in_support(M2, Sg, tol):
+    S = eig_hermitian(sigma)
+    V, R_c, rho_eig, sigma_eig = _support_frame(R, S, tol)
+    gradient = _qre_gradient(V, R_c, rho_eig, sigma_eig)
+    if not _direction_in_support(M2, S, tol):
         raise SupportViolation("L2 has mass outside the support of sigma")
-    if not _direction_in_support(M1, R, tol):
+    if not _direction_in_support(M1, _lift_spectrum(S, V, rho_eig), tol):
         raise SupportViolation("L1 has mass outside the support of rho")
     return _pair(gradient, M1, M2)
 
@@ -191,10 +215,11 @@ def qre_null_limit(rho, L1, L2=None, tol: float = 1e-8) -> float:
     R = as_matrix(rho)
     d = R.shape[0]
     delta = _dir_mat(L1, d) - _dir_mat(L2, d)
-    if not _direction_in_support(delta, R, tol):
+    S = eig_hermitian(R)
+    if not _direction_in_support(delta, S, tol):
         raise SupportViolation("directions have mass outside the support of rho")
-    R, delta = _compress(R, R, delta)
-    table = build_divided_differences(R, "log")
+    rho_eig, delta = _compress(S, delta)
+    table = build_divided_differences(rho_eig, "log")
     return 0.5 * _retr(delta @ frechet1(table, delta).mat)
 
 
@@ -202,10 +227,11 @@ def vn_entropy_limit(rho, L, tol: float = 1e-8) -> float:
     """Entropy limit -Tr[L log rho]."""
     R = as_matrix(rho)
     M = _dir_mat(L, R.shape[0])
-    if not _direction_in_support(M, R, tol):
+    S = eig_hermitian(R)
+    if not _direction_in_support(M, S, tol):
         raise SupportViolation("L has mass outside the support of rho")
-    R, M = _compress(R, R, M)
-    return -_retr(M @ spectral_map(R, np.log, support_mask))
+    rho_eig, M = _compress(S, M)
+    return -_retr(M @ spectral_map(rho_eig, np.log, support_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +270,25 @@ def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
     R = as_matrix(rho)
     d = R.shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
+    S = eig_hermitian(R)
     for M, name in ((M1, "L1"), (M2, "L2")):
-        if not _direction_in_support(M, R, tol):
+        if not _direction_in_support(M, S, tol):
             raise SupportViolation(f"{name} has mass outside the support of rho")
-    R, M1, M2 = _compress(R, R, M1, M2)
+    rho_eig, M1, M2 = _compress(S, M1, M2)
     ab = 1 - alpha
     if alpha == 2:
+        R = np.diag(rho_eig.eigenvalues)
         d1_a = R @ M1 + M1 @ R
         d2_a = 2 * (M1 @ M1)
     else:
-        t_a = build_divided_differences(R, alpha)
+        t_a = build_divided_differences(rho_eig, alpha)
         d1_a = frechet1(t_a, M1).mat
         d2_a = frechet2(t_a, M1, M1).mat
-    t_b = build_divided_differences(R, ab)
+    t_b = build_divided_differences(rho_eig, ab)
     d1_b = frechet1(t_b, M2).mat
     d2_b = frechet2(t_b, M2, M2).mat
-    num = (_retr(spectral_map(R, lambda lam: lam**ab) @ d2_a)
-           + _retr(spectral_map(R, lambda lam: lam**alpha) @ d2_b) + 2 * _retr(d1_a @ d1_b))
+    num = (_retr(spectral_map(rho_eig, lambda lam: lam**ab) @ d2_a)
+           + _retr(spectral_map(rho_eig, lambda lam: lam**alpha) @ d2_b) + 2 * _retr(d1_a @ d1_b))
     return num / (2 * (alpha - 1))
 
 

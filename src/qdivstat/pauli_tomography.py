@@ -2,11 +2,13 @@
 
 Measurement outcomes for each basis operator are Bernoulli in its +1/-1
 eigenbasis, so a record stores one binomial count per operator.  Sampling is
-deterministic given a seed and a path: trial t is row t % SEED_BLOCK of the
-counts of block t // SEED_BLOCK, drawn by one call from the substream of
-(seed, path, block).  Blocks share no generator state, so they run in any
-order or in parallel, and a trial's counts depend neither on how many trials
-are drawn nor on how they are stacked.
+deterministic given a seed and a path: with B = SEED_BLOCK_ENTRIES / d^2
+trials per block, trial t is row t % B of the counts of block t // B, drawn by
+one call from the substream of (seed, path, block).  Blocks share no generator
+state, so they run in any order or in parallel, and a trial's counts depend
+neither on how many trials are drawn nor on how they are stacked.  A block
+holds as many matrix entries as a default stack, so each stack of a run draws
+from one generator: 16384 trials per block at d = 2, 16 at d = 64.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -44,7 +46,7 @@ __all__ = [
     "PAULI_MATRICES",
     "MAX_QUBITS",
     "STACK_ENTRIES",
-    "SEED_BLOCK",
+    "SEED_BLOCK_ENTRIES",
     "PauliBasisSet",
     "BlochVector",
     "MeasurementRecord",
@@ -86,10 +88,11 @@ MAX_QUBITS = 6
 # 4096 trials at d = 4.
 STACK_ENTRIES = 2**16
 
-# Consecutive trials that draw their counts from one substream.  It divides
-# every trial_chunks step (STACK_ENTRIES / d^2, 16 at d = 64), so the stacks
-# of a run are unions of whole blocks.
-SEED_BLOCK = 16
+# Matrix entries of the consecutive trials that draw their counts from one
+# substream: a block holds SEED_BLOCK_ENTRIES / d^2 trials, 16 at d = 64.  It
+# equals the default STACK_ENTRIES, so a default stack is one whole block, but
+# it is kept apart: the seed stream must not move when the stack size does.
+SEED_BLOCK_ENTRIES = 2**16
 
 # Most negative eigenvalue of a raw reconstruction still taken as PSD.
 _PSD_ATOL = 1e-12
@@ -250,10 +253,11 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
 
     Each record holds n measurement shots per Pauli operator on independent
     copies: counts[., j] ~ Binomial(n, (1 + s_j)/2), independent across j.
-    Block b holds trials b * SEED_BLOCK to (b + 1) * SEED_BLOCK - 1.  Its
-    rows are drawn by one ``binomial`` call on ``substream(seed, *path, b)``,
-    which fills them row by row in operator order, so a block cut short after
-    the last trial needed gives the same rows as the whole block.
+    With B = SEED_BLOCK_ENTRIES / d^2, block b holds trials b * B to
+    (b + 1) * B - 1.  Its rows are drawn by one ``binomial`` call on
+    ``substream(seed, *path, b)``, which fills them row by row in operator
+    order, so a block cut short after the last trial needed gives the same
+    rows as the whole block.  ``trials`` is an ascending range.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
@@ -261,12 +265,12 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     p_plus = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
     if not trials:
         return np.empty((0, basis.size), dtype=np.int64)
-    start = min(trials) - min(trials) % SEED_BLOCK
-    stop = max(trials) + 1
-    blocks = [substream(seed, *path, b // SEED_BLOCK).binomial(
-                  n, p_plus, size=(min(SEED_BLOCK, stop - b), basis.size))
-              for b in range(start, stop, SEED_BLOCK)]
-    return np.concatenate(blocks)[np.asarray(trials) - start]
+    block = SEED_BLOCK_ENTRIES // basis.dim**2
+    start = trials.start - trials.start % block
+    stop = trials[-1] + 1
+    blocks = [substream(seed, *path, b // block).binomial(n, p_plus, size=(min(block, stop - b), basis.size))
+              for b in range(start, stop, block)]
+    return np.concatenate(blocks)[trials.start - start::trials.step]
 
 
 def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:

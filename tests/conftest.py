@@ -5,7 +5,7 @@ import pytest
 
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
-    SEED_BLOCK,
+    SEED_BLOCK_ENTRIES,
     MeasurementRecord,
     PauliBasisSet,
     bloch_coefficients,
@@ -32,10 +32,15 @@ def rand_direction(rng, dim, scale=1.0):
 
 
 def replay_record(rho, basis, n, t, seed, *path):
-    """Record of trial t alone: row t % SEED_BLOCK of a whole-block draw from its substream."""
+    """Record of trial t alone: the last of rows 0 .. t % B drawn from the substream of block t // B.
+
+    B = SEED_BLOCK_ENTRIES / d^2.  Drawing only up to row t relies on the
+    prefix property pinned by ``test_counts_do_not_depend_on_trial_count``.
+    """
+    block = SEED_BLOCK_ENTRIES // basis.dim**2
     p_plus = np.clip((1.0 + bloch_coefficients(rho, basis).coeffs) / 2.0, 0.0, 1.0)
-    block = substream(seed, *path, t // SEED_BLOCK).binomial(n, p_plus, size=(SEED_BLOCK, basis.size))
-    return MeasurementRecord(n=n, plus_counts=block[t % SEED_BLOCK], seed=seed)
+    rows = substream(seed, *path, t // block).binomial(n, p_plus, size=(t % block + 1, basis.size))
+    return MeasurementRecord(n=n, plus_counts=rows[-1], seed=seed)
 
 
 class _KroneckerProducts(Sequence):

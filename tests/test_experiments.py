@@ -1,3 +1,5 @@
+import csv
+import math
 from functools import partial
 
 import numpy as np
@@ -7,15 +9,18 @@ from scipy.stats import kstest, ks_2samp
 from qdivstat import pauli_tomography
 from qdivstat.experiments import (
     ALT_KINDS,
+    CSV_FIELDS,
     NULL_KINDS,
     REFERENCE_DRAWS,
     ExperimentConfig,
+    TrialRecord,
     alt_limit_variance,
     ks_statistic,
     null_law_weights,
     read_rows_csv,
     run_convergence_experiment,
     sample_reference_law,
+    write_rows_csv,
 )
 from qdivstat import divergences
 from qdivstat import experiments
@@ -58,6 +63,23 @@ def per_record_rows(cfg, divergence):
                 sigma_hat, branch = est.mat, branch or branch_s
             rows.append((n**cfg.scaling_exponent * (divergence(rho_hat.mat, sigma_hat) - center), branch))
     return rows
+
+
+def write_rows_csv_reference(cfg, rows, path):
+    """The row writer that ``write_rows_csv`` must match byte for byte: one csv.writer call per record."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_FIELDS)
+        for r in rows:
+            w.writerow([cfg.experiment_id, cfg.kind, cfg.dim,
+                        "" if cfg.alpha is None else repr(cfg.alpha),
+                        r.n, r.trial_index, repr(r.statistic), int(r.branch_taken)])
+
+
+def assert_csv_matches_row_writer(cfg, rows, tmp_path):
+    write_rows_csv(cfg, rows, str(tmp_path / "got.csv"))
+    write_rows_csv_reference(cfg, rows, str(tmp_path / "want.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def near_pure_state(rng, d):
@@ -226,6 +248,20 @@ class TestRuns:
         assert all(np.isfinite(float(r["statistic"])) for r in rows)
         summary = (tmp_path / "a.csv.summary.json").read_bytes()
         assert summary == (tmp_path / "b.csv.summary.json").read_bytes()
+
+    def test_csv_bytes_match_row_writer(self, rng, tmp_path):
+        rho, sigma = rand_state(rng, 2, 0.1), rand_state(rng, 2, 0.1)
+        cases = [ExperimentConfig(kind="one_sample_alt", rho=rho, sigma=sigma, n_grid=(200, 400),
+                                  trials=120, seed=33, experiment_id='run, "quoted"\r\nnext line'),
+                 ExperimentConfig(kind="petz", rho=rho, sigma=sigma, alpha=1.5, n_grid=(300,),
+                                  trials=100, seed=34)]
+        for cfg in cases:
+            rows = run_convergence_experiment(cfg)["rows"]
+            assert_csv_matches_row_writer(cfg, rows, tmp_path)
+        hand_built = [TrialRecord(n, t, stat, flag) for n in (5, 7)
+                      for t, (stat, flag) in enumerate(zip([math.inf, -math.inf, math.nan, -0.0, 1e-300, 2.5],
+                                                          [True, False, True, False, False, True]))]
+        assert_csv_matches_row_writer(cases[1], hand_built, tmp_path)
 
     def test_reference_law_seeded(self, rng):
         rho = rand_state(rng, 2, 0.2)

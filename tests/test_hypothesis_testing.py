@@ -254,7 +254,7 @@ class TestSimulation:
         assert rows[1]["projection_fraction"] > 0
 
     def test_seed_derivation_stable(self):
-        # the block stream of one (seed, hypothesis) repeats; its blocks and hypotheses differ
+        # the stream of one (seed, hypothesis) repeats; its rows and hypotheses differ
         basis, rho = build_pauli_basis(1), np.eye(2) / 2
         counts = sample_counts(rho, basis, 1000, range(32), 7, 1)
         assert np.array_equal(counts, sample_counts(rho, basis, 1000, range(32), 7, 1))

@@ -350,6 +350,21 @@ class TestMeasuredLimit:
             measured_alt_limit(rho, sigma, m, np.diag([0.5, -0.5]), None)
 
 
+def count_eigensolves(monkeypatch) -> list[str]:
+    """Patch the Hermitian eigensolvers to log their calls; returns the log."""
+    calls = []
+
+    def counted(solver):
+        def solve(*args, **kwargs):
+            calls.append(solver.__name__)
+            return solver(*args, **kwargs)
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
 def _functionals(rho, sigma):
     """(name, library functional, directional oracle, gradient, distinct matrices) per alternative case.
 
@@ -385,16 +400,7 @@ class TestGradients:
 
     def test_one_eigendecomposition_per_matrix(self, rng, monkeypatch):
         rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
-        calls = []
-
-        def counted(solver):
-            def solve(*args, **kwargs):
-                calls.append(solver.__name__)
-                return solver(*args, **kwargs)
-            return solve
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        calls = count_eigensolves(monkeypatch)
         for name, _, _, gradient, matrices in _functionals(rho, sigma):
             if gradient is None:
                 continue
@@ -402,6 +408,20 @@ class TestGradients:
             g_rho, g_sigma = gradient()
             assert len(calls) <= matrices, (name, calls)
             assert g_rho.shape == g_sigma.shape == (4, 4)
+
+    def test_functionals_decompose_each_matrix_once(self, rng, monkeypatch):
+        # the direction checks reuse the decompositions of rho and sigma
+        rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
+        L1, L2 = rand_direction(rng, 4), rand_direction(rng, 4)
+        cases = [("qre_alt", partial(qre_alt_limit, rho, sigma, L1, L2), 2),
+                 ("qre_null", partial(qre_null_limit, rho, L1, L2), 1),
+                 ("vn_entropy", partial(vn_entropy_limit, rho, L1), 1)]
+        cases += [(f"petz_null-{a}", partial(petz_null_limit, rho, a, L1, L2), 1) for a in (0.4, 1.5, 2.0)]
+        calls = count_eigensolves(monkeypatch)
+        for name, fn, matrices in cases:
+            calls.clear()
+            assert np.isfinite(fn())
+            assert len(calls) <= matrices, (name, calls)
 
     def test_gradients_live_on_the_support_of_sigma(self):
         rho = np.diag([0.5, 0.5, 0.0])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qdivstat.divergences import umegaki
 from qdivstat.operator_core import density_spectrum, eig_hermitian
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
-    SEED_BLOCK,
+    SEED_BLOCK_ENTRIES,
     STACK_ENTRIES,
     MeasurementRecord,
     bernoulli_weights,
@@ -29,7 +31,7 @@ from qdivstat.pauli_tomography import (
     was_projected,
 )
 from qdivstat.frechet import build_divided_differences, frechet1
-from conftest import pauli_operators, rand_herm, rand_state
+from conftest import pauli_operators, rand_herm, rand_state, replay_record
 
 
 class TestBasis:
@@ -199,7 +201,64 @@ class TestSampling:
         chunks = list(trial_chunks(2000, d))
         assert [t for c in chunks for t in c] == list(range(2000))
         assert max(len(c) for c in chunks) * d * d <= max(STACK_ENTRIES, d * d)
-        assert all(c.start % SEED_BLOCK == 0 for c in chunks)  # stacks hold whole seed blocks
+        assert all(c.start % (SEED_BLOCK_ENTRIES // d**2) == 0 for c in chunks)  # stacks start on a seed block
+
+
+def _fingerprint_state(d):
+    """A state with dyadic entries: its Bloch coefficients, and so the binomial p, are exact."""
+    rho = np.eye(d, dtype=complex) / d
+    rho[0, 0] += 1 / (8 * d)
+    rho[-1, -1] -= 1 / (8 * d)
+    rho[0, 1] += 1 / (8 * d)
+    rho[1, 0] += 1 / (8 * d)
+    rho[0, -1] += 1j / (16 * d)
+    rho[-1, 0] -= 1j / (16 * d)
+    return rho
+
+
+class TestSeedStream:
+    # sha256 of the little-endian int64 counts of the four trials around the
+    # first block boundary.  The d = 64 digest is that of the 16-trial blocks
+    # used before blocks were sized in entries: the 6-qubit stream is unchanged.
+    DIGESTS = {
+        2: "b46a1ec06052aa7dc0c90277d519694aa6d04326ef7fb09e1268bf40f24b0c54",
+        4: "534eab133e619a210f66e96add446ba109ae3e985fe69a4ab0716c00a83da712",
+        64: "268b28bc3fa195c4023126e347ee6cb869fe383b3a19d1ccf9113fffd54df51c",
+    }
+
+    @pytest.mark.parametrize("d", [2, 4, 64])
+    def test_fingerprint(self, d):
+        block = SEED_BLOCK_ENTRIES // d**2
+        basis = build_pauli_basis(qubits_for_dim(d))
+        counts = sample_counts(_fingerprint_state(d), basis, 1000, range(block - 2, block + 2), 2024, 5, 1)
+        assert counts.shape == (4, d * d - 1)
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == self.DIGESTS[d]
+
+    @pytest.mark.parametrize("d", [2, 4, 64])
+    def test_rows_replay_across_block_boundary(self, d):
+        block = SEED_BLOCK_ENTRIES // d**2
+        basis = build_pauli_basis(qubits_for_dim(d))
+        rho = _fingerprint_state(d)
+        trials = range(block - 2, block + 2)
+        counts = sample_counts(rho, basis, 1000, trials, 2024, 5, 1)
+        for row, t in zip(counts, trials):
+            assert np.array_equal(row, replay_record(rho, basis, 1000, t, 2024, 5, 1).plus_counts)
+
+    @pytest.mark.parametrize("d", [2, 4, 64])
+    def test_one_generator_per_default_stack(self, monkeypatch, d):
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return substream(*key)
+
+        monkeypatch.setattr(pauli_tomography, "substream", counted)
+        basis = build_pauli_basis(qubits_for_dim(d))
+        rho = np.eye(d) / d
+        for chunk in trial_chunks(2 * (STACK_ENTRIES // d**2) + 5, d):
+            calls.clear()
+            assert len(sample_counts(rho, basis, 100, chunk, 3, 0)) == len(chunk)
+            assert len(calls) == 1
 
 
 class TestEstimators:
