@@ -94,7 +94,6 @@ from .hypothesis_testing import (
 )
 from .experiments import (
     ExperimentConfig,
-    TrialRecord,
     ks_statistic,
     run_convergence_experiment,
 )

@@ -17,19 +17,18 @@ together, and by default a stack is one seed block.  The estimates of rho
 come as matrices with their eigenvalues, from one stacked ``eigvalsh``; those
 of sigma as spectra, from one stacked eigensolve.  The relative entropy reads
 both directly; the other divergences take the matrices of each trial.  The
-rows of one n are built and written from its columns of statistics and
-branch flags in one pass.
+rows come back as one record array with the fields of ``ROW_DTYPE``, filled
+from each n's columns of statistics and branch flags, and the CSV is written
+from its columns.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 from scipy.special import ndtr
@@ -70,7 +69,7 @@ __all__ = [
     "NULL_KINDS",
     "KINDS",
     "ExperimentConfig",
-    "TrialRecord",
+    "ROW_DTYPE",
     "run_convergence_experiment",
     "alt_limit_variance",
     "null_law_weights",
@@ -88,13 +87,9 @@ UMEGAKI_KINDS = ("one_sample_alt", "two_sample_alt", "one_sample_null", "two_sam
 # Size of the null reference sample drawn from the exact weighted chi-squared law.
 REFERENCE_DRAWS = 10_000
 
-
-@dataclass(frozen=True)
-class TrialRecord:
-    n: int
-    trial_index: int
-    statistic: float
-    branch_taken: bool
+# One record of ``result["rows"]`` per (n, trial).
+ROW_DTYPE = np.dtype([("n", np.int64), ("trial_index", np.int64), ("statistic", np.float64),
+                      ("branch_taken", np.bool_)])
 
 
 @dataclass
@@ -251,8 +246,9 @@ def sample_reference_law(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the experiment and return {"rows": [...], "summary": [...]}.
+    """Run the experiment and return {"experiment_id": ..., "rows": ..., "summary": [...]}.
 
+    The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.
     """
@@ -263,7 +259,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     divergence = _divergence_fn(cfg)
     center = divergence(cfg.rho, cfg.sigma) if cfg.kind in ALT_KINDS else 0.0
 
-    rows: list[TrialRecord] = []
+    statistics = np.empty((len(cfg.n_grid), cfg.trials))
+    branches = np.empty(statistics.shape, dtype=bool)
     summary: list[dict] = []
     if cfg.kind in ALT_KINDS:
         v_pred, reference = alt_limit_variance(cfg, basis), None
@@ -272,10 +269,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
 
     fixed_sigma = None if cfg.two_sample else log_with_kernel(cfg.sigma)
 
-    for n in cfg.n_grid:
+    for n, stats, flags in zip(cfg.n_grid, statistics, branches):
         scale = float(n) ** cfg.scaling_exponent
-        stats = np.empty(cfg.trials)
-        branches = np.empty(cfg.trials, dtype=bool)
         for chunk in trial_chunks(cfg.trials, cfg.dim):
             counts = sample_counts(cfg.rho, basis, n, chunk, cfg.seed, n, 0)
             rho_hat, lam, branch = estimate_stack(counts, n, basis)
@@ -290,8 +285,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
             else:
                 values = [divergence(r, s) for r, s in zip(rho_hat, sigma_hat.reassemble())]
             stats[chunk.start:chunk.stop] = scale * (np.asarray(values) - center)
-            branches[chunk.start:chunk.stop] = branch
-        rows.extend(map(TrialRecord, itertools.repeat(n), range(cfg.trials), stats.tolist(), branches.tolist()))
+            flags[chunk.start:chunk.stop] = branch
         entry = {
             "kind": cfg.kind,
             "n": n,
@@ -306,6 +300,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
             entry["ks"] = ks_statistic(stats, reference)
         summary.append(entry)
 
+    rows = np.rec.fromarrays([np.repeat(cfg.n_grid, cfg.trials), np.tile(np.arange(cfg.trials), len(cfg.n_grid)),
+                              statistics.ravel(), branches.ravel()], dtype=ROW_DTYPE)
     result = {"experiment_id": cfg.experiment_id, "rows": rows, "summary": summary}
     if cfg.output_path:
         write_rows_csv(cfg, rows, cfg.output_path)
@@ -317,22 +313,22 @@ CSV_FIELDS = ("experiment_id", "kind", "d", "alpha", "n", "trial", "statistic", 
 
 
 def write_rows_csv(cfg: ExperimentConfig, rows, path: str) -> None:
-    """Write the rows as CSV, with the bytes a ``csv.writer`` row per record would give.
+    """Write record rows of ``ROW_DTYPE`` as CSV, with the bytes a ``csv.writer`` row per record would give.
 
     The fields shared by every row go through ``csv.writer`` once, so an
     experiment id that needs quoting gets it.  The per-row fields (two ints,
-    the ``repr`` of a float and 0/1) never need quoting, so each n's rows are
-    joined as text and written at once.
+    the ``repr`` of a float and 0/1) never need quoting, so they are formatted
+    from the columns, ``cfg.trials`` rows to a write.
     """
     shared = io.StringIO()
     csv.writer(shared).writerow([cfg.experiment_id, cfg.kind, cfg.dim,
                                  "" if cfg.alpha is None else repr(cfg.alpha), ""])
-    prefix = shared.getvalue().removesuffix("\r\n")
+    line = shared.getvalue().removesuffix("\r\n").replace("%", "%%") + "%d,%d,%r,%d\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CSV_FIELDS)
-        for _, group in itertools.groupby(rows, attrgetter("n")):
-            fh.write("".join(f"{prefix}{r.n},{r.trial_index},{r.statistic!r},{int(r.branch_taken)}\r\n"
-                             for r in group))
+        for lo in range(0, len(rows), cfg.trials):
+            part = rows[lo:lo + cfg.trials]
+            fh.write("".join(map(line.__mod__, zip(*(part[name].tolist() for name in ROW_DTYPE.names)))))
 
 
 def read_rows_csv(path: str) -> list[dict]:

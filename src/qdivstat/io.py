@@ -108,7 +108,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
 ERROR_RATE_FIELDS = ("hypothesis", "trials", "errors", "rate",
                      "wilson_low", "wilson_high", "copies_used",
-                     "projection_fraction", "borderline")
+                     "projection_fraction", "borderline", "gross_exceedance")
 
 
 def write_error_rate_csv(rows: list[dict], path: str) -> None:

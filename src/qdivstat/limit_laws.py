@@ -41,7 +41,7 @@ from .operator_core import (
     support_leak,
     support_mask,
 )
-from .divergences import fidelity, povm_apply
+from .divergences import povm_apply
 from .frechet import (
     build_divided_differences,
     frechet1,
@@ -335,8 +335,17 @@ def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-
 
 
 def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
-    """First-order fidelity limit -F dD_(1/2), since F = exp(-D_(1/2)) for the sandwiched order 1/2."""
-    return -sandwiched_alt_limit(rho, sigma, 0.5, L1, L2, tol) * fidelity(rho, sigma)
+    """First-order fidelity limit -F dD_(1/2), since F = exp(-D_(1/2)) for the sandwiched order 1/2.
+
+    With T = rho^(1/2) sigma rho^(1/2), dD_(1/2) has the weight -T^(-1/2) / Tr T^(1/2), and
+    F = (Tr T^(1/2))^2 is read off the same decomposition of T.
+    """
+
+    def weight(T):
+        root_sum = float(np.sum(np.sqrt(np.clip(T.eigenvalues, 0.0, None))))
+        return min(root_sum**2, 1.0) / root_sum, spectral_map(T, lambda lam: lam**-0.5)
+
+    return _pair(_sandwich_gradient(rho, sigma, 1.0, weight, tol), L1, L2)
 
 
 def maxdiv_gradient(rho, sigma, tol: float = 1e-8, gap_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

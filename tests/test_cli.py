@@ -190,13 +190,14 @@ class TestHypothesisCommand:
         assert rc == 0
         header = out_csv.read_text().splitlines()[0]
         assert header == ("hypothesis,trials,errors,rate,wilson_low,wilson_high,copies_used,"
-                          "projection_fraction,borderline")
+                          "projection_fraction,borderline,gross_exceedance")
         row = json.loads(out)[0]
         assert row["hypothesis"] == 0
         with open(out_csv, newline="") as fh:
             back = next(csv.DictReader(fh))
         assert float(back["projection_fraction"]) == row["projection_fraction"]
         assert back["borderline"] == str(row["borderline"])
+        assert back["gross_exceedance"] == str(row["gross_exceedance"])
 
     def test_bad_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from functools import partial
 
@@ -12,8 +13,8 @@ from qdivstat.experiments import (
     CSV_FIELDS,
     NULL_KINDS,
     REFERENCE_DRAWS,
+    ROW_DTYPE,
     ExperimentConfig,
-    TrialRecord,
     alt_limit_variance,
     ks_statistic,
     null_law_weights,
@@ -49,7 +50,7 @@ from conftest import pauli_operators, rand_state, replay_record
 
 
 def per_record_rows(cfg, divergence):
-    """(statistic, branch) per (n, trial): each trial replayed alone, the oracle of the batched loop."""
+    """(n, trial, statistic, branch) per (n, trial): each trial replayed alone, the oracle of the batched loop."""
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
     center = divergence(cfg.rho, cfg.sigma) if cfg.kind in ALT_KINDS else 0.0
     rows = []
@@ -61,7 +62,7 @@ def per_record_rows(cfg, divergence):
                 rec = replay_record(cfg.sigma, basis, n, t, cfg.seed, n, 1)
                 est, branch_s = estimate(rec, basis, floor=True)
                 sigma_hat, branch = est.mat, branch or branch_s
-            rows.append((n**cfg.scaling_exponent * (divergence(rho_hat.mat, sigma_hat) - center), branch))
+            rows.append((n, t, n**cfg.scaling_exponent * (divergence(rho_hat.mat, sigma_hat) - center), branch))
     return rows
 
 
@@ -73,7 +74,7 @@ def write_rows_csv_reference(cfg, rows, path):
         for r in rows:
             w.writerow([cfg.experiment_id, cfg.kind, cfg.dim,
                         "" if cfg.alpha is None else repr(cfg.alpha),
-                        r.n, r.trial_index, repr(r.statistic), int(r.branch_taken)])
+                        r.n, r.trial_index, repr(float(r.statistic)), int(r.branch_taken)])
 
 
 def assert_csv_matches_row_writer(cfg, rows, tmp_path):
@@ -252,16 +253,32 @@ class TestRuns:
     def test_csv_bytes_match_row_writer(self, rng, tmp_path):
         rho, sigma = rand_state(rng, 2, 0.1), rand_state(rng, 2, 0.1)
         cases = [ExperimentConfig(kind="one_sample_alt", rho=rho, sigma=sigma, n_grid=(200, 400),
-                                  trials=120, seed=33, experiment_id='run, "quoted"\r\nnext line'),
+                                  trials=120, seed=33, experiment_id='run, "quoted" 100%d\r\nnext line'),
                  ExperimentConfig(kind="petz", rho=rho, sigma=sigma, alpha=1.5, n_grid=(300,),
                                   trials=100, seed=34)]
         for cfg in cases:
             rows = run_convergence_experiment(cfg)["rows"]
             assert_csv_matches_row_writer(cfg, rows, tmp_path)
-        hand_built = [TrialRecord(n, t, stat, flag) for n in (5, 7)
-                      for t, (stat, flag) in enumerate(zip([math.inf, -math.inf, math.nan, -0.0, 1e-300, 2.5],
-                                                          [True, False, True, False, False, True]))]
+        stats = [math.inf, -math.inf, math.nan, -0.0, 1e-300, 2.5]
+        flags = [True, False, True, False, False, True]
+        hand_built = np.rec.fromrecords([(n, t, *row) for n in (5, 7) for t, row in enumerate(zip(stats, flags))],
+                                        dtype=ROW_DTYPE)
         assert_csv_matches_row_writer(cases[1], hand_built, tmp_path)
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # sha256 of the CSV bytes that the per-record writer wrote for these seeded runs
+        rng = np.random.default_rng(11)
+        rho, sigma, rho4 = rand_state(rng, 2, 0.1), rand_state(rng, 2, 0.1), rand_state(rng, 4, 0.1)
+        cases = [(ExperimentConfig(kind="two_sample_alt", rho=rho, sigma=sigma, n_grid=(200, 2000), trials=200,
+                                   seed=51, output_path=str(tmp_path / "alt.csv")),
+                  "c16feb4e3f7ea915f1e82d6260c7b584b5cd13bb63bd60065fba10c77b5553d4"),
+                 (ExperimentConfig(kind="one_sample_null", rho=rho4, n_grid=(200, 2000), trials=200,
+                                   seed=52, output_path=str(tmp_path / "null.csv")),
+                  "b4c89035a917b0e765b21595060dfa776292d187ff89815b8f89ffb8a1b414aa")]
+        for cfg, digest in cases:
+            run_convergence_experiment(cfg)
+            with open(cfg.output_path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, cfg.kind
 
     def test_reference_law_seeded(self, rng):
         rho = rand_state(rng, 2, 0.2)
@@ -380,11 +397,17 @@ class TestBatchedTrials:
                       else (lambda r, s: umegaki(r, s).value))
         oracle = per_record_rows(cfg, divergence)
         rows = run_convergence_experiment(cfg)["rows"]
-        assert [r.branch_taken for r in rows] == [branch for _, branch in oracle]
-        for r, (stat, _) in zip(rows, oracle):
-            assert abs(r.statistic - stat) / r.n**cfg.scaling_exponent <= 1e-12
+        assert isinstance(rows, np.recarray)
+        assert [rows.dtype[k] for k in range(4)] == [np.dtype(np.int64), np.dtype(np.int64),
+                                                     np.dtype(np.float64), np.dtype(bool)]
+        assert len(rows) == len(cfg.n_grid) * cfg.trials
+        got = rows.tolist()
+        # one row per (n, trial) in that order, the oracle's flags exactly, its statistics to rounding
+        assert [(n, t, flag) for n, t, _, flag in got] == [(n, t, flag) for n, t, _, flag in oracle]
+        for (n, _, stat, _), (_, _, want, _) in zip(got, oracle):
+            assert abs(stat - want) / n**cfg.scaling_exponent <= 1e-12
         if d == 4:
-            assert sum(r.branch_taken for r in rows) > len(rows) / 2
+            assert rows.branch_taken.sum() > len(rows) / 2
 
     @pytest.mark.parametrize("kind", ["one_sample_null", "two_sample_alt"])
     def test_chunks_do_not_change_rows(self, rng, monkeypatch, kind):
@@ -394,7 +417,7 @@ class TestBatchedTrials:
         whole = run_convergence_experiment(cfg)["rows"]
         monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4 * 4)
         assert [len(c) for c in pauli_tomography.trial_chunks(100, 4)] == [7] * 14 + [2]
-        assert run_convergence_experiment(cfg)["rows"] == whole
+        assert np.array_equal(run_convergence_experiment(cfg)["rows"], whole)
 
     def test_fixed_sigma_log_built_once(self, rng, monkeypatch):
         cfg = ExperimentConfig(kind="one_sample_alt", rho=rand_state(rng, 4, 0.1), sigma=rand_state(rng, 4, 0.1),

@@ -288,6 +288,17 @@ class TestFidelityAndMaxLimits:
             rhs = -fidelity(rho, sigma) * sandwiched_alt_limit(rho, sigma, 0.5, L1, L2)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_fidelity_matches_separate_fidelity(self, rng, d):
+        # F read off the gradient's decomposition of T, against F computed on its own
+        for _ in range(5):
+            rho, sigma = rand_state(rng, d), rand_state(rng, d)
+            L1, L2 = rand_direction(rng, d), rand_direction(rng, d)
+            for l1, l2 in ((L1, L2), (L1, None), (None, L2)):
+                got = fidelity_limit(rho, sigma, l1, l2)
+                want = -fidelity(rho, sigma) * sandwiched_alt_limit(rho, sigma, 0.5, l1, l2)
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
     def test_fidelity_first_order_taylor(self, rng):
         rho, sigma = rand_state(rng, 3), rand_state(rng, 3)
         L1, L2 = rand_direction(rng, 3, 0.4), rand_direction(rng, 3, 0.4)
@@ -417,6 +428,8 @@ class TestGradients:
                  ("qre_null", partial(qre_null_limit, rho, L1, L2), 1),
                  ("vn_entropy", partial(vn_entropy_limit, rho, L1), 1)]
         cases += [(f"petz_null-{a}", partial(petz_null_limit, rho, a, L1, L2), 1) for a in (0.4, 1.5, 2.0)]
+        # F comes from the decomposition of T that the order-1/2 gradient takes
+        cases += [("fidelity", partial(fidelity_limit, rho, sigma, L1, L2), 3)]
         calls = count_eigensolves(monkeypatch)
         for name, fn, matrices in cases:
             calls.clear()
