@@ -14,7 +14,7 @@ trials, one substream of (seed, n, side, block) each, and rows are written in
 (n, trial) order.  The trials of one n run as stacks of at most
 ``STACK_ENTRIES`` matrix entries: their records are sampled and estimated
 together, and by default a stack is one seed block.  The estimates of rho
-come as matrices with their eigenvalues, from one stacked ``eigvalsh``; those
+come as matrices with their eigenvalues, from one stacked ``eigvals_hermitian``; those
 of sigma as spectra, from one stacked eigensolve.  The relative entropy reads
 both directly; the other divergences take the matrices of each trial.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
@@ -317,18 +317,21 @@ def write_rows_csv(cfg: ExperimentConfig, rows, path: str) -> None:
 
     The fields shared by every row go through ``csv.writer`` once, so an
     experiment id that needs quoting gets it.  The per-row fields (two ints,
-    the ``repr`` of a float and 0/1) never need quoting, so they are formatted
-    from the columns, ``cfg.trials`` rows to a write.
+    the ``repr`` of a float and 0/1) never need quoting: each row is five
+    pieces (shared prefix, ``n,``, ``trial,``, statistic, flag tail), filled
+    column by column into one list by slice assignment and joined once.
     """
     shared = io.StringIO()
     csv.writer(shared).writerow([cfg.experiment_id, cfg.kind, cfg.dim,
                                  "" if cfg.alpha is None else repr(cfg.alpha), ""])
-    line = shared.getvalue().removesuffix("\r\n").replace("%", "%%") + "%d,%d,%r,%d\r\n"
+    pieces = [shared.getvalue().removesuffix("\r\n")] * (5 * len(rows))
+    pieces[1::5] = [f"{n}," for n in rows["n"].tolist()]
+    pieces[2::5] = [f"{t}," for t in rows["trial_index"].tolist()]
+    pieces[3::5] = map(repr, rows["statistic"].tolist())
+    pieces[4::5] = map((",0\r\n", ",1\r\n").__getitem__, rows["branch_taken"].tolist())
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CSV_FIELDS)
-        for lo in range(0, len(rows), cfg.trials):
-            part = rows[lo:lo + cfg.trials]
-            fh.write("".join(map(line.__mod__, zip(*(part[name].tolist() for name in ROW_DTYPE.names)))))
+        fh.write("".join(pieces))
 
 
 def read_rows_csv(path: str) -> list[dict]:

@@ -4,6 +4,14 @@ Eigendecompositions, matrix functions, Schatten norms, support logic,
 the Loewner order, and the Frobenius-nearest density-matrix projection.
 Everything downstream (derivatives, divergences, limit laws) is built
 on top of the operations in this module.
+
+``eig_hermitian`` and ``eigvals_hermitian`` decompose a 2x2 matrix, or a
+stack of them, in closed form with a few vectorized array operations and no
+LAPACK call, so at d = 2 they cannot raise ``EigensolverError``; every other
+d goes to LAPACK (``np.linalg.eigh``/``eigvalsh``).  The closed form agrees
+with LAPACK to a few ulps of the largest entry, not bit for bit, so
+single-qubit trial rows differ from LAPACK-based ones in their last digits;
+rows at every other d are unchanged.
 """
 
 from __future__ import annotations
@@ -196,20 +204,68 @@ def _hermitian_array(A, checked: bool) -> np.ndarray:
     return np.asarray(A) if checked else hermitian_part(as_matrix(A))
 
 
+def _eig_2x2(M: np.ndarray, vectors: bool):
+    """Closed-form spectra of a matrix or stack (..., 2, 2), read from the lower triangle.
+
+    For [[a, conj(b)], [b, c]], with h = (a - c)/2 and r = hypot(h, |b|), the
+    ascending eigenvalues are mid -+ r.  The eigenvector (x, y) of mid + r is
+    (r + h, b) when a >= c and (conj(b), r - h) otherwise, so that neither
+    component cancels (LAPACK's zlaev2 rotation); a multiple of I (r = 0) gets
+    (0, 1).  The eigenvector of mid - r is its complement (-conj(y), conj(x)).
+    Returns the eigenvalues, and the eigenvectors before the phase fix when
+    ``vectors``.
+    """
+    a = M[..., 0, 0].real
+    c = M[..., 1, 1].real
+    b = M[..., 1, 0]
+    h = (a - c) / 2
+    babs = np.abs(b)
+    r = np.hypot(h, babs)
+    mid = (a + c) / 2
+    lam = np.empty(M.shape[:-1])
+    np.subtract(mid, r, out=lam[..., 0])
+    np.add(mid, r, out=lam[..., 1])
+    if not vectors:
+        return lam
+    g = r + np.abs(h)
+    lower = h < 0
+    scalar = r == 0
+    # The vector is scaled in real arithmetic (numpy's complex division
+    # overflows on a subnormal divisor): first by g + scalar, its largest
+    # modulus, so that its norm is read off entries of order 1 even where h
+    # and b are subnormal.
+    U = np.zeros(M.shape, dtype=complex)
+    U[..., 0, 1] = np.where(lower, b.conj(), g)
+    U[..., 1, 1] = np.where(lower, g, b) + scalar
+    Ur = U.view(float)
+    Ur /= (g + scalar)[..., None, None]
+    Ur /= np.hypot(np.abs(U[..., 0, 1]), np.abs(U[..., 1, 1]))[..., None, None]
+    U[..., 0, 0] = -U[..., 1, 1].conj()
+    U[..., 1, 0] = U[..., 0, 1].conj()
+    return lam, U
+
+
 def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
     """Spectral decomposition with ascending eigenvalues and fixed phases.
 
     A stack (..., d, d) of Hermitian matrices is decomposed in one call,
     matrix by matrix, into a stacked decomposition.  ``checked=True`` takes
     an array returned by ``hermitian_part`` as it is, without a second check.
+    At d = 2 the closed form of ``_eig_2x2`` replaces LAPACK, so it cannot
+    raise ``EigensolverError`` and its results differ from LAPACK's in the
+    last digits; every other d calls ``np.linalg.eigh``.  Every d gets the
+    same phase convention (``_fix_phases``).
     """
     M = _hermitian_array(A, checked)
-    try:
-        lam, U = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(M.shape[-1]) from exc
+    if M.shape[-1] == 2:
+        lam, U = _eig_2x2(M, vectors=True)
+    else:
+        try:
+            lam, U = np.linalg.eigh(M)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(M.shape[-1]) from exc
+        lam = lam.copy()
     U = _fix_phases(U)
-    lam = lam.copy()
     lam.setflags(write=False)
     U.setflags(write=False)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=U)
@@ -218,9 +274,14 @@ def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
 def eigvals_hermitian(A, *, checked: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or stack (..., d, d), without eigenvectors.
 
-    ``checked`` is as in ``eig_hermitian``.
+    ``checked`` is as in ``eig_hermitian``.  At d = 2 these are the
+    eigenvalues of ``eig_hermitian``, bit for bit, from the same closed form,
+    which cannot raise ``EigensolverError``; every other d calls
+    ``np.linalg.eigvalsh``.
     """
     M = _hermitian_array(A, checked)
+    if M.shape[-1] == 2:
+        return _eig_2x2(M, vectors=False)
     try:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:

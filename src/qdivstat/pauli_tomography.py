@@ -38,7 +38,6 @@ from .operator_core import (
     density_spectrum,
     eig_hermitian,
     eigvals_hermitian,
-    hermitian_part,
 )
 from .limit_laws import _require_positive, qre_alt_gradient
 
@@ -223,8 +222,12 @@ def reconstruct(s: BlochVector | np.ndarray, basis: PauliBasisSet) -> HermitianO
 
 
 def _reconstruct_rows(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:
-    """(1/d)(I + sum_j s_j gamma_j) for each row of s (..., d^2 - 1), checked Hermitian."""
-    return hermitian_part(basis.combine(s, identity=1.0) / basis.dim)
+    """(1/d)(I + sum_j s_j gamma_j) for each row of s (..., d^2 - 1).
+
+    With real s the combination is Hermitian bit for bit, so no check or
+    symmetrization is needed (a test pins this at 1 to 6 qubits).
+    """
+    return basis.combine(s, identity=1.0) / basis.dim
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -301,7 +304,7 @@ def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
     Row t of ``counts`` holds the plus counts of record t.  Returns the
     (T, d, d) estimate matrices, their (T, d) ascending eigenvalues and the
     (T,) projection flags.  The eigenvalues come from one stacked
-    ``eigvalsh``: a row that is a state keeps its raw reconstruction, and
+    ``eigvals_hermitian``: a row that is a state keeps its raw reconstruction, and
     only the rows that left the state space are eigendecomposed, to
     reassemble their projection onto the simplex with the same eigenvectors.
     """

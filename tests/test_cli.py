@@ -72,14 +72,17 @@ class TestDivergenceCommand:
         assert rc == 0
         assert json.loads(out)["argmax_index"] == 0
 
-    def test_eigensolver_failure_is_numeric_error(self, states, monkeypatch, capsys):
-        _, _, rp, sp = states
+    def test_eigensolver_failure_is_numeric_error(self, rng, tmp_path, monkeypatch, capsys):
+        # d = 4: 2x2 states take the closed-form eigensolver and never reach LAPACK
+        rp, sp = tmp_path / "rho4.json", tmp_path / "sigma4.json"
+        qio.dump_matrix(rand_state(rng, 4, 0.05), str(rp))
+        qio.dump_matrix(rand_state(rng, 4, 0.05), str(sp))
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        rc = cli_main(["divergence", "--kind", "umegaki", "--rho", rp, "--sigma", sp])
+        rc = cli_main(["divergence", "--kind", "umegaki", "--rho", str(rp), "--sigma", str(sp)])
         assert rc == EXIT_NUMERIC
         assert "numeric failure: Hermitian eigensolver did not converge" in capsys.readouterr().err
 

@@ -4,9 +4,11 @@ import pytest
 from qdivstat.operator_core import (
     _fix_phases,
     DensityOperator,
+    EigensolverError,
     HermitianOperator,
     apply_scalar_function,
     eig_hermitian,
+    eigvals_hermitian,
     loewner_leq,
     moore_penrose_inverse,
     project_to_density,
@@ -18,6 +20,8 @@ from qdivstat.operator_core import (
     support_mask,
     support_projector,
 )
+
+from qdivstat.random_ops import haar_unitary
 
 from conftest import rand_herm, rand_state
 
@@ -328,3 +332,89 @@ class TestTraceClassLemmas:
             B = A - 3 * D1
             C = A + 3 * D2
             assert schatten_norm(A, 1) <= schatten_norm(B, 1) + schatten_norm(C, 1) + 1e-10
+
+
+def _hard_2x2(rng) -> np.ndarray:
+    """A stack of exactly Hermitian 2x2 matrices with hard spectra, each kind mixed in."""
+    def rotated(lam):
+        U = haar_unitary(2, rng)
+        return (U * lam) @ U.conj().T
+
+    mats = [rand_herm(rng, 2) for _ in range(60)]
+    mats += [rotated([x, x + gap]) for x in (1.0, 0.3, -0.7)
+             for gap in (1e-16, 1e-15, 1e-14, 1e-12, 1e-9, 1e-6)]
+    mats += [rotated(lam) for lam in ([1e-10, 1.0], [1.0, 1e-10], [-1e-10, 1.0], [1e-10, -1.0])]
+    mats += [rotated(lam) for lam in ([0.0, 1.0], [0.0, 0.25], [-2.0, 0.0]) for _ in range(4)]
+    mats += [np.diag(lam).astype(complex) for lam in ([2.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0],
+                                                      [-3.0, 1e-300], [0.5, 0.5])]
+    mats += [np.zeros((2, 2), complex), 3.7 * np.eye(2, dtype=complex), -1e-5 * np.eye(2, dtype=complex)]
+    mats += [np.array([[a, np.conj(b)], [b, c]], dtype=complex)
+             for a, c in ((0.5, 0.5), (0.3, 0.7), (0.7, 0.3), (1.0, 1.0 + 2e-16))
+             for b in (1e-18, 1e-18j, 1e-18 * np.exp(0.3j), 1e-310, 3e-310 * np.exp(2j))]
+    A = np.stack(mats)
+    return (A + A.conj().swapaxes(-1, -2)) / 2
+
+
+class TestClosedForm2x2:
+    """The closed-form 2x2 eigensolver against 50-digit mpmath and LAPACK, in units of eps * max|A|."""
+
+    EPS = np.finfo(float).eps
+
+    def _errors(self, A, lam, U):
+        """Eigenvalue error against mpmath.eighe, and the residual and orthonormality defect in the 1-norm (as
+        LAPACK's own eigensolver tests measure them), each evaluated exactly in mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            M = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in A])
+            want = sorted(mpmath.eighe(M, eigvals_only=True))
+            V = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in U])
+            L = mpmath.diag([mpmath.mpf(x) for x in lam])
+            lam_err = max(abs(mpmath.mpf(x) - w) for x, w in zip(lam, want))
+            residual = mpmath.mnorm(M * V - V * L, 1)
+            orth = mpmath.mnorm(V.H * V - mpmath.eye(2), 1)
+        return float(lam_err), float(residual), float(orth)
+
+    def test_oracle_sweep(self, rng):
+        A = _hard_2x2(rng)
+        S = eig_hermitian(A)
+        for k, M in enumerate(A):
+            single = eig_hermitian(M)
+            assert np.array_equal(single.eigenvalues, S.eigenvalues[k])
+            assert np.array_equal(single.eigenvectors, S.eigenvectors[k])
+            unit = self.EPS * np.abs(M).max()
+            lam_err, residual, orth = self._errors(M, S.eigenvalues[k], S.eigenvectors[k])
+            assert lam_err <= 4 * unit, k
+            assert residual <= 4 * unit, k
+            assert orth <= 4 * self.EPS, k
+            assert np.abs(S.eigenvalues[k] - np.linalg.eigvalsh(M)).max() <= 8 * unit, k
+
+    def test_structure(self, rng):
+        A = _hard_2x2(rng)[:96].reshape(4, 3, 8, 2, 2)
+        S = eig_hermitian(A)
+        lam = eigvals_hermitian(A)
+        assert lam.shape == (4, 3, 8, 2) and S.eigenvectors.shape == A.shape
+        assert np.array_equal(lam, S.eigenvalues)
+        assert (np.diff(lam, axis=-1) >= 0).all()
+        cols = S.eigenvectors.reshape(-1, 2, 2).swapaxes(-1, -2).reshape(-1, 2)
+        for col in cols:
+            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+            assert lead.real > 0 and abs(lead.imag) < 1e-12
+
+    def test_reads_the_lower_triangle(self):
+        A = np.array([[1.0 + 5j, 99.0], [0.5 - 0.5j, -2.0 - 3j]])
+        H = np.array([[1.0, 0.5 + 0.5j], [0.5 - 0.5j, -2.0]])
+        S = eig_hermitian(A, checked=True)
+        assert np.allclose(S.eigenvalues, np.linalg.eigvalsh(H), rtol=0, atol=1e-15)
+        assert np.allclose(S.reassemble(), H, rtol=0, atol=1e-15)
+
+    def test_never_calls_lapack(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        A = _hard_2x2(rng)
+        eig_hermitian(A)
+        eigvals_hermitian(A)
+        with pytest.raises(EigensolverError):
+            eig_hermitian(rand_herm(rng, 4))

@@ -107,6 +107,19 @@ class TestTransform:
         got = sample_gaussian_limit(rho, B, np.random.default_rng(n))
         assert np.max(np.abs(got - _loop_combination(z, B, 0.0))) < tol
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_real_combination_is_hermitian_bitwise(self, rng, n):
+        # the trial estimators reconstruct without symmetrizing, which relies on this
+        B = build_pauli_basis(n)
+        s = rng.uniform(-1, 1, size=(3, B.size))
+        s[0] = 2 * rng.integers(0, 1001, size=B.size) / 1000 - 1  # a record's 2 k/n - 1
+        A = B.combine(s, identity=1.0)
+        AH = A.conj().swapaxes(-1, -2)
+        assert np.array_equal(A, AH)
+        # symmetrizing the reconstruction would not change a byte
+        R = A / B.dim
+        assert ((R + R.conj().swapaxes(-1, -2)) / 2).tobytes() == R.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_variance_v2_matches_frechet_loop(self, rng, n):
         B = build_pauli_basis(n)
