@@ -97,7 +97,7 @@ class Povm:
         for E in ops:
             if E.dim != d:
                 raise ValueError("POVM elements have mixed dimensions")
-            if float(np.linalg.eigvalsh(E.mat)[0]) < -atol:
+            if float(eigvals_hermitian(E)[0]) < -atol:
                 raise ValueError("POVM element is not PSD")
             total += E.mat
         if np.max(np.abs(total - np.eye(d))) > atol:
@@ -242,7 +242,7 @@ def sandwiched_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> Dive
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
     if alpha > 1 and not support_contained(rho, sigma, tol):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
-    lam = np.clip(np.linalg.eigvalsh(_sandwich_base(rho, sigma, alpha)), 0.0, None)
+    lam = np.clip(eigvals_hermitian(_sandwich_base(rho, sigma, alpha), checked=True), 0.0, None)
     total = float(np.sum(lam**alpha))
     if total <= tol:
         return DivergenceValue.infinite("rho and sigma are orthogonal")
@@ -261,7 +261,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
     if not (0.5 <= alpha < 1 or alpha > 1):
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
     T = _sandwich_base(rho, sigma, alpha)
-    lam = np.linalg.eigvalsh(T)
+    lam = eigvals_hermitian(T, checked=True)
     if not support_mask(lam, rel_tol).any():
         raise ValueError("degenerate sigma support: variational base operator vanishes")
     norm_alpha = float(np.sum(np.clip(lam, 0.0, None) ** alpha)) ** (1.0 / alpha)
@@ -281,7 +281,8 @@ def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1]."""
     root = masked_power(rho, 0.5)
-    lam = np.clip(np.linalg.eigvalsh(hermitian_part(root @ as_matrix(sigma) @ root, atol=np.inf)), 0.0, None)
+    lam = np.clip(eigvals_hermitian(hermitian_part(root @ as_matrix(sigma) @ root, atol=np.inf), checked=True),
+                  0.0, None)
     val = float(np.sum(np.sqrt(lam)) ** 2)
     return min(max(val, 0.0), 1.0)
 
@@ -291,7 +292,8 @@ def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     if not support_contained(rho, sigma, tol):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     inv_root = masked_power(sigma, -0.5)
-    lam_max = float(np.linalg.eigvalsh(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf))[-1])
+    lam_max = float(eigvals_hermitian(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf),
+                                      checked=True)[-1])
     return DivergenceValue(math.log(lam_max))
 
 

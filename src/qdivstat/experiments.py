@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .operator_core import as_matrix
+from .operator_core import as_matrix, eigvals_hermitian
 from .divergences import (
     Povm,
     eigenbasis_povm,
@@ -252,7 +252,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.
     """
-    lam_rho = float(np.linalg.eigvalsh(cfg.rho)[0])
+    lam_rho = float(eigvals_hermitian(cfg.rho)[0])
     if lam_rho <= 0:
         raise ValueError("experiments require strictly positive states")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
@@ -317,18 +317,21 @@ def write_rows_csv(cfg: ExperimentConfig, rows, path: str) -> None:
 
     The fields shared by every row go through ``csv.writer`` once, so an
     experiment id that needs quoting gets it.  The per-row fields (two ints,
-    the ``repr`` of a float and 0/1) never need quoting: each row is five
-    pieces (shared prefix, ``n,``, ``trial,``, statistic, flag tail), filled
-    column by column into one list by slice assignment and joined once.
+    the ``repr`` of a float and 0/1) never need quoting: each row is four
+    pieces (shared prefix with ``n,``, ``trial,``, statistic, flag tail),
+    filled column by column into one list by slice assignment and joined
+    once.  The int pieces come from a table of one string per distinct value.
     """
     shared = io.StringIO()
     csv.writer(shared).writerow([cfg.experiment_id, cfg.kind, cfg.dim,
                                  "" if cfg.alpha is None else repr(cfg.alpha), ""])
-    pieces = [shared.getvalue().removesuffix("\r\n")] * (5 * len(rows))
-    pieces[1::5] = [f"{n}," for n in rows["n"].tolist()]
-    pieces[2::5] = [f"{t}," for t in rows["trial_index"].tolist()]
-    pieces[3::5] = map(repr, rows["statistic"].tolist())
-    pieces[4::5] = map((",0\r\n", ",1\r\n").__getitem__, rows["branch_taken"].tolist())
+    prefix = shared.getvalue().removesuffix("\r\n")
+    ns, trials = rows["n"].tolist(), rows["trial_index"].tolist()
+    pieces = [""] * (4 * len(rows))
+    pieces[0::4] = map({n: f"{prefix}{n}," for n in set(ns)}.__getitem__, ns)
+    pieces[1::4] = map({t: f"{t}," for t in set(trials)}.__getitem__, trials)
+    pieces[2::4] = map(repr, rows["statistic"].tolist())
+    pieces[3::4] = map((",0\r\n", ",1\r\n").__getitem__, rows["branch_taken"].tolist())
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(CSV_FIELDS)
         fh.write("".join(pieces))

@@ -19,6 +19,7 @@ from .operator_core import (
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
+    eigvals_hermitian,
     schatten_norm,
     spectral_map,
 )
@@ -283,7 +284,7 @@ class QuadratureRule:
 
 
 def _spectrum_bounds(M: np.ndarray) -> tuple[float, float]:
-    lam = np.linalg.eigvalsh(M)
+    lam = eigvals_hermitian(M)
     lo, hi = float(lam[0]), float(lam[-1])
     if lo <= 0:
         raise ValueError("base point must be strictly positive definite")

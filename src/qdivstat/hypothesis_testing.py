@@ -57,7 +57,7 @@ def min_eigenvalue_bound(states) -> float:
     """Smallest eigenvalue over all supplied states; all must be strictly positive."""
     lo = math.inf
     for s in states:
-        lam = float(np.linalg.eigvalsh(as_matrix(s))[0])
+        lam = float(eigvals_hermitian(s)[0])
         if lam <= 0:
             raise ValueError(f"state has non-positive eigenvalue {lam:.3e}")
         lo = min(lo, lam)

@@ -8,15 +8,18 @@ on top of the operations in this module.
 ``eig_hermitian`` and ``eigvals_hermitian`` decompose a 2x2 matrix, or a
 stack of them, in closed form with a few vectorized array operations and no
 LAPACK call, so at d = 2 they cannot raise ``EigensolverError``; every other
-d goes to LAPACK (``np.linalg.eigh``/``eigvalsh``).  The closed form agrees
-with LAPACK to a few ulps of the largest entry, not bit for bit, so
-single-qubit trial rows differ from LAPACK-based ones in their last digits;
-rows at every other d are unchanged.
+d goes to LAPACK (``np.linalg.eigh``/``eigvalsh``).  A 2x2 decomposition
+forms no eigenvectors until they are read: for a 2x2 Hermitian A, f(A) is
+the linear interpolant of f on the two eigenvalues (the two-point formula),
+so ``reassemble`` and every ``spectral_map`` build f(A) from the matrix's
+own entries and its eigenvalues.  The closed form agrees with LAPACK to a
+few ulps of the largest entry, not bit for bit, so single-qubit trial rows
+differ from LAPACK-based ones in their last digits; rows at every other d
+are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -115,24 +118,60 @@ def _hermitian(op) -> HermitianOperator:
     return op if isinstance(op, HermitianOperator) else HermitianOperator(as_matrix(op))
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and unitary eigenvector matrix of a Hermitian operator.
 
     For a stack of operators the leading axes index the operators:
     eigenvalues (..., d) and eigenvectors (..., d, d).
+
+    A 2x2 decomposition from ``eig_hermitian`` keeps, instead of
+    eigenvectors, h = (a - c)/2, b and r = hypot(h, |b|) of the lower
+    triangle [[a, .], [b, c]] it was built from.  ``reassemble`` then uses
+    the two-point formula, and ``eigenvectors`` are formed, phase-fixed and
+    cached on first read, bit for bit those of the closed-form eigensolver.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "_vectors", "_lower")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.eigenvalues = eigenvalues
+        self._vectors = eigenvectors
+        self._lower = None
+
+    @classmethod
+    def _make(cls, eigenvalues: np.ndarray, vectors: np.ndarray | None, lower) -> "SpectralDecomposition":
+        S = cls.__new__(cls)
+        S.eigenvalues, S._vectors, S._lower = eigenvalues, vectors, lower
+        return S
+
+    def __repr__(self) -> str:
+        return f"SpectralDecomposition(dim={self.dim}, stack={self.eigenvalues.shape[:-1]})"
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if self._vectors is None:
+            U = _fix_phases(_vectors_2x2(*self._lower))
+            U.setflags(write=False)
+            self._vectors = U
+        return self._vectors
+
+    def with_eigenvalues(self, eigenvalues: np.ndarray) -> "SpectralDecomposition":
+        """The decomposition with the same eigenvectors and new eigenvalues (..., d)."""
+        return self._make(eigenvalues, self._vectors, self._lower)
+
     def reassemble(self, values: np.ndarray | None = None) -> np.ndarray:
-        """U diag(values) U^dagger; defaults to the original eigenvalues."""
+        """U diag(values) U^dagger; defaults to the original eigenvalues.
+
+        A 2x2 decomposition from ``eig_hermitian`` takes the two-point
+        formula of ``_two_point`` and reads no eigenvectors.
+        """
         lam = self.eigenvalues if values is None else np.asarray(values)
+        if self._lower is not None:
+            return _two_point(lam, *self._lower)
         U = self.eigenvectors
         return (U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
@@ -154,7 +193,7 @@ class DensityOperator:
 
     def __init__(self, mat, *, trace_atol: float = 1e-10, eig_atol: float = 1e-10):
         op = _hermitian(mat)
-        check_density_spectrum(np.linalg.eigvalsh(op.mat), trace_atol, eig_atol)
+        check_density_spectrum(eigvals_hermitian(op), trace_atol, eig_atol)
         self.op = op
 
     @classmethod
@@ -199,34 +238,38 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
 
 def _hermitian_array(A, checked: bool) -> np.ndarray:
     """The matrix (or stack) of ``A``, checked Hermitian unless ``checked`` says it already is."""
-    if isinstance(A, HermitianOperator):
-        return A.mat
+    if isinstance(A, (HermitianOperator, DensityOperator)):
+        return as_matrix(A)
     return np.asarray(A) if checked else hermitian_part(as_matrix(A))
 
 
-def _eig_2x2(M: np.ndarray, vectors: bool):
-    """Closed-form spectra of a matrix or stack (..., 2, 2), read from the lower triangle.
+def _eig_2x2(M: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Closed-form eigenvalues of a matrix or stack (..., 2, 2), read from the lower triangle.
 
     For [[a, conj(b)], [b, c]], with h = (a - c)/2 and r = hypot(h, |b|), the
-    ascending eigenvalues are mid -+ r.  The eigenvector (x, y) of mid + r is
-    (r + h, b) when a >= c and (conj(b), r - h) otherwise, so that neither
-    component cancels (LAPACK's zlaev2 rotation); a multiple of I (r = 0) gets
-    (0, 1).  The eigenvector of mid - r is its complement (-conj(y), conj(x)).
-    Returns the eigenvalues, and the eigenvectors before the phase fix when
-    ``vectors``.
+    ascending eigenvalues are mid -+ r.  Returns them, and (h, b, r), with b
+    a view of ``M``.
     """
     a = M[..., 0, 0].real
     c = M[..., 1, 1].real
     b = M[..., 1, 0]
     h = (a - c) / 2
-    babs = np.abs(b)
-    r = np.hypot(h, babs)
+    r = np.hypot(h, np.abs(b))
     mid = (a + c) / 2
     lam = np.empty(M.shape[:-1])
     np.subtract(mid, r, out=lam[..., 0])
     np.add(mid, r, out=lam[..., 1])
-    if not vectors:
-        return lam
+    return lam, (h, b, r)
+
+
+def _vectors_2x2(h: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvectors, before the phase fix, from (h, b, r) of ``_eig_2x2``.
+
+    The eigenvector (x, y) of mid + r is (r + h, b) when a >= c and
+    (conj(b), r - h) otherwise, so that neither component cancels (LAPACK's
+    zlaev2 rotation); a multiple of I (r = 0) gets (0, 1).  The eigenvector
+    of mid - r is its complement (-conj(y), conj(x)).
+    """
     g = r + np.abs(h)
     lower = h < 0
     scalar = r == 0
@@ -234,7 +277,7 @@ def _eig_2x2(M: np.ndarray, vectors: bool):
     # overflows on a subnormal divisor): first by g + scalar, its largest
     # modulus, so that its norm is read off entries of order 1 even where h
     # and b are subnormal.
-    U = np.zeros(M.shape, dtype=complex)
+    U = np.zeros(h.shape + (2, 2), dtype=complex)
     U[..., 0, 1] = np.where(lower, b.conj(), g)
     U[..., 1, 1] = np.where(lower, g, b) + scalar
     Ur = U.view(float)
@@ -242,7 +285,51 @@ def _eig_2x2(M: np.ndarray, vectors: bool):
     Ur /= np.hypot(np.abs(U[..., 0, 1]), np.abs(U[..., 1, 1]))[..., None, None]
     U[..., 0, 0] = -U[..., 1, 1].conj()
     U[..., 1, 0] = U[..., 0, 1].conj()
-    return lam, U
+    return U
+
+
+# Below this r, |b| may carry the rounding of the subnormal range, so the
+# two-point formula recomputes r from (h, b) scaled up by an exact power of 2.
+_SUBNORMAL_R = 2.0**-969
+_SCALE_UP = 2.0**600
+
+
+def _two_point(values: np.ndarray, h: np.ndarray, b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """f(A) for a 2x2 Hermitian A given by (h, b, r), from the values v (..., 2) of f on its eigenvalues.
+
+    f(A) = v1 I + (v2 - v1) P, with P = [[r + h, conj(b)], [b, r - h]]/(2r)
+    the projector onto the eigenvector of the larger eigenvalue mid + r; so
+    f(A) is the linear interpolant of f on the two eigenvalues and needs no
+    eigenvectors.  P is formed in real arithmetic before any product with v;
+    a multiple of I (r = 0) gets P = diag(0, 1), so f(A) = diag(v1, v2)
+    exactly.  Where r is near the subnormal range, P is read off (h, b)
+    scaled up by an exact power of 2, so that r is not rounded to the
+    subnormal grid.
+    """
+    scalar = r == 0
+    tiny = r < _SUBNORMAL_R
+    if tiny.any():
+        up = np.where(tiny, _SCALE_UP, 1.0)
+        h, b = h * up, b * up
+        r = np.where(tiny, np.hypot(h, np.abs(b)), r)
+    den = 2 * (r + scalar)
+    q = (r + h) / den
+    p_re, p_im = np.real(b) / den, np.imag(b) / den
+    v1, v2 = values[..., 0], values[..., 1]
+    dv = v2 - v1
+    t = dv * q
+    out = np.empty(t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = v1 + t
+    out[..., 1, 1] = v2 - t
+    # dv * p and dv * conj(p) in real arithmetic: numpy's complex product may
+    # fuse its multiply-adds in a stack and not for one matrix.
+    dv_re, dv_im = np.real(dv), np.imag(dv)
+    rr, ii, ri, ir = dv_re * p_re, dv_im * p_im, dv_re * p_im, dv_im * p_re
+    np.subtract(rr, ii, out=out[..., 1, 0].real)
+    np.add(ri, ir, out=out[..., 1, 0].imag)
+    np.add(rr, ii, out=out[..., 0, 1].real)
+    np.subtract(ir, ri, out=out[..., 0, 1].imag)
+    return out
 
 
 def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
@@ -253,18 +340,21 @@ def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
     an array returned by ``hermitian_part`` as it is, without a second check.
     At d = 2 the closed form of ``_eig_2x2`` replaces LAPACK, so it cannot
     raise ``EigensolverError`` and its results differ from LAPACK's in the
-    last digits; every other d calls ``np.linalg.eigh``.  Every d gets the
-    same phase convention (``_fix_phases``).
+    last digits; the decomposition keeps (h, b, r) of the lower triangle,
+    reassembles by the two-point formula and forms its eigenvectors only
+    when they are read.  Every other d calls ``np.linalg.eigh``.  Every d
+    gets the same phase convention (``_fix_phases``).
     """
     M = _hermitian_array(A, checked)
     if M.shape[-1] == 2:
-        lam, U = _eig_2x2(M, vectors=True)
-    else:
-        try:
-            lam, U = np.linalg.eigh(M)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(M.shape[-1]) from exc
-        lam = lam.copy()
+        lam, (h, b, r) = _eig_2x2(M)
+        lam.setflags(write=False)
+        return SpectralDecomposition._make(lam, None, (h, b.copy(), r))
+    try:
+        lam, U = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(M.shape[-1]) from exc
+    lam = lam.copy()
     U = _fix_phases(U)
     lam.setflags(write=False)
     U.setflags(write=False)
@@ -281,7 +371,7 @@ def eigvals_hermitian(A, *, checked: bool = False) -> np.ndarray:
     """
     M = _hermitian_array(A, checked)
     if M.shape[-1] == 2:
-        return _eig_2x2(M, vectors=False)
+        return _eig_2x2(M)[0]
     try:
         return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
@@ -327,10 +417,14 @@ def apply_scalar_function(S: SpectralDecomposition, f: Callable[[np.ndarray], np
 
 
 def schatten_norm(A, p: float) -> float:
-    """Schatten p-norm (sum |lambda_i|^p)^(1/p); p = inf gives max |lambda_i|."""
+    """Schatten p-norm (sum |lambda_i|^p)^(1/p); p = inf gives max |lambda_i|.
+
+    ``A`` must be finite and square; its rounding asymmetry, whatever its size
+    (a difference quotient of Hermitian matrices carries one), is averaged out.
+    """
     if p < 1:
         raise ValueError(f"Schatten norm requires p >= 1, got {p}")
-    lam = np.abs(np.linalg.eigvalsh(as_matrix(A)))
+    lam = np.abs(eigvals_hermitian(hermitian_part(as_matrix(A), atol=np.inf), checked=True))
     if np.isinf(p):
         return float(lam.max(initial=0.0))
     if p == 1:
@@ -364,7 +458,7 @@ def loewner_leq(A, B, tol: float = 0.0) -> bool:
     MA, MB = as_matrix(A), as_matrix(B)
     if MA.shape != MB.shape:
         raise ValueError(f"dimension mismatch: {MA.shape} vs {MB.shape}")
-    return float(np.linalg.eigvalsh(MB - MA)[0]) >= -tol
+    return float(eigvals_hermitian(MB - MA)[0]) >= -tol
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

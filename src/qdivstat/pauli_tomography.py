@@ -330,7 +330,7 @@ def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
     lam, projected = density_spectrum(S.eigenvalues, psd_atol)
     lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
     check_density_spectrum(lam)
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=S.eigenvectors), projected
+    return S.with_eigenvalues(lam), projected
 
 
 def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False,

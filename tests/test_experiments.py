@@ -268,12 +268,13 @@ class TestRuns:
     def test_csv_bytes_pinned(self, tmp_path):
         # sha256 of the CSV bytes of these seeded runs: the d = 4 digest is the one
         # the per-record writer wrote; the d = 2 digest is that of the closed-form
-        # 2x2 eigensolver, whose rows differ from LAPACK's in their last digits
+        # 2x2 eigensolver and its two-point reassembly of log sigma, whose rows
+        # differ from LAPACK's in their last digits
         rng = np.random.default_rng(11)
         rho, sigma, rho4 = rand_state(rng, 2, 0.1), rand_state(rng, 2, 0.1), rand_state(rng, 4, 0.1)
         cases = [(ExperimentConfig(kind="two_sample_alt", rho=rho, sigma=sigma, n_grid=(200, 2000), trials=200,
                                    seed=51, output_path=str(tmp_path / "alt.csv")),
-                  "6f6b1ce16c8b729dd0283d1b944cd7d6db695cfa1c0144f2a4dd0c0f0831f953"),
+                  "f0b041b09c32b30a58d0bd825e187e7eedde0ba69b52a2cddd603f386aed2881"),
                  (ExperimentConfig(kind="one_sample_null", rho=rho4, n_grid=(200, 2000), trials=200,
                                    seed=52, output_path=str(tmp_path / "null.csv")),
                   "b4c89035a917b0e765b21595060dfa776292d187ff89815b8f89ffb8a1b414aa")]

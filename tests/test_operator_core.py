@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+import qdivstat.operator_core as operator_core
+from qdivstat.divergences import (
+    Povm,
+    fidelity,
+    max_divergence,
+    sandwiched_dual_optimizer,
+    sandwiched_renyi,
+    umegaki_spectral,
+)
+from qdivstat.experiments import ExperimentConfig, run_convergence_experiment
+from qdivstat.frechet import frechet1_log_quadrature
+from qdivstat.hypothesis_testing import min_eigenvalue_bound
 from qdivstat.operator_core import (
     _fix_phases,
     DensityOperator,
@@ -22,6 +34,8 @@ from qdivstat.operator_core import (
 )
 
 from qdivstat.random_ops import haar_unitary
+
+from qdivstat.pauli_tomography import build_pauli_basis, estimate_sigma_stack, estimate_stack, sample_counts
 
 from conftest import rand_herm, rand_state
 
@@ -406,6 +420,9 @@ class TestClosedForm2x2:
         S = eig_hermitian(A, checked=True)
         assert np.allclose(S.eigenvalues, np.linalg.eigvalsh(H), rtol=0, atol=1e-15)
         assert np.allclose(S.reassemble(), H, rtol=0, atol=1e-15)
+        lam, U = np.linalg.eigh(H)
+        values = np.array([0.3 - 0.4j, -1.2 + 0.5j])
+        assert np.allclose(S.reassemble(values), (U * values) @ U.conj().T, rtol=0, atol=1e-15)
 
     def test_never_calls_lapack(self, rng, monkeypatch):
         def fail(*args, **kwargs):
@@ -418,3 +435,133 @@ class TestClosedForm2x2:
         eigvals_hermitian(A)
         with pytest.raises(EigensolverError):
             eig_hermitian(rand_herm(rng, 4))
+
+
+def _fail_lapack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
+# Every function that once called np.linalg.eigvalsh directly, on a state pair
+# (rho, sigma) of dimension d.
+ROUTED = {
+    "DensityOperator": lambda rho, sigma: DensityOperator(rho),
+    "schatten_norm": lambda rho, sigma: schatten_norm(rho - sigma, 1),
+    "loewner_leq": lambda rho, sigma: loewner_leq(rho, sigma),
+    "Povm": lambda rho, sigma: Povm([rho, np.eye(len(rho)) - rho]),
+    "sandwiched_renyi": lambda rho, sigma: sandwiched_renyi(rho, sigma, 1.5),
+    "sandwiched_dual_optimizer": lambda rho, sigma: sandwiched_dual_optimizer(rho, sigma, 1.5),
+    "fidelity": fidelity,
+    "max_divergence": max_divergence,
+    "run_convergence_experiment": lambda rho, sigma: run_convergence_experiment(ExperimentConfig(
+        kind="two_sample_alt", rho=rho, sigma=sigma, n_grid=(100,), trials=100, seed=1)),
+    "min_eigenvalue_bound": lambda rho, sigma: min_eigenvalue_bound([rho, sigma]),
+    "frechet_spectrum_bounds": lambda rho, sigma: frechet1_log_quadrature(rho, sigma - rho),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_eigenvalue_sites_go_through_eigvals_hermitian(rng, monkeypatch, name):
+    """At d = 2 no routed site reaches LAPACK; at d = 4 its failure is an EigensolverError."""
+    pairs = {d: (rand_state(rng, d, 0.1), rand_state(rng, d, 0.1)) for d in (2, 4)}
+    _fail_lapack(monkeypatch)
+    ROUTED[name](*pairs[2])
+    with pytest.raises(EigensolverError):
+        ROUTED[name](*pairs[4])
+
+
+class TestTwoPoint2x2:
+    """2x2 reassembly by the two-point formula, in units of eps * max|v|."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _values(rng, lam):
+        """The value arrays the library reassembles, and random complex ones."""
+        keep = support_mask(lam)
+        with np.errstate(all="ignore"):
+            return {"lam": lam,
+                    "log with kernel": np.where(keep, np.log(lam), 1j),
+                    "masked sqrt": np.where(keep, np.sqrt(np.abs(lam)), 0.0),
+                    "support": keep.astype(float),
+                    "random": rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)}
+
+    @staticmethod
+    def _oracle(M, v):
+        """U diag(v) U^dagger in 50 digits, with U from mpmath.eighe of the traceless part of M, whose
+        entries are of the order of the eigenvalue gap, so that the digits resolve every eigenbasis."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            h = (mpmath.mpf(M[0, 0].real) - mpmath.mpf(M[1, 1].real)) / 2
+            b = mpmath.mpc(M[1, 0])
+            E, Q = mpmath.eighe(mpmath.matrix([[h, mpmath.conj(b)], [b, -h]]))
+            order = sorted(range(2), key=lambda k: E[k])
+            return np.array([[complex(sum(Q[i, k] * mpmath.mpc(x) * mpmath.conj(Q[j, k])
+                                          for k, x in zip(order, v)))
+                              for j in range(2)] for i in range(2)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        A = _hard_2x2(rng)
+        S = eig_hermitian(A)
+        scalar = (A[:, 1, 0] == 0) & (A[:, 0, 0] == A[:, 1, 1])
+        for name, v in self._values(rng, S.eigenvalues).items():
+            F = S.reassemble(v)
+            for k, M in enumerate(A):
+                if name == "random" and scalar[k]:
+                    continue  # every basis is an eigenbasis; see test_multiple_of_identity
+                err = np.abs(F[k] - self._oracle(M, v[k])).max()
+                assert err <= 2 * self.EPS * np.abs(v[k]).max(), (name, k)
+
+    def test_multiple_of_identity(self, rng):
+        A = np.stack([np.zeros((2, 2)), 3.7 * np.eye(2), -1e-5 * np.eye(2)]).astype(complex)
+        v = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        F = eig_hermitian(A).reassemble(v)
+        for Fk, vk in zip(F, v):
+            assert np.array_equal(Fk, np.diag(vk))
+
+    def test_stack_matches_single(self, rng):
+        A = _hard_2x2(rng)
+        S = eig_hermitian(A)
+        v = rng.standard_normal((len(A), 2)) + 1j * rng.standard_normal((len(A), 2))
+        F = S.reassemble(v)
+        for k, M in enumerate(A):
+            assert np.array_equal(F[k], eig_hermitian(M).reassemble(v[k]))
+
+    def test_eigenvectors_are_formed_once_on_read(self, rng, monkeypatch):
+        A = _hard_2x2(rng)
+        calls = []
+        fix = operator_core._fix_phases
+        monkeypatch.setattr(operator_core, "_fix_phases", lambda U: calls.append(U.shape) or fix(U))
+        S = eig_hermitian(A)
+        before = S.reassemble()
+        assert calls == []
+        U = S.eigenvectors
+        assert calls == [A.shape] and S.eigenvectors is U and not U.flags.writeable
+        assert np.array_equal(S.reassemble(), before)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_with_eigenvalues_keeps_the_basis(self, rng, d):
+        S = eig_hermitian(np.stack([rand_herm(rng, d) for _ in range(5)]))
+        lam = rng.standard_normal((5, d))
+        T = S.with_eigenvalues(lam)
+        assert T.eigenvalues is lam and np.array_equal(T.eigenvectors, S.eigenvectors)
+        assert np.array_equal(T.reassemble(), S.reassemble(lam))
+
+    def test_qubit_trial_stack_forms_no_eigenvectors(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        U = haar_unitary(2, rng)
+        # a nearly pure rho, so that at n = 20 some estimates take the projection branch
+        rho, sigma = (U * [0.01, 0.99]) @ U.conj().T, rand_state(rng, 2, 0.1)
+        basis, n, chunk = build_pauli_basis(1), 20, range(500)
+        calls = []
+        monkeypatch.setattr(operator_core, "_fix_phases", lambda U: calls.append(U.shape))
+        rho_hat, lam, projected = estimate_stack(sample_counts(rho, basis, n, chunk, 9, n, 0), n, basis)
+        sigma_hat, _ = estimate_sigma_stack(sample_counts(sigma, basis, n, chunk, 9, n, 1), n, basis)
+        values = umegaki_spectral(rho_hat, lam, sigma_hat)
+        assert projected.any() and np.isfinite(values).all()
+        assert calls == []
