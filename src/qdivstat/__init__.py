@@ -29,8 +29,6 @@ from .frechet import (
     build_divided_differences,
     d_log,
     d_power,
-    d2_log,
-    d2_power,
     finite_difference_check,
     frechet1,
     frechet1_log_quadrature,

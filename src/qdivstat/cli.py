@@ -77,16 +77,11 @@ def _run_divergence(args) -> int:
     result = {"name": args.kind}
     if args.kind == "umegaki":
         val = dv.umegaki(rho, sigma)
-    elif args.kind == "petz":
+    elif args.kind in ("petz", "sandwiched"):
         if args.alpha is None:
-            raise ValueError("petz requires --alpha")
+            raise ValueError(f"{args.kind} requires --alpha")
         result["alpha"] = args.alpha
-        val = dv.petz_renyi(rho, sigma, args.alpha)
-    elif args.kind == "sandwiched":
-        if args.alpha is None:
-            raise ValueError("sandwiched requires --alpha")
-        result["alpha"] = args.alpha
-        val = dv.sandwiched_renyi(rho, sigma, args.alpha)
+        val = (dv.petz_renyi if args.kind == "petz" else dv.sandwiched_renyi)(rho, sigma, args.alpha)
     elif args.kind == "fidelity":
         val = dv.DivergenceValue(dv.fidelity(rho, sigma))
     elif args.kind == "max":

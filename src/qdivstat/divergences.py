@@ -8,7 +8,8 @@ All logarithms are natural; values are in nats.  Support conventions are
 realized with masked spectral functions: +infinity is a tagged value on the
 returned :class:`DivergenceValue`, never a float that enters arithmetic.
 The relative entropy is read as -S(rho) - Tr[rho log sigma]: the eigenvalues
-of rho and one decomposition of sigma suffice, for one pair or a stack.
+of rho and one decomposition of sigma suffice, for one pair or a stack.  The
+other divergences are the one-pair case of their stack-capable ``*_rows``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .operator_core import (
     hermitian_part,
     spectral_map,
     support_contained,
+    support_leak,
     support_mask,
 )
 
@@ -39,13 +41,18 @@ __all__ = [
     "umegaki_spectral",
     "von_neumann_entropy",
     "classical_kl",
+    "check_petz_alpha",
+    "check_sandwiched_alpha",
     "petz_renyi",
+    "petz_renyi_rows",
     "sandwiched_renyi",
+    "sandwiched_renyi_rows",
     "sandwiched_dual_optimizer",
     "sandwiched_variational_objective",
     "fidelity",
     "max_divergence",
     "measured_relative_entropy",
+    "measured_relative_entropy_rows",
     "povm_apply",
     "eigenbasis_povm",
     "trivial_povm",
@@ -128,11 +135,11 @@ def eigenbasis_povm(A) -> Povm:
 
 
 def povm_apply(M: Povm, A) -> np.ndarray:
-    """Outcome vector (Tr[M_i A])_i; sums to Tr A."""
+    """Outcome vector (Tr[M_i A])_i, along the last axis for a stack (..., d, d); sums to Tr A."""
     mat = as_matrix(A)
-    if mat.shape[0] != M.dim:
-        raise ValueError(f"operator dim {mat.shape[0]} does not match POVM dim {M.dim}")
-    return np.array([float(np.trace(E.mat @ mat).real) for E in M.elements])
+    if mat.shape[-1] != M.dim:
+        raise ValueError(f"operator dim {mat.shape[-1]} does not match POVM dim {M.dim}")
+    return np.einsum("kij,...ji->...k", np.stack([E.mat for E in M.elements]), mat).real
 
 
 def masked_power(A, p: float, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
@@ -208,46 +215,79 @@ def classical_kl(P, Q, tol: float = DEFAULT_TOL) -> DivergenceValue:
     Q = _check_prob_vector(Q, tol, "Q")
     if P.shape != Q.shape:
         raise ValueError("distributions have different lengths")
-    live = P > tol
-    if np.any(Q[live] <= tol):
+    value = float(_kl_rows(P, Q, tol))
+    if math.isinf(value):
         return DivergenceValue.infinite("P puts mass where Q vanishes")
-    value = float(np.sum(P[live] * np.log(P[live] / Q[live])))
     return DivergenceValue(value)
+
+
+def _kl_rows(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
+    """KL divergence of the distributions along the last axis; +inf where P > tol meets Q <= tol."""
+    live = P > tol
+    leaks = np.any(live & (Q <= tol), axis=-1)
+    ratio = np.where(live, P, 1.0) / np.where(live & (Q > tol), Q, 1.0)
+    return np.where(leaks, np.inf, np.sum(P * np.log(ratio), axis=-1))
+
+
+def check_petz_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha is a Petz-Renyi order, in (0, 1) u (1, 2]."""
+    if not (0 < alpha < 1 or 1 < alpha <= 2):
+        raise ValueError(f"alpha {alpha} outside (0,1) u (1,2]")
+
+
+def check_sandwiched_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha is a sandwiched Renyi order, in [1/2, 1) u (1, inf)."""
+    if not (0.5 <= alpha < 1 or alpha > 1):
+        raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
+
+
+def _renyi_rows(total, alpha: float, rho, sigma, tol: float) -> np.ndarray:
+    """log(total) / (alpha - 1) per row; +inf where total <= tol or, for alpha > 1, rho leaks out of supp(sigma)."""
+    finite = total > tol
+    if alpha > 1:
+        finite &= support_leak(rho, sigma) <= tol
+    return np.where(finite, np.log(np.where(finite, total, 1.0)) / (alpha - 1), np.inf)
+
+
+def _renyi_value(value, rho, sigma, alpha: float, tol: float) -> DivergenceValue:
+    """One row of ``_renyi_rows`` as a DivergenceValue, naming why it is infinite."""
+    if math.isfinite(value):
+        return DivergenceValue(float(value))
+    leaks = alpha > 1 and not support_contained(rho, sigma, tol)
+    return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)" if leaks
+                                    else "rho and sigma are orthogonal")
+
+
+def petz_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Petz-Renyi divergence per pair of matrices or stacks (..., d, d); sigma may be their decomposition."""
+    check_petz_alpha(alpha)
+    overlap = np.einsum("...ij,...ji->...", masked_power(rho, alpha), masked_power(sigma, 1 - alpha)).real
+    return _renyi_rows(overlap, alpha, rho, sigma, tol)
 
 
 def petz_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> DivergenceValue:
     """Petz-Renyi divergence (alpha - 1)^-1 log Tr[rho^alpha sigma^(1-alpha)]."""
-    if not (0 < alpha < 1 or 1 < alpha <= 2):
-        raise ValueError(f"alpha {alpha} outside (0,1) u (1,2]")
-    if alpha > 1 and not support_contained(rho, sigma, tol):
-        return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
-    Q = float(np.trace(masked_power(rho, alpha) @ masked_power(sigma, 1 - alpha)).real)
-    if Q <= tol:
-        # orthogonal states: the trace functional carries no overlap
-        return DivergenceValue.infinite("rho and sigma are orthogonal")
-    return DivergenceValue(math.log(Q) / (alpha - 1))
+    return _renyi_value(petz_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
 
 
 def _sandwich_base(rho, sigma, alpha: float) -> np.ndarray:
-    """rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2)."""
+    """rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2), for a pair or a stack."""
     q = (1 - alpha) / alpha
     root = masked_power(rho, 0.5)
     mid = masked_power(sigma, q) if q != 1 else as_matrix(sigma)
     return hermitian_part(root @ mid @ root, atol=np.inf)
 
 
+def sandwiched_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Sandwiched Renyi divergence per pair, as ``petz_renyi_rows``: (alpha - 1)^-1 log Tr T^alpha."""
+    check_sandwiched_alpha(alpha)
+    lam = np.clip(eigvals_hermitian(_sandwich_base(rho, sigma, alpha), checked=True), 0.0, None)
+    return _renyi_rows(np.sum(lam**alpha, axis=-1), alpha, rho, sigma, tol)
+
+
 def sandwiched_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> DivergenceValue:
     """Sandwiched Renyi divergence alpha/(alpha-1) log ||rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2)||_alpha."""
-    if not (0.5 <= alpha < 1 or alpha > 1):
-        raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
-    if alpha > 1 and not support_contained(rho, sigma, tol):
-        return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
-    lam = np.clip(eigvals_hermitian(_sandwich_base(rho, sigma, alpha), checked=True), 0.0, None)
-    total = float(np.sum(lam**alpha))
-    if total <= tol:
-        return DivergenceValue.infinite("rho and sigma are orthogonal")
-    # alpha/(alpha-1) * log ||T||_alpha with ||T||_alpha = total**(1/alpha)
-    return DivergenceValue(math.log(total) / (alpha - 1))
+    return _renyi_value(sandwiched_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
 
 
 def sandwiched_dual_optimizer(rho, sigma, alpha: float,
@@ -258,8 +298,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
     which is PSD with unit alpha/(alpha-1) (quasi-)norm and attains the divergence when
     plugged into the variational objective.
     """
-    if not (0.5 <= alpha < 1 or alpha > 1):
-        raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
+    check_sandwiched_alpha(alpha)
     T = _sandwich_base(rho, sigma, alpha)
     lam = eigvals_hermitian(T, checked=True)
     if not support_mask(lam, rel_tol).any():
@@ -279,12 +318,8 @@ def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
 
 
 def fidelity(rho, sigma) -> float:
-    """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2, in [0, 1]."""
-    root = masked_power(rho, 0.5)
-    lam = np.clip(eigvals_hermitian(hermitian_part(root @ as_matrix(sigma) @ root, atol=np.inf), checked=True),
-                  0.0, None)
-    val = float(np.sum(np.sqrt(lam)) ** 2)
-    return min(max(val, 0.0), 1.0)
+    """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 = exp(-D_1/2), in [0, 1], with D_1/2 the sandwiched divergence."""
+    return min(math.exp(-float(sandwiched_renyi_rows(rho, sigma, 0.5))), 1.0)
 
 
 def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
@@ -297,6 +332,31 @@ def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     return DivergenceValue(math.log(lam_max))
 
 
+def _measured_kl(rho, sigma, family, tol: float, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """KL of the outcome distributions per family member (..., members), and which are near-maximal.
+
+    A member is near-maximal within ``tie_tol`` of its row's largest KL; on an infinite row, where infinite.
+    """
+    family = list(family)
+    if not family:
+        raise ValueError("POVM family is empty")
+    kl = []
+    for M in family:
+        P = np.clip(povm_apply(M, rho), 0.0, None)
+        Q = np.clip(povm_apply(M, sigma), 0.0, None)
+        kl.append(_kl_rows(P / P.sum(axis=-1, keepdims=True), Q / Q.sum(axis=-1, keepdims=True), tol))
+    kl = np.stack(kl, axis=-1)
+    return kl, kl >= kl.max(axis=-1, keepdims=True) - tie_tol
+
+
+def measured_relative_entropy_rows(rho, sigma, family, tol: float = DEFAULT_TOL,
+                                   tie_tol: float = 1e-9) -> np.ndarray:
+    """Measured relative entropy per pair, as ``petz_renyi_rows``: the KL of the first near-maximal member."""
+    kl, near = _measured_kl(rho, sigma, family, tol, tie_tol)
+    first = np.argmax(near, axis=-1)
+    return np.take_along_axis(kl, first[..., None], axis=-1)[..., 0]
+
+
 def measured_relative_entropy(rho, sigma, family, tol: float = DEFAULT_TOL,
                               tie_tol: float = 1e-9) -> tuple[DivergenceValue, int]:
     """Largest KL divergence of the outcome distributions over a finite POVM family.
@@ -305,20 +365,9 @@ def measured_relative_entropy(rho, sigma, family, tol: float = DEFAULT_TOL,
     family members within ``tie_tol`` of the maximum are listed in the
     diagnostics so non-unique maximizers are detectable.
     """
-    family = list(family)
-    if not family:
-        raise ValueError("POVM family is empty")
-    values: list[DivergenceValue] = []
-    for M in family:
-        P = np.clip(povm_apply(M, rho), 0.0, None)
-        Q = np.clip(povm_apply(M, sigma), 0.0, None)
-        values.append(classical_kl(P / P.sum(), Q / Q.sum(), tol))
-    if any(not v.support_ok for v in values):
-        idx = next(i for i, v in enumerate(values) if not v.support_ok)
-        return DivergenceValue.infinite(f"measurement {idx} separates the supports"), idx
-    best = max(v.value for v in values)
-    ties = [i for i, v in enumerate(values) if best - v.value <= tie_tol]
+    kl, near = _measured_kl(rho, sigma, family, tol, tie_tol)
+    ties = np.flatnonzero(near).tolist()
+    if math.isinf(kl[ties[0]]):
+        return DivergenceValue.infinite(f"measurement {ties[0]} separates the supports"), ties[0]
     diag = None if len(ties) == 1 else f"near-maximal indices: {ties}"
-    return DivergenceValue(values[ties[0]].value, diagnostics=diag), ties[0]
-
-
+    return DivergenceValue(float(kl[ties[0]]), diagnostics=diag), ties[0]

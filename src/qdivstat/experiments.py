@@ -15,8 +15,8 @@ trials, one substream of (seed, n, side, block) each, and rows are written in
 ``STACK_ENTRIES`` matrix entries: their records are sampled and estimated
 together, and by default a stack is one seed block.  The estimates of rho
 come as matrices with their eigenvalues, from one stacked ``eigvals_hermitian``; those
-of sigma as spectra, from one stacked eigensolve.  The relative entropy reads
-both directly; the other divergences take the matrices of each trial.  The
+of sigma as spectra, from one stacked eigensolve.  Every kind evaluates its
+divergence on the whole stack in one call, through its entry in ``_KINDS``.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
 from each n's columns of statistics and branch flags, and the CSV is written
 from its columns.
@@ -28,20 +28,24 @@ import csv
 import io
 import json
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from .operator_core import as_matrix, eigvals_hermitian
+from .operator_core import as_matrix, eig_hermitian, eigvals_hermitian, hermitian_part
 from .divergences import (
     Povm,
+    check_petz_alpha,
+    check_sandwiched_alpha,
     eigenbasis_povm,
     log_with_kernel,
     measured_relative_entropy,
-    petz_renyi,
-    sandwiched_renyi,
-    umegaki,
+    measured_relative_entropy_rows,
+    petz_renyi_rows,
+    sandwiched_renyi_rows,
     umegaki_spectral,
 )
 from .frechet import build_divided_differences
@@ -79,10 +83,41 @@ __all__ = [
     "write_summary_json",
 ]
 
-ALT_KINDS = ("one_sample_alt", "two_sample_alt", "petz", "sandwiched", "measured")
-NULL_KINDS = ("one_sample_null", "two_sample_null")
+# What a kind evaluates: divergence(cfg, rho, lam, sigma) is D per matrix of
+# the stack rho (eigenvalues lam) against sigma's decomposition, gradient(cfg)
+# the (G_rho, G_sigma) of its alternative-case law (None for a null kind).
+_Kind = namedtuple("_Kind", "divergence gradient two_sample check_alpha", defaults=(None,))
+
+
+def _umegaki(cfg, rho, lam, sigma):
+    return umegaki_spectral(rho, lam, sigma)
+
+
+def _measured_gradient(cfg):
+    m_star = cfg.povm_family[measured_relative_entropy(cfg.rho, cfg.sigma, cfg.povm_family)[1]]
+    return measured_alt_gradient(cfg.rho, cfg.sigma, m_star)
+
+
+def _qre_gradient(cfg):
+    return qre_alt_gradient(cfg.rho, cfg.sigma)
+
+
+_KINDS = {
+    "one_sample_alt": _Kind(_umegaki, _qre_gradient, False),
+    "two_sample_alt": _Kind(_umegaki, _qre_gradient, True),
+    "petz": _Kind(lambda cfg, rho, lam, sigma: petz_renyi_rows(rho, sigma, cfg.alpha),
+                  lambda cfg: petz_alt_gradient(cfg.rho, cfg.sigma, cfg.alpha), True, check_petz_alpha),
+    "sandwiched": _Kind(lambda cfg, rho, lam, sigma: sandwiched_renyi_rows(rho, sigma, cfg.alpha),
+                        lambda cfg: sandwiched_alt_gradient(cfg.rho, cfg.sigma, cfg.alpha), True,
+                        check_sandwiched_alpha),
+    "measured": _Kind(lambda cfg, rho, lam, sigma: measured_relative_entropy_rows(rho, sigma, cfg.povm_family),
+                      _measured_gradient, True),
+    "one_sample_null": _Kind(_umegaki, None, False),
+    "two_sample_null": _Kind(_umegaki, None, True),
+}
+ALT_KINDS = tuple(k for k, spec in _KINDS.items() if spec.gradient)
+NULL_KINDS = tuple(k for k, spec in _KINDS.items() if not spec.gradient)
 KINDS = ALT_KINDS + NULL_KINDS
-UMEGAKI_KINDS = ("one_sample_alt", "two_sample_alt", "one_sample_null", "two_sample_null")
 
 # Size of the null reference sample drawn from the exact weighted chi-squared law.
 REFERENCE_DRAWS = 10_000
@@ -127,8 +162,12 @@ class ExperimentConfig:
         if self.kind == "measured" and not self.povm_family:
             self.povm_family = [eigenbasis_povm(self.rho), eigenbasis_povm(self.sigma),
                                 eigenbasis_povm(self.rho - self.sigma)]
-        if self.kind in ("petz", "sandwiched") and self.alpha is None:
-            raise ValueError(f"{self.kind} requires alpha")
+        check_alpha = _KINDS[self.kind].check_alpha
+        if check_alpha:
+            if not isinstance(self.alpha, numbers.Real):
+                raise ValueError(f"{self.kind} requires a numeric alpha, got {self.alpha!r}")
+            self.alpha = float(self.alpha)
+            check_alpha(self.alpha)
         self.n_grid = tuple(int(n) for n in self.n_grid)
         if any(n < 1 for n in self.n_grid) or any(
                 b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -149,7 +188,7 @@ class ExperimentConfig:
 
     @property
     def two_sample(self) -> bool:
-        return self.kind in ("two_sample_alt", "two_sample_null", "petz", "sandwiched", "measured")
+        return _KINDS[self.kind].two_sample
 
 
 def ks_statistic(sample, reference) -> float:
@@ -178,36 +217,17 @@ def ks_statistic(sample, reference) -> float:
     return float(np.max(np.abs(f_x - f_y)))
 
 
-def _divergence_fn(cfg: ExperimentConfig):
-    if cfg.kind in UMEGAKI_KINDS:
-        return lambda r, s: umegaki(r, s).value
-    if cfg.kind == "petz":
-        return lambda r, s: petz_renyi(r, s, cfg.alpha).value
-    if cfg.kind == "sandwiched":
-        return lambda r, s: sandwiched_renyi(r, s, cfg.alpha).value
-    family = cfg.povm_family
-    return lambda r, s: measured_relative_entropy(r, s, family)[0].value
-
-
 def alt_limit_variance(cfg: ExperimentConfig, basis: PauliBasisSet) -> float:
     """Variance v of the exact alternative-case law N(0, v).
 
     The limit functional is Tr[L1 G_rho] + Tr[L2 G_sigma], with L2 = 0 for
     one sample; v is read off the gradient of the kind's divergence.
     """
-    rho, sigma = cfg.rho, cfg.sigma
-    if cfg.kind in ("one_sample_alt", "two_sample_alt"):
-        g_rho, g_sigma = qre_alt_gradient(rho, sigma)
-    elif cfg.kind == "petz":
-        g_rho, g_sigma = petz_alt_gradient(rho, sigma, cfg.alpha)
-    elif cfg.kind == "sandwiched":
-        g_rho, g_sigma = sandwiched_alt_gradient(rho, sigma, cfg.alpha)
-    elif cfg.kind == "measured":
-        m_star = cfg.povm_family[measured_relative_entropy(rho, sigma, cfg.povm_family)[1]]
-        g_rho, g_sigma = measured_alt_gradient(rho, sigma, m_star)
-    else:
+    gradient = _KINDS[cfg.kind].gradient
+    if gradient is None:
         raise ValueError(f"{cfg.kind} has a weighted chi-squared limit law; the variance is for alternative kinds")
-    terms = [(rho, g_rho), (sigma, g_sigma)] if cfg.two_sample else [(rho, g_rho)]
+    g_rho, g_sigma = gradient(cfg)
+    terms = [(cfg.rho, g_rho), (cfg.sigma, g_sigma)] if cfg.two_sample else [(cfg.rho, g_rho)]
     return linear_law_variance(basis, *terms)
 
 
@@ -252,12 +272,14 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.
     """
-    lam_rho = float(eigvals_hermitian(cfg.rho)[0])
-    if lam_rho <= 0:
+    rho = hermitian_part(cfg.rho)
+    lam_rho = eigvals_hermitian(rho, checked=True)
+    if lam_rho[0] <= 0:
         raise ValueError("experiments require strictly positive states")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
-    divergence = _divergence_fn(cfg)
-    center = divergence(cfg.rho, cfg.sigma) if cfg.kind in ALT_KINDS else 0.0
+    divergence = _KINDS[cfg.kind].divergence
+    sigma = eig_hermitian(cfg.sigma)
+    center = float(divergence(cfg, rho, lam_rho, sigma)) if cfg.kind in ALT_KINDS else 0.0
 
     statistics = np.empty((len(cfg.n_grid), cfg.trials))
     branches = np.empty(statistics.shape, dtype=bool)
@@ -267,7 +289,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     else:
         v_pred, reference = None, sample_reference_law(cfg)
 
-    fixed_sigma = None if cfg.two_sample else log_with_kernel(cfg.sigma)
+    # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
+    fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
 
     for n, stats, flags in zip(cfg.n_grid, statistics, branches):
         scale = float(n) ** cfg.scaling_exponent
@@ -280,11 +303,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
                 branch = branch | branch_s
             else:
                 sigma_hat = fixed_sigma
-            if cfg.kind in UMEGAKI_KINDS:
-                values = umegaki_spectral(rho_hat, lam, sigma_hat)
-            else:
-                values = [divergence(r, s) for r, s in zip(rho_hat, sigma_hat.reassemble())]
-            stats[chunk.start:chunk.stop] = scale * (np.asarray(values) - center)
+            stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
             flags[chunk.start:chunk.stop] = branch
         entry = {
             "kind": cfg.kind,

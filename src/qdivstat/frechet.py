@@ -32,9 +32,7 @@ __all__ = [
     "frechet1",
     "frechet2",
     "d_log",
-    "d2_log",
     "d_power",
-    "d2_power",
     "frechet1_log_quadrature",
     "frechet2_log_quadrature",
     "frechet_power_quadrature",
@@ -208,10 +206,6 @@ def d_log(A, H, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> HermitianOperator
     return frechet1(build_divided_differences(A, "log", coalesce_tol), H)
 
 
-def d2_log(A, H1, H2, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> HermitianOperator:
-    return frechet2(build_divided_differences(A, "log", coalesce_tol), H1, H2)
-
-
 def d_power(A, H, alpha: float, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> HermitianOperator:
     """Convenience D[A^alpha](H); alpha in {1, 2} uses the exact algebraic form."""
     if alpha == 1:
@@ -220,16 +214,6 @@ def d_power(A, H, alpha: float, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> H
         M, N = as_matrix(A), as_matrix(H)
         return HermitianOperator(M @ N + N @ M)
     return frechet1(build_divided_differences(A, ScalarFn.power(alpha), coalesce_tol), H)
-
-
-def d2_power(A, H1, H2, alpha: float, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> HermitianOperator:
-    """Convenience D^2[A^alpha](H1, H2); alpha in {1, 2} uses the exact algebraic form."""
-    if alpha == 1:
-        return HermitianOperator(np.zeros_like(as_matrix(H1)))
-    if alpha == 2:
-        M1, M2 = as_matrix(H1), as_matrix(H2)
-        return HermitianOperator(M1 @ M2 + M2 @ M1)
-    return frechet2(build_divided_differences(A, ScalarFn.power(alpha), coalesce_tol), H1, H2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .operator_core import (
     support_leak,
     support_mask,
 )
-from .divergences import povm_apply
+from .divergences import check_petz_alpha, check_sandwiched_alpha, povm_apply
 from .frechet import (
     build_divided_differences,
     frechet1,
@@ -238,14 +238,9 @@ def vn_entropy_limit(rho, L, tol: float = 1e-8) -> float:
 # Petz-Renyi
 # ---------------------------------------------------------------------------
 
-def _check_petz_alpha(alpha: float) -> None:
-    if not (0 < alpha < 1 or 1 < alpha <= 2):
-        raise ValueError(f"alpha {alpha} outside (0,1) u (1,2]")
-
-
 def petz_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """(D[rho^a](sigma^(1-a)), D[sigma^(1-a)](rho^a)) / ((a-1) Tr[rho^a sigma^(1-a)])."""
-    _check_petz_alpha(alpha)
+    check_petz_alpha(alpha)
     V, _, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
     _require_positive("rho", rho_eig.eigenvalues)
     r_pow = spectral_map(rho_eig, lambda lam: lam**alpha)
@@ -266,7 +261,7 @@ def petz_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> 
 
 def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
     """Null-case Petz-Renyi limit (second-order trace functional at rho)."""
-    _check_petz_alpha(alpha)
+    check_petz_alpha(alpha)
     R = as_matrix(rho)
     d = R.shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
@@ -319,8 +314,7 @@ def sandwiched_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tupl
 
     q = (1-a)/a; the weight is X = T^(a-1) with c = a / ((a-1) Tr T^a).
     """
-    if not (0.5 <= alpha < 1 or alpha > 1):
-        raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
+    check_sandwiched_alpha(alpha)
 
     def weight(T):
         den = float(np.sum(np.clip(T.eigenvalues, 0.0, None) ** alpha))
@@ -402,13 +396,11 @@ def measured_alt_limit(rho, sigma, m_star, L1, L2=None, tol: float = 1e-10) -> f
     """
     d = as_matrix(rho).shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
-    cells = zip(povm_apply(m_star, rho), povm_apply(m_star, sigma),
-                povm_apply(m_star, M1), povm_apply(m_star, M2))
-    for pr, ps, a, b in cells:
-        if ps <= tol and max(pr, abs(a), abs(b)) > tol:
-            raise SupportViolation("outcome distribution of sigma vanishes where rho or a direction does not")
-        if ps > tol and pr <= tol and abs(a) > tol:
-            raise SupportViolation("L1 outcome mass outside the support of the rho distribution")
+    pr, ps, a, b = povm_apply(m_star, np.stack([as_matrix(rho), as_matrix(sigma), M1, M2]))
+    if np.any((ps <= tol) & (np.maximum(pr, np.maximum(abs(a), abs(b))) > tol)):
+        raise SupportViolation("outcome distribution of sigma vanishes where rho or a direction does not")
+    if np.any((ps > tol) & (pr <= tol) & (abs(a) > tol)):
+        raise SupportViolation("L1 outcome mass outside the support of the rho distribution")
     return _pair(measured_alt_gradient(rho, sigma, m_star, tol), M1, M2)
 
 

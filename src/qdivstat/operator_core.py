@@ -106,7 +106,9 @@ def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray
 
 
 def as_matrix(op) -> np.ndarray:
-    """Unwrap HermitianOperator / DensityOperator / ndarray to an ndarray."""
+    """Unwrap HermitianOperator / DensityOperator / SpectralDecomposition / ndarray to an ndarray."""
+    if isinstance(op, SpectralDecomposition):
+        return op.reassemble()
     if isinstance(op, DensityOperator):
         return op.op.mat
     if isinstance(op, HermitianOperator):
@@ -437,14 +439,14 @@ def support_projector(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOper
     return HermitianOperator(spectral_map(A, np.ones_like, lambda lam: support_mask(lam, rel_tol)))
 
 
-def support_leak(A, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
-    """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B)."""
+def support_leak(A, B, rel_tol: float = DEFAULT_SUPPORT_RTOL):
+    """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B), per matrix of a stack."""
     Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam, rel_tol))
-    return float(np.trace(Q @ as_matrix(A) @ Q).real)
+    return np.trace(Q @ as_matrix(A) @ Q, axis1=-2, axis2=-1).real
 
 
-def support_contained(A, B, tol: float = 1e-9, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> bool:
-    """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A."""
+def support_contained(A, B, tol: float = 1e-9, rel_tol: float = DEFAULT_SUPPORT_RTOL):
+    """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A; per matrix of a stack."""
     return support_leak(A, B, rel_tol) <= tol
 
 

@@ -56,14 +56,12 @@ __all__ = [
     "substream",
     "sample_counts",
     "sample_record",
-    "record_bloch_estimate",
     "trial_chunks",
     "estimate_stack",
     "estimate_sigma_stack",
     "estimate",
     "estimate_rho",
     "estimate_sigma",
-    "was_projected",
     "bernoulli_weights",
     "linear_law_variance",
     "variance_v1",
@@ -281,11 +279,6 @@ def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRe
     return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, range(1), seed)[0], seed=seed)
 
 
-def record_bloch_estimate(record: MeasurementRecord) -> BlochVector:
-    """s_hat_j = (#plus - #minus)/n, in [-1, 1]."""
-    return BlochVector(_bloch_rows(record.plus_counts, record.n))
-
-
 def _bloch_rows(counts: np.ndarray, n: int) -> np.ndarray:
     """s_hat = (#plus - #minus)/n for each row of plus counts (..., d^2 - 1)."""
     return (2.0 * counts - n) / n
@@ -361,12 +354,6 @@ def estimate_rho(record: MeasurementRecord, basis: PauliBasisSet,
 def estimate_sigma(record: MeasurementRecord, basis: PauliBasisSet) -> DensityOperator:
     """Second-argument estimator with the I/(nd) floor that keeps it strictly positive."""
     return estimate(record, basis, floor=True)[0]
-
-
-def was_projected(record: MeasurementRecord, basis: PauliBasisSet,
-                  psd_atol: float = _PSD_ATOL) -> bool:
-    """Whether the raw reconstruction was infeasible and took the projection branch."""
-    return estimate(record, basis, psd_atol=psd_atol)[1]
 
 
 def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:

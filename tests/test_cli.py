@@ -168,6 +168,17 @@ class TestExperimentCommand:
                              "--sigma", sp, "--n", "300", "--trials", "120"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind,alpha", [("petz", "1.5"), ("sandwiched", 0.2)])
+    def test_config_alpha_is_validation_error(self, states, tmp_path, capsys, kind, alpha):
+        rho, sigma, _, _ = states
+        path = tmp_path / "cfg.json"
+        with open(path, "w") as fh:
+            json.dump({"kind": kind, "rho": qio.matrix_to_json(rho), "sigma": qio.matrix_to_json(sigma),
+                       "alpha": alpha, "n_grid": [200], "trials": 110, "seed": 12}, fh)
+        rc = cli_main(["experiment", "--config", str(path)])
+        assert rc == EXIT_VALIDATION
+        assert "alpha" in capsys.readouterr().err
+
     def test_config_missing_seed(self, states, tmp_path, capsys):
         rho, _, _, _ = states
         path = tmp_path / "cfg.json"

@@ -9,10 +9,13 @@ from qdivstat.divergences import (
     fidelity,
     max_divergence,
     measured_relative_entropy,
+    measured_relative_entropy_rows,
     petz_renyi,
+    petz_renyi_rows,
     povm_apply,
     sandwiched_dual_optimizer,
     sandwiched_renyi,
+    sandwiched_renyi_rows,
     sandwiched_variational_objective,
     trivial_povm,
     umegaki,
@@ -22,6 +25,7 @@ from qdivstat.divergences import (
 from qdivstat.operator_core import eig_hermitian, eigvals_hermitian, loewner_leq, support_mask
 from qdivstat.random_ops import haar_unitary
 
+import scalar_divergences as scalar
 from conftest import rand_herm, rand_state
 
 KL_75_50 = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)  # ~0.130812 nats
@@ -397,3 +401,98 @@ class TestSharedProperties:
             for alpha in (0.7, 1.5, 2.0):
                 assert (sandwiched_renyi(rho, sigma, alpha).value
                         <= petz_renyi(rho, sigma, alpha).value + 1e-9)
+
+
+SIGMA_CASES = ["full_rank", "rank_deficient", "orthogonal"]
+
+
+def _oracle_stacks(rng, d, case, rows=8):
+    """Stacks (rho, sigma) of one sigma case.
+
+    full_rank: independent random states.  rank_deficient: every sigma of
+    rank d/2 on one shared subspace, rho full rank on odd rows (leaking out
+    of supp(sigma)) and inside that subspace on even rows.  orthogonal: rho
+    on the complement of that subspace.
+    """
+    if case == "full_rank":
+        return (np.stack([rand_state(rng, d) for _ in range(rows)]),
+                np.stack([rand_state(rng, d) for _ in range(rows)]))
+    U = haar_unitary(d, rng)
+    half = d // 2
+    inside, outside = U[:, :half], U[:, half:]
+    sigmas = np.stack([_on_columns(inside, rng.dirichlet(np.ones(half))) for _ in range(rows)])
+    if case == "orthogonal":
+        rhos = [_on_columns(outside, rng.dirichlet(np.ones(d - half))) for _ in range(rows)]
+    else:
+        rhos = [rand_state(rng, d) if t % 2 else _on_columns(inside, rng.dirichlet(np.ones(half)))
+                for t in range(rows)]
+    return np.stack(rhos), sigmas
+
+
+def _branch(value):
+    """The branch a one-pair DivergenceValue reports, in the oracle's terms."""
+    if value.support_ok:
+        return "finite"
+    return "leak" if value.diagnostics.startswith("supp") else "orthogonal"
+
+
+def _assert_rows_match(got, want):
+    """+inf on the same rows, |delta D| <= 1e-12 on the others."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= 1e-12
+
+
+class TestStackedAgainstScalarOracle:
+    """The stacked bodies against the matrix-by-matrix bodies they replaced (``scalar_divergences``)."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("case", SIGMA_CASES)
+    @pytest.mark.parametrize("kind,alpha", [("petz", 0.4), ("petz", 1.5), ("sandwiched", 0.5), ("sandwiched", 2.0)])
+    def test_renyi(self, rng, d, case, kind, alpha):
+        rows, public, oracle = {"petz": (petz_renyi_rows, petz_renyi, scalar.petz_renyi),
+                                "sandwiched": (sandwiched_renyi_rows, sandwiched_renyi, scalar.sandwiched_renyi)}[kind]
+        rhos, sigmas = _oracle_stacks(rng, d, case)
+        want = [oracle(r, s, alpha) for r, s in zip(rhos, sigmas)]
+        pairs = [public(r, s, alpha) for r, s in zip(rhos, sigmas)]
+        assert [_branch(v) for v in pairs] == [branch for _, branch in want]
+        want_d = [value for value, _ in want]
+        _assert_rows_match([v.value for v in pairs], want_d)
+        _assert_rows_match(rows(rhos, sigmas, alpha), want_d)
+        # a decomposition stands for the matrices it reassembles to
+        S = eig_hermitian(sigmas)
+        _assert_rows_match(rows(rhos, S, alpha), [oracle(r, s, alpha)[0] for r, s in zip(rhos, S.reassemble())])
+        if alpha > 1 and case != "full_rank" or kind == "petz" and case == "orthogonal":
+            assert np.isinf(want_d).sum() >= len(want) / 2
+        elif case == "full_rank":
+            assert np.isfinite(want_d).all()
+        # sandwiched alpha = 1/2 on orthogonal pairs: Tr T^(1/2) is the square
+        # root of rounding noise, above tol on most rows in both implementations
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("case", SIGMA_CASES)
+    @pytest.mark.parametrize("separating", [False, True])
+    def test_measured(self, rng, d, case, separating):
+        rhos, sigmas = _oracle_stacks(rng, d, case)
+        if separating:
+            # sigma's eigenbasis puts outcome mass of a leaking rho where every sigma has none
+            family = [trivial_povm(d), eigenbasis_povm(sigmas[0])]
+        else:
+            family = [eigenbasis_povm(rhos[0]), eigenbasis_povm(sigmas[0]), eigenbasis_povm(rhos[0] - sigmas[0])]
+        want = [scalar.measured_relative_entropy(r, s, family) for r, s in zip(rhos, sigmas)]
+        pairs = [measured_relative_entropy(r, s, family) for r, s in zip(rhos, sigmas)]
+        assert [idx for _, idx in pairs] == [idx for _, idx, _ in want]
+        for (value, _), (want_value, _, ties) in zip(pairs, want):
+            if np.isinf(want_value):
+                assert value.diagnostics == f"measurement {ties[0]} separates the supports"
+            else:
+                assert value.diagnostics == (None if len(ties) == 1 else f"near-maximal indices: {ties}")
+        want_d = [value for value, _, _ in want]
+        _assert_rows_match([v.value for v, _ in pairs], want_d)
+        _assert_rows_match(measured_relative_entropy_rows(rhos, sigmas, family), want_d)
+        S = eig_hermitian(sigmas)
+        _assert_rows_match(measured_relative_entropy_rows(rhos, S, family),
+                           [scalar.measured_relative_entropy(r, s, family)[0] for r, s in zip(rhos, S.reassemble())])
+        if separating and case != "full_rank":
+            assert np.isinf(want_d).sum() >= len(want) / 2

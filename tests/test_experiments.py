@@ -29,7 +29,6 @@ from qdivstat.divergences import (
     eigenbasis_povm,
     log_with_kernel,
     measured_relative_entropy,
-    petz_renyi,
     umegaki,
 )
 from qdivstat.frechet import build_divided_differences, d_log, frechet1
@@ -46,6 +45,7 @@ from qdivstat.pauli_tomography import (
 from qdivstat.random_ops import haar_unitary
 
 import directional_limits as directional
+import scalar_divergences as scalar
 from conftest import pauli_operators, rand_state, replay_record
 
 
@@ -181,6 +181,16 @@ class TestConfigValidation:
     def test_alpha_required(self, rng):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="petz", rho=rand_state(rng, 2), sigma=rand_state(rng, 2))
+
+    @pytest.mark.parametrize("kind,alpha", [("sandwiched", 0.2), ("petz", 2.5), ("petz", 1), ("petz", "1.5"),
+                                            ("sandwiched", None)])
+    def test_alpha_checked_where_built(self, rng, kind, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig(kind=kind, rho=rand_state(rng, 2), sigma=rand_state(rng, 2), alpha=alpha)
+
+    def test_alpha_stored_as_float(self, rng):
+        cfg = ExperimentConfig(kind="petz", rho=rand_state(rng, 2), sigma=rand_state(rng, 2), alpha=np.int64(2))
+        assert type(cfg.alpha) is float and cfg.alpha == 2.0
 
     def test_default_exponents(self, rng):
         rho, sigma = rand_state(rng, 2), rand_state(rng, 2)
@@ -390,14 +400,17 @@ class TestExactLaws:
 
 class TestBatchedTrials:
     @pytest.mark.parametrize("kind,d,alpha", [("one_sample_null", 4, None), ("two_sample_alt", 4, None),
-                                              ("petz", 2, 1.5)])
+                                              ("petz", 2, 1.5), ("petz", 4, 0.4), ("sandwiched", 2, 2.0),
+                                              ("measured", 2, None)])
     def test_matches_per_record_oracle(self, rng, kind, d, alpha):
         rho = near_pure_state(rng, d)
         sigma = rand_state(rng, d, 0.1) if kind in ALT_KINDS else None
         cfg = ExperimentConfig(kind=kind, rho=rho, sigma=sigma, alpha=alpha,
                                n_grid=(100, 1000), trials=100, seed=41)
-        divergence = ((lambda r, s: petz_renyi(r, s, alpha).value) if kind == "petz"
-                      else (lambda r, s: umegaki(r, s).value))
+        divergence = {"petz": lambda r, s: scalar.petz_renyi(r, s, alpha)[0],
+                      "sandwiched": lambda r, s: scalar.sandwiched_renyi(r, s, alpha)[0],
+                      "measured": lambda r, s: scalar.measured_relative_entropy(r, s, cfg.povm_family)[0],
+                      }.get(kind, lambda r, s: umegaki(r, s).value)
         oracle = per_record_rows(cfg, divergence)
         rows = run_convergence_experiment(cfg)["rows"]
         assert isinstance(rows, np.recarray)

@@ -19,7 +19,6 @@ from qdivstat.pauli_tomography import (
     estimate_sigma,
     estimate_stack,
     qubits_for_dim,
-    record_bloch_estimate,
     reconstruct,
     sample_counts,
     sample_gaussian_limit,
@@ -28,7 +27,6 @@ from qdivstat.pauli_tomography import (
     trial_chunks,
     variance_v1,
     variance_v2,
-    was_projected,
 )
 from qdivstat.frechet import build_divided_differences, frechet1
 from conftest import pauli_operators, rand_herm, rand_state, replay_record
@@ -184,7 +182,7 @@ class TestSampling:
         trials, n = 10_000, 16
         totals = np.zeros(3)
         for t in range(trials):
-            totals += record_bloch_estimate(sample_record(pi, B, n, seed=t)).coeffs
+            totals += (2 * sample_record(pi, B, n, seed=t).plus_counts - n) / n
         mean = totals / trials
         sigma = 1.0 / np.sqrt(n * trials)  # var(s_hat) = (1 - s^2)/n = 1/n here
         assert np.max(np.abs(mean)) < 4 * sigma
@@ -281,7 +279,7 @@ class TestEstimators:
         s = np.array([0.4, 0.0, 0.2])
         rho = reconstruct(s, B).mat
         rec = MeasurementRecord(n=10, plus_counts=np.array([7, 5, 6]), seed=0)
-        assert np.allclose(record_bloch_estimate(rec).coeffs, s)
+        assert np.allclose((2 * rec.plus_counts - rec.n) / rec.n, s)
         est = estimate_rho(rec, B)
         assert np.max(np.abs(est.mat - rho)) < 1e-12
         assert estimate(rec, B)[1] is False
@@ -290,13 +288,13 @@ class TestEstimators:
         B = build_pauli_basis(1)
         rec = MeasurementRecord(n=10, plus_counts=np.array([10, 10, 10]), seed=0)
         # s_hat = (1,1,1) is outside the Bloch ball
-        assert was_projected(rec, B)
+        assert estimate(rec, B)[1]
         est = estimate_rho(rec, B)
         lam = np.linalg.eigvalsh(est.mat)
         assert lam[0] >= -1e-12
         assert np.trace(est.mat).real == pytest.approx(1.0)
         est2, projected = estimate(rec, B)
-        assert projected == was_projected(rec, B)
+        assert projected is True
         assert np.array_equal(est2.mat, est.mat)
 
     def test_consistency_rate(self, rng):
@@ -344,7 +342,7 @@ class TestEstimators:
         rho = reconstruct(np.array([0.6, 0.0, 0.6]), B).mat  # min eig ~ 0.076
         fracs = []
         for n in (60, 240, 960):
-            hits = sum(was_projected(sample_record(rho, B, n, seed=77 * n + t), B)
+            hits = sum(estimate(sample_record(rho, B, n, seed=77 * n + t), B)[1]
                        for t in range(400))
             fracs.append(hits / 400)
         assert fracs[0] > 0  # the projection branch is actually exercised
@@ -355,8 +353,7 @@ class TestEstimators:
         B = build_pauli_basis(2)
         counts = sample_counts(np.diag([1.0, 0.0, 0.0, 0.0]), B, 10, range(64), 3)
         mats, lam, projected = estimate_stack(counts, 10, B)
-        raw = np.stack([reconstruct(record_bloch_estimate(MeasurementRecord(10, c, 3)), B).mat
-                        for c in counts])
+        raw = np.stack([reconstruct((2 * c - 10) / 10, B).mat for c in counts])
         S = eig_hermitian(raw)
         want_lam, want_projected = density_spectrum(S.eigenvalues, 1e-12)
         want = np.where(want_projected[:, None, None], S.reassemble(want_lam), raw)
@@ -455,7 +452,7 @@ class TestGaussianLimit:
         draws = np.empty(trials)
         for t in range(trials):
             rec = sample_record(rho, B, n, seed=50_000 + t)
-            draws[t] = np.sqrt(n) * (record_bloch_estimate(rec).coeffs[0] - s[0])
+            draws[t] = np.sqrt(n) * ((2 * rec.plus_counts[0] - n) / n - s[0])
         var = (1 - s[0] ** 2)  # 4 s+ s- with s+ = (1+s)/2
         ks = ks_statistic(draws, ("gaussian", 0.0, var))
         assert ks < 0.0363  # KS critical value at level 0.01 for 2000 samples
