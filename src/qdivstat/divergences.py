@@ -270,18 +270,31 @@ def petz_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> Divergence
     return _renyi_value(petz_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
 
 
-def _sandwich_base(rho, sigma, alpha: float) -> np.ndarray:
-    """rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2), for a pair or a stack."""
+def _sandwich_base(rho, sigma, alpha: float):
+    """(T, ||rho|| ||sigma^q||) for T = rho^(1/2) sigma^q rho^(1/2), q = (1-alpha)/alpha, for a pair or a stack.
+
+    The norms are operator norms, sigma^q's on the support of sigma; their product bounds ||T||.
+    """
     q = (1 - alpha) / alpha
-    root = masked_power(rho, 0.5)
-    mid = masked_power(sigma, q) if q != 1 else as_matrix(sigma)
-    return hermitian_part(root @ mid @ root, atol=np.inf)
+    R = eig_hermitian(rho)
+    S = sigma if isinstance(sigma, SpectralDecomposition) else eig_hermitian(sigma)
+    lam = S.eigenvalues
+    norm_q = (lam[..., -1] if q > 0 else np.min(np.where(support_mask(lam), lam, np.inf), axis=-1)) ** q
+    root = masked_power(R, 0.5)
+    mid = masked_power(S, q) if q != 1 else as_matrix(sigma)
+    return hermitian_part(root @ mid @ root, atol=np.inf), R.eigenvalues[..., -1] * norm_q
 
 
 def sandwiched_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Sandwiched Renyi divergence per pair, as ``petz_renyi_rows``: (alpha - 1)^-1 log Tr T^alpha."""
+    """Sandwiched Renyi divergence per pair, as ``petz_renyi_rows``: (alpha - 1)^-1 log Tr T^alpha.
+
+    Eigenvalues of T below DEFAULT_SUPPORT_RTOL ||rho|| ||sigma^q|| are rounding noise and count as 0,
+    so orthogonal states give +inf (and ``fidelity`` 0) at every alpha.
+    """
     check_sandwiched_alpha(alpha)
-    lam = np.clip(eigvals_hermitian(_sandwich_base(rho, sigma, alpha), checked=True), 0.0, None)
+    T, bound = _sandwich_base(rho, sigma, alpha)
+    lam = eigvals_hermitian(T, checked=True)
+    lam = np.where(lam > DEFAULT_SUPPORT_RTOL * np.asarray(bound)[..., None], lam, 0.0)
     return _renyi_rows(np.sum(lam**alpha, axis=-1), alpha, rho, sigma, tol)
 
 
@@ -299,7 +312,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
     plugged into the variational objective.
     """
     check_sandwiched_alpha(alpha)
-    T = _sandwich_base(rho, sigma, alpha)
+    T, _ = _sandwich_base(rho, sigma, alpha)
     lam = eigvals_hermitian(T, checked=True)
     if not support_mask(lam, rel_tol).any():
         raise ValueError("degenerate sigma support: variational base operator vanishes")
@@ -310,7 +323,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
 
 def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
     """alpha/(alpha-1) log Tr[rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2) eta]."""
-    T = _sandwich_base(rho, sigma, alpha)
+    T, _ = _sandwich_base(rho, sigma, alpha)
     val = float(np.trace(T @ as_matrix(eta)).real)
     if val <= 0:
         raise ValueError(f"variational objective needs a positive overlap Tr[T eta], got {val:.6e}")

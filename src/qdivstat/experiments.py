@@ -3,10 +3,10 @@
 A convergence experiment simulates tomography at several sample sizes,
 collects the scaled estimation-error statistic per trial, and summarizes the
 empirical law against the exact limit law of the estimator under the
-Gaussian Pauli directions of the tomography CLT.  In the alternative case
-the limit functional is linear in the directions, so its law is a centered
-normal; in the null case it is a quadratic form, so its law is a weighted
-sum of chi-squared(1) variables (Imhof, Biometrika 1961).
+Gaussian Pauli directions of the tomography CLT, through one CDF.  In the
+alternative case the limit functional is linear in the directions, so its law
+is a centered normal; in the null case it is a quadratic form, so its law is a
+weighted sum of chi-squared(1) variables (``weighted_chi2_cdf``; Imhof 1961).
 
 Outputs are deterministic for a fixed seed: the records of each n and side
 (0 for rho, 1 for sigma) are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2
@@ -64,7 +64,6 @@ from .pauli_tomography import (
     linear_law_variance,
     qubits_for_dim,
     sample_counts,
-    substream,
     trial_chunks,
 )
 
@@ -77,7 +76,7 @@ __all__ = [
     "run_convergence_experiment",
     "alt_limit_variance",
     "null_law_weights",
-    "sample_reference_law",
+    "weighted_chi2_cdf",
     "ks_statistic",
     "write_rows_csv",
     "write_summary_json",
@@ -119,8 +118,12 @@ ALT_KINDS = tuple(k for k, spec in _KINDS.items() if spec.gradient)
 NULL_KINDS = tuple(k for k, spec in _KINDS.items() if not spec.gradient)
 KINDS = ALT_KINDS + NULL_KINDS
 
-# Size of the null reference sample drawn from the exact weighted chi-squared law.
-REFERENCE_DRAWS = 10_000
+# weighted_chi2_cdf: interpolant degree, and trapezoid nodes (step 1/8) per inversion integral.
+CDF_DEGREE, CDF_NODES = 96, 41
+
+# Largest v_pred of a degenerate alternative law: with sigma = rho, v_pred is rounding noise
+# (1e-32 to 1e-28 at d <= 8), and it grows as |rho - sigma|^2, so 1e-20 means |rho - sigma| ~ 1e-10.
+DEGENERATE_V_PRED = 1e-20
 
 # One record of ``result["rows"]`` per (n, trial).
 ROW_DTYPE = np.dtype([("n", np.int64), ("trial_index", np.int64), ("statistic", np.float64),
@@ -191,30 +194,14 @@ class ExperimentConfig:
         return _KINDS[self.kind].two_sample
 
 
-def ks_statistic(sample, reference) -> float:
-    """Kolmogorov-Smirnov sup distance of the empirical CDF.
-
-    ``reference`` is either ("gaussian", mean, var) for the one-sample
-    statistic against a normal CDF, or a second sample for the standard
-    two-sample statistic.
-    """
+def ks_statistic(sample, cdf) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - F| of the sample's empirical CDF from ``cdf``, a vectorized F."""
     x = np.sort(np.asarray(sample, dtype=float))
     if len(x) < 2:
         raise ValueError("need at least two sample points")
-    if isinstance(reference, tuple) and len(reference) == 3 and reference[0] == "gaussian":
-        _, mean, var = reference
-        if var <= 0:
-            raise ValueError("gaussian reference needs positive variance")
-        cdf = ndtr((x - mean) / math.sqrt(var))
-        grid = np.arange(1, len(x) + 1) / len(x)
-        return float(max(np.max(np.abs(cdf - grid)), np.max(np.abs(cdf - (grid - 1 / len(x))))))
-    y = np.sort(np.asarray(reference, dtype=float))
-    if len(y) < 2:
-        raise ValueError("reference sample needs at least two points")
-    both = np.concatenate([x, y])
-    f_x = np.searchsorted(x, both, side="right") / len(x)
-    f_y = np.searchsorted(y, both, side="right") / len(y)
-    return float(np.max(np.abs(f_x - f_y)))
+    f = cdf(x)
+    grid = np.arange(1, len(x) + 1) / len(x)
+    return float(max(np.max(np.abs(f - grid)), np.max(np.abs(f - (grid - 1 / len(x))))))
 
 
 def alt_limit_variance(cfg: ExperimentConfig, basis: PauliBasisSet) -> float:
@@ -253,16 +240,43 @@ def null_law_weights(cfg: ExperimentConfig, basis: PauliBasisSet) -> np.ndarray:
     return np.linalg.eigvalsh(form)
 
 
-def sample_reference_law(cfg: ExperimentConfig) -> np.ndarray:
-    """REFERENCE_DRAWS seeded draws of the exact null law sum_k lam_k Z_k^2."""
-    if cfg.kind not in NULL_KINDS:
-        raise ValueError(f"{cfg.kind} has a Gaussian limit law; the reference sample is for null kinds")
-    lam = null_law_weights(cfg, build_pauli_basis(qubits_for_dim(cfg.dim)))
-    rng = substream(cfg.seed, 10**6)
-    out = np.zeros(REFERENCE_DRAWS)
-    for weight in lam:
-        out += weight * np.square(rng.standard_normal(REFERENCE_DRAWS))
-    return out
+def weighted_chi2_cdf(weights):
+    """The CDF of sum_k lam_k Z_k^2, every lam_k > 0, as a vectorized function: a Chebyshev interpolant in sqrt(x).
+
+    At each node, F(x) = [c > 0] - Im int M(s) e^(-sx) ds / (pi s), M(s) = prod_k (1 - 2 lam_k s)^(-1/2), on half a
+    hyperbola vertical at the saddle point c of log M(s) - s x and tending to the ray at pi/3 (Imhof's integral, off the
+    real axis): |M e^(-sx)| stays near the Chernoff bound there, so cancellation does not grow with the weight count.
+    Beyond [lo, hi], F is 0 or 1 within 1.4e-11 (Laurent and Massart, Ann. Stat. 2000); Newton works in units of max lam.
+    """
+    top = float(np.max(weights))
+    lam = np.asarray(weights, dtype=float) / top
+    if not lam.min() > 0:
+        raise ValueError("weighted chi-squared weights must be positive")
+    mean, spread = lam.sum(), math.sqrt(np.sum(lam**2))
+    lo, hi = math.sqrt(max(mean - 10 * spread, 0.0)), math.sqrt(mean + 10 * spread + 50)
+
+    def at_nodes(y):
+        x = np.square(y)[:, None]
+        v = np.log(mean / x)  # Newton for kappa'(c) = x in v = log(1 - 2c)
+        for _ in range(8):
+            r = lam / (1 + np.expm1(v) * lam)
+            k1, k2 = r.sum(axis=1, keepdims=True), 2 * np.square(r).sum(axis=1, keepdims=True)
+            v += 2 * k1 * np.log(k1 / x) / (k2 * np.exp(v))
+        c, width = -np.expm1(v) / 2, 1 / np.sqrt(k2)
+        c = np.where(np.abs(c) < 2 * width, -2 * width, c)  # keeps the pole at s = 0 off the contour
+        mu = np.arange(CDF_NODES) / 8
+        s = c + width * (1j * np.sinh(mu) + (np.cosh(mu) - 1) / math.sqrt(3))
+        ds = width * (1j * np.cosh(mu) + np.sinh(mu) / math.sqrt(3)) * np.where(mu > 0, 1 / 8, 1 / 16) / s
+        factors = (1 - 2 * lam * part[..., None] for part in np.array_split(s, 1 + s.size * lam.size // 2**18))
+        log_m = np.concatenate([-(np.log(np.abs(f)).sum(-1) + 1j * np.angle(f).sum(-1)) / 2 for f in factors])
+        return (c[:, 0] > 0) - np.sum(np.exp(log_m - s * x) * ds, axis=1).imag / np.pi
+    series = np.polynomial.Chebyshev.interpolate(at_nodes, CDF_DEGREE, domain=[lo, hi])
+
+    def cdf(q):
+        y = np.sqrt(np.maximum(np.asarray(q, dtype=float), 0.0) / top)
+        return np.where(y <= lo, 0.0, np.where(y >= hi, 1.0, np.clip(series(np.clip(y, lo, hi)), 0.0, 1.0)))
+
+    return cdf
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
@@ -283,11 +297,14 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
 
     statistics = np.empty((len(cfg.n_grid), cfg.trials))
     branches = np.empty(statistics.shape, dtype=bool)
-    summary: list[dict] = []
     if cfg.kind in ALT_KINDS:
-        v_pred, reference = alt_limit_variance(cfg, basis), None
+        v_pred = alt_limit_variance(cfg, basis)
+        if not v_pred > DEGENERATE_V_PRED:
+            raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
+                             f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
+        cdf = lambda x: ndtr(x / math.sqrt(v_pred))
     else:
-        v_pred, reference = None, sample_reference_law(cfg)
+        v_pred, cdf = None, weighted_chi2_cdf(null_law_weights(cfg, basis))
 
     # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
     fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
@@ -305,19 +322,9 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
                 sigma_hat = fixed_sigma
             stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
             flags[chunk.start:chunk.stop] = branch
-        entry = {
-            "kind": cfg.kind,
-            "n": n,
-            "trials": cfg.trials,
-            "mean": float(stats.mean()),
-            "var": float(stats.var(ddof=1)),
-            "v_pred": v_pred,
-        }
-        if v_pred is not None:
-            entry["ks"] = ks_statistic(stats, ("gaussian", 0.0, v_pred))
-        else:
-            entry["ks"] = ks_statistic(stats, reference)
-        summary.append(entry)
+    summary = [{"kind": cfg.kind, "n": n, "trials": cfg.trials, "mean": float(stats.mean()),
+                "var": float(stats.var(ddof=1)), "v_pred": v_pred, "ks": ks_statistic(stats, cdf)}
+               for n, stats in zip(cfg.n_grid, statistics)]
 
     rows = np.rec.fromarrays([np.repeat(cfg.n_grid, cfg.trials), np.tile(np.arange(cfg.trials), len(cfg.n_grid)),
                               statistics.ravel(), branches.ravel()], dtype=ROW_DTYPE)

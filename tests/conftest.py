@@ -1,7 +1,9 @@
+import math
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
@@ -29,6 +31,11 @@ def rand_herm(rng, dim, scale=1.0):
 
 def rand_direction(rng, dim, scale=1.0):
     return random_traceless(dim, rng, scale).mat
+
+
+def normal_cdf(var):
+    """The CDF of N(0, var), for ``ks_statistic``."""
+    return lambda x: ndtr(np.asarray(x) / math.sqrt(var))
 
 
 def replay_record(rho, basis, n, t, seed, *path):

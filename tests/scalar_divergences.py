@@ -40,7 +40,10 @@ def sandwiched_renyi(rho, sigma, alpha, tol=TOL):
     root = masked_power(rho, 0.5)
     mid = masked_power(sigma, q) if q != 1 else sigma
     T = hermitian_part(root @ mid @ root, atol=np.inf)
-    total = float(np.sum(np.clip(eigvals_hermitian(T, checked=True), 0.0, None) ** alpha))
+    lam = eigvals_hermitian(T, checked=True)
+    # eigenvalues below 1e-10 ||rho|| ||sigma^q||, a bound on ||T||, are rounding noise
+    cutoff = 1e-10 * np.linalg.norm(rho, 2) * np.linalg.norm(masked_power(sigma, q), 2)
+    total = float(np.sum(np.where(lam > cutoff, lam, 0.0) ** alpha))
     if total <= tol:
         return math.inf, "orthogonal"
     return math.log(total) / (alpha - 1), "finite"

@@ -64,7 +64,7 @@ from qdivstat.pauli_tomography import (
 )
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
-from conftest import pauli_operators
+from conftest import normal_cdf, pauli_operators
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -284,8 +284,8 @@ def test_tomography_gaussian_limit():
         two = np.sqrt(n) * (umegaki_spectral(rho_hat, lam, sigma_hat) - base)
         dev1 = abs(one.var(ddof=1) - v1) / v1
         dev2 = abs(two.var(ddof=1) - v2) / v2
-        ks1 = ks_statistic(one, ("gaussian", 0.0, v1))
-        ks2 = ks_statistic(two, ("gaussian", 0.0, v2))
+        ks1 = ks_statistic(one, normal_cdf(v1))
+        ks2 = ks_statistic(two, normal_cdf(v2))
         ok &= dev1 <= 0.10 and dev2 <= 0.10 and ks1 <= 0.05 and ks2 <= 0.05
         rows.append(f"pair {pair}: var dev {dev1:.3f}/{dev2:.3f}, KS {ks1:.3f}/{ks2:.3f}")
     report("tomography-gaussian-limit", ok, "; ".join(rows))

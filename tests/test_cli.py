@@ -162,6 +162,14 @@ class TestExperimentCommand:
         assert rc == 0
         assert json.loads(out)["summary"][0]["n"] == 200
 
+    @pytest.mark.parametrize("kind", ["one_sample_alt", "two_sample_alt"])
+    def test_degenerate_alternative_law_is_validation_error(self, states, capsys, kind):
+        _, _, rp, _ = states
+        rc = cli_main(["experiment", "--kind", kind, "--rho", rp, "--sigma", rp, "--n", "300",
+                       "--trials", "120", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert "v_pred" in capsys.readouterr().err
+
     def test_missing_seed_is_validation_error(self, states, capsys):
         _, _, rp, sp = states
         rc, _ = run(capsys, ["experiment", "--kind", "one_sample_alt", "--rho", rp,

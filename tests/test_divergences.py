@@ -262,6 +262,13 @@ class TestFidelity:
     def test_orthogonal(self):
         assert fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_orthogonal_in_haar_basis(self, rng, d):
+        # T's eigenvalues are rounding noise of about 1e-18 here; read as overlap they gave F ~ 1e-18
+        rhos, sigmas = _oracle_stacks(rng, d, "orthogonal")
+        assert [fidelity(r, s) for r, s in zip(rhos, sigmas)] == [0.0] * len(rhos)
+        assert np.isposinf(sandwiched_renyi_rows(rhos, sigmas, 0.5)).all()
+
     def test_symmetric(self, rng):
         for _ in range(10):
             rho, sigma = rand_state(rng, 3, min_eig=0.0), rand_state(rng, 3, min_eig=0.0)
@@ -463,12 +470,12 @@ class TestStackedAgainstScalarOracle:
         # a decomposition stands for the matrices it reassembles to
         S = eig_hermitian(sigmas)
         _assert_rows_match(rows(rhos, S, alpha), [oracle(r, s, alpha)[0] for r, s in zip(rhos, S.reassemble())])
-        if alpha > 1 and case != "full_rank" or kind == "petz" and case == "orthogonal":
+        if case == "orthogonal":
+            assert np.isinf(want_d).all()
+        elif alpha > 1 and case != "full_rank":
             assert np.isinf(want_d).sum() >= len(want) / 2
         elif case == "full_rank":
             assert np.isfinite(want_d).all()
-        # sandwiched alpha = 1/2 on orthogonal pairs: Tr T^(1/2) is the square
-        # root of rounding noise, above tol on most rows in both implementations
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("case", SIGMA_CASES)

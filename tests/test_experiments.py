@@ -1,18 +1,19 @@
 import csv
 import hashlib
 import math
-from functools import partial
+from functools import lru_cache, partial
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import kstest, ks_2samp
+from scipy.special import gammainc
+from scipy.stats import kstest
 
 from qdivstat import pauli_tomography
 from qdivstat.experiments import (
     ALT_KINDS,
     CSV_FIELDS,
     NULL_KINDS,
-    REFERENCE_DRAWS,
     ROW_DTYPE,
     ExperimentConfig,
     alt_limit_variance,
@@ -20,7 +21,7 @@ from qdivstat.experiments import (
     null_law_weights,
     read_rows_csv,
     run_convergence_experiment,
-    sample_reference_law,
+    weighted_chi2_cdf,
     write_rows_csv,
 )
 from qdivstat import divergences
@@ -46,7 +47,7 @@ from qdivstat.random_ops import haar_unitary
 
 import directional_limits as directional
 import scalar_divergences as scalar
-from conftest import pauli_operators, rand_state, replay_record
+from conftest import normal_cdf, pauli_operators, rand_state, replay_record
 
 
 def per_record_rows(cfg, divergence):
@@ -122,34 +123,100 @@ def monte_carlo_limit_sample(cfg, draws, seed):
     return out
 
 
+def weighted_sum_sample(weights, draws, rng):
+    """Draws of sum_k lam_k Z_k^2 one weight at a time: the per-draw sampler that the exact CDF replaced."""
+    out = np.zeros(draws)
+    for weight in weights:
+        out += weight * np.square(rng.standard_normal(draws))
+    return out
+
+
+def imhof_cdf(weights, xs):
+    """P(sum_k lam_k Z_k^2 <= x) by Imhof's integral in 30-digit ``mpmath.quad``: the oracle of ``weighted_chi2_cdf``.
+
+    F(x) = 1/2 - (1/pi) Im int_0^inf (phi(u) e^(-iux/2) - e^(-u)) du / u, phi(u) = prod_k (1 - i lam_k u)^(-1/2),
+    taken on the ray u = r e^(-i pi/4): the branch points -i / lam_k lie outside the sector between the ray and the
+    real axis, and e^(-u) removes the pole at 0 without changing the imaginary part.  phi is one product and one
+    square root per node, whose sign is read off the double-precision phase sum of the factors; the nodes repeat
+    across x, so phi is cached.  The quadrature stops at degree 5: on the tested weights degree 6 moves it by 2e-14.
+    """
+    w = np.asarray(weights, dtype=float)
+    with mpmath.workdps(30):
+        rot = mpmath.expjpi(mpmath.mpf(-0.25))
+        slopes = [-1j * rot * mpmath.mpf(v) for v in w]
+
+        @lru_cache(maxsize=None)
+        def terms(r):
+            root = mpmath.sqrt(mpmath.fprod(1 + a * r for a in slopes))
+            if math.cos(float(mpmath.arg(root)) - np.sum(np.angle(1 - 1j * w * complex(r * rot))) / 2) < 0:
+                root = -root
+            return 1 / root, mpmath.exp(-r * rot)
+
+        scale = 1 / mpmath.mpf(w.max())
+        out = []
+        for x in xs:
+            b = -0.5j * rot * mpmath.mpf(x)
+
+            def integrand(r):
+                phi, pole = terms(r)
+                return ((phi * mpmath.exp(b * r) - pole) / r).imag
+
+            out.append(float(0.5 - mpmath.quad(integrand, [0, scale, 10 * scale, mpmath.inf], maxdegree=5) / mpmath.pi))
+    return np.array(out)
+
+
 class TestKsStatistic:
     def test_gaussian_sample_small_distance(self):
         x = np.random.default_rng(1).normal(size=2000)
-        assert ks_statistic(x, ("gaussian", 0.0, 1.0)) <= 0.05
+        assert ks_statistic(x, normal_cdf(1.0)) <= 0.05
 
     def test_matches_scipy_one_sample(self):
         x = np.random.default_rng(2).normal(loc=0.3, size=500)
-        mine = ks_statistic(x, ("gaussian", 0.0, 1.0))
+        mine = ks_statistic(x, normal_cdf(1.0))
         ref = kstest(x, "norm").statistic
         assert mine == pytest.approx(ref, abs=1e-12)
 
-    def test_two_sample_self_is_zero(self):
-        x = np.random.default_rng(3).normal(size=100)
-        assert ks_statistic(x, x) == 0.0
-
-    def test_two_sample_matches_scipy(self):
-        r = np.random.default_rng(4)
-        x, y = r.normal(size=300), r.normal(0.5, size=400)
-        assert ks_statistic(x, y) == pytest.approx(ks_2samp(x, y).statistic, abs=1e-12)
-
     def test_constant_sample_far_from_gaussian(self):
-        assert ks_statistic(np.zeros(50), ("gaussian", 0.0, 1.0)) >= 0.5
+        assert ks_statistic(np.zeros(50), normal_cdf(1.0)) >= 0.5
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            ks_statistic([1.0], ("gaussian", 0.0, 1.0))
-        with pytest.raises(ValueError):
-            ks_statistic([1.0, 2.0], ("gaussian", 0.0, 0.0))
+            ks_statistic([1.0], normal_cdf(1.0))
+
+
+class TestWeightedChi2Cdf:
+    @pytest.mark.parametrize("k", [3, 15, 63])
+    @pytest.mark.parametrize("weight", [1.0, 0.013])
+    def test_equal_weights_are_scaled_chi2(self, k, weight):
+        x = weight * np.linspace(0.0, k + 15 * math.sqrt(k) + 60, 4001)
+        assert np.max(np.abs(weighted_chi2_cdf(np.full(k, weight))(x) - gammainc(k / 2, x / (2 * weight)))) <= 1e-12
+
+    def test_six_qubit_weight_count(self):
+        # 4095 weights: on Imhof's own ray the integrand would reach 2^(4095/4) before cancelling
+        x = np.linspace(3000.0, 5200.0, 4001)
+        assert np.max(np.abs(weighted_chi2_cdf(np.ones(4095))(x) - gammainc(4095 / 2, x / 2))) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("min_eig", [0.1, 1e-3])
+    def test_null_weights_match_mpmath(self, rng, d, min_eig):
+        cfg = ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, d, min_eig), trials=100)
+        lam = null_law_weights(cfg, build_pauli_basis(qubits_for_dim(d)))
+        x = np.concatenate([[1e-3], lam.sum() * np.array([0.5, 1.0, 2.0])])
+        assert np.max(np.abs(weighted_chi2_cdf(lam)(x) - imhof_cdf(lam, x))) <= 1e-9
+
+    def test_matches_weighted_sum_sampler(self, rng):
+        cfg = ExperimentConfig(kind="two_sample_null", rho=rand_state(rng, 4, 0.1), trials=100)
+        lam = null_law_weights(cfg, build_pauli_basis(2))
+        # 0.0115: the KS critical value at level 0.01 for 20000 draws
+        assert ks_statistic(weighted_sum_sample(lam, 20_000, np.random.default_rng(8)), weighted_chi2_cdf(lam)) <= 0.0115
+
+    def test_range_and_bad_weights(self):
+        cdf = weighted_chi2_cdf([0.5, 0.2, 0.1])
+        assert cdf(-1.0) == 0.0 and cdf(0.0) == 0.0 and cdf(np.inf) == 1.0
+        assert np.all(np.diff(cdf(np.linspace(0.0, 20.0, 2001))) >= -1e-13)
+        for bad in ([0.5, 0.0], [0.5, -0.1], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="positive"):
+                weighted_chi2_cdf(bad)
 
 
 class TestConfigValidation:
@@ -293,15 +360,6 @@ class TestRuns:
             with open(cfg.output_path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, cfg.kind
 
-    def test_reference_law_seeded(self, rng):
-        rho = rand_state(rng, 2, 0.2)
-        cfg = ExperimentConfig(kind="one_sample_null", rho=rho, trials=100, seed=3)
-        a = sample_reference_law(cfg)
-        b = sample_reference_law(cfg)
-        assert np.array_equal(a, b)
-        assert len(a) == REFERENCE_DRAWS
-        assert np.all(a >= -1e-10)  # null limit functional is nonnegative
-
     def test_null_ks_decreases_with_n(self, rng):
         rho = rand_state(rng, 2, min_eig=0.2)
         # 4000 trials from n = 20 to 8000: at 600 trials from n = 250 the
@@ -319,7 +377,8 @@ class TestExactLaws:
     def test_null_law_matches_monte_carlo(self, rng, kind, d):
         cfg = ExperimentConfig(kind=kind, rho=rand_state(rng, d, 0.1), trials=100, seed=d)
         oracle = monte_carlo_limit_sample(cfg, 2000, seed=100 + d)
-        assert ks_statistic(sample_reference_law(cfg), oracle) <= 0.06
+        lam = null_law_weights(cfg, build_pauli_basis(qubits_for_dim(d)))
+        assert ks_statistic(oracle, weighted_chi2_cdf(lam)) <= 0.06
 
     @pytest.mark.parametrize("kind", NULL_KINDS)
     @pytest.mark.parametrize("d", [2, 4])
@@ -377,6 +436,19 @@ class TestExactLaws:
         run_convergence_experiment(cfg)
         assert cfg.povm_family is family
 
+    @pytest.mark.parametrize("kind", ["one_sample_alt", "two_sample_alt"])
+    def test_degenerate_alt_law_fails_before_trials(self, rng, monkeypatch, kind):
+        rho = rand_state(rng, 2, 0.1)
+        cfg = ExperimentConfig(kind=kind, rho=rho, sigma=rho.copy(), n_grid=(100, 1000), trials=100)
+        assert alt_limit_variance(cfg, build_pauli_basis(1)) <= experiments.DEGENERATE_V_PRED
+
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "sample_counts", no_trials)
+        with pytest.raises(ValueError, match=r"v_pred = .*null kind \(one_sample_null, two_sample_null\)"):
+            run_convergence_experiment(cfg)
+
     def test_null_kinds_have_no_gaussian_variance(self, rng):
         cfg = ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), trials=100)
         with pytest.raises(ValueError, match="chi-squared"):
@@ -389,13 +461,7 @@ class TestExactLaws:
         cfg.povm_family = [eigenbasis_povm(rho), eigenbasis_povm(sigma)]
         v = alt_limit_variance(cfg, build_pauli_basis(1))
         oracle = monte_carlo_limit_sample(cfg, 2000, seed=7)
-        assert ks_statistic(oracle, ("gaussian", 0.0, v)) <= 0.05
-
-    def test_alt_kinds_have_no_reference_sample(self, rng):
-        cfg = ExperimentConfig(kind="petz", rho=rand_state(rng, 2), sigma=rand_state(rng, 2),
-                               alpha=1.5, trials=100)
-        with pytest.raises(ValueError):
-            sample_reference_law(cfg)
+        assert ks_statistic(oracle, normal_cdf(v)) <= 0.05
 
 
 class TestBatchedTrials:

@@ -29,7 +29,7 @@ from qdivstat.pauli_tomography import (
     variance_v2,
 )
 from qdivstat.frechet import build_divided_differences, frechet1
-from conftest import pauli_operators, rand_herm, rand_state, replay_record
+from conftest import normal_cdf, pauli_operators, rand_herm, rand_state, replay_record
 
 
 class TestBasis:
@@ -454,5 +454,5 @@ class TestGaussianLimit:
             rec = sample_record(rho, B, n, seed=50_000 + t)
             draws[t] = np.sqrt(n) * ((2 * rec.plus_counts[0] - n) / n - s[0])
         var = (1 - s[0] ** 2)  # 4 s+ s- with s+ = (1+s)/2
-        ks = ks_statistic(draws, ("gaussian", 0.0, var))
+        ks = ks_statistic(draws, normal_cdf(var))
         assert ks < 0.0363  # KS critical value at level 0.01 for 2000 samples
