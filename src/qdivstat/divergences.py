@@ -285,6 +285,11 @@ def _sandwich_base(rho, sigma, alpha: float):
     return hermitian_part(root @ mid @ root, atol=np.inf), R.eigenvalues[..., -1] * norm_q
 
 
+def _sandwich_kept(bound, rel_tol: float = DEFAULT_SUPPORT_RTOL):
+    """The eigenvalues of T that count: above rel_tol ||rho|| ||sigma^q||; smaller ones are rounding noise."""
+    return lambda lam: lam > rel_tol * np.asarray(bound)[..., None]
+
+
 def sandwiched_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Sandwiched Renyi divergence per pair, as ``petz_renyi_rows``: (alpha - 1)^-1 log Tr T^alpha.
 
@@ -294,7 +299,7 @@ def sandwiched_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) ->
     check_sandwiched_alpha(alpha)
     T, bound = _sandwich_base(rho, sigma, alpha)
     lam = eigvals_hermitian(T, checked=True)
-    lam = np.where(lam > DEFAULT_SUPPORT_RTOL * np.asarray(bound)[..., None], lam, 0.0)
+    lam = np.where(_sandwich_kept(bound)(lam), lam, 0.0)
     return _renyi_rows(np.sum(lam**alpha, axis=-1), alpha, rho, sigma, tol)
 
 
@@ -309,21 +314,29 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float,
 
     Returns T^(alpha-1) / ||T||_alpha^(alpha-1) for T = rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2),
     which is PSD with unit alpha/(alpha-1) (quasi-)norm and attains the divergence when
-    plugged into the variational objective.
+    plugged into the variational objective.  As in ``sandwiched_renyi_rows``, the eigenvalues
+    of T below rel_tol ||rho|| ||sigma^q|| count as 0; if none is left (orthogonal states), it raises.
     """
     check_sandwiched_alpha(alpha)
-    T, _ = _sandwich_base(rho, sigma, alpha)
-    lam = eigvals_hermitian(T, checked=True)
-    if not support_mask(lam, rel_tol).any():
+    T, bound = _sandwich_base(rho, sigma, alpha)
+    S = eig_hermitian(T, checked=True)
+    kept = _sandwich_kept(bound, rel_tol)
+    lam = np.where(kept(S.eigenvalues), S.eigenvalues, 0.0)
+    if not lam.any():
         raise ValueError("degenerate sigma support: variational base operator vanishes")
-    norm_alpha = float(np.sum(np.clip(lam, 0.0, None) ** alpha)) ** (1.0 / alpha)
-    num = masked_power(T, alpha - 1, rel_tol)
+    norm_alpha = float(np.sum(lam**alpha)) ** (1.0 / alpha)
+    num = spectral_map(S, lambda lam: lam ** (alpha - 1), kept)
     return HermitianOperator(num / norm_alpha ** (alpha - 1))
 
 
 def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
-    """alpha/(alpha-1) log Tr[rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2) eta]."""
-    T, _ = _sandwich_base(rho, sigma, alpha)
+    """alpha/(alpha-1) log Tr[rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2) eta].
+
+    T keeps only the eigenvalues that ``sandwiched_renyi_rows`` counts, so orthogonal states
+    have no positive overlap with any eta.
+    """
+    T, bound = _sandwich_base(rho, sigma, alpha)
+    T = spectral_map(eig_hermitian(T, checked=True), lambda lam: lam, _sandwich_kept(bound))
     val = float(np.trace(T @ as_matrix(eta)).real)
     if val <= 0:
         raise ValueError(f"variational objective needs a positive overlap Tr[T eta], got {val:.6e}")

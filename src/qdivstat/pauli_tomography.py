@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
+    _HERMITICITY_ATOL,
     DensityOperator,
     HermitianOperator,
     SpectralDecomposition,
@@ -151,17 +152,25 @@ class PauliBasisSet:
         return tuple(np.base_repr(code, base=4).zfill(self.qubits) for code in range(1, self.size + 1))
 
     def coefficients(self, A: np.ndarray) -> np.ndarray:
-        """Tr[A gamma_j] for every operator j; real for Hermitian A.
+        """Tr[A gamma_j] for every operator j of a Hermitian A, as reals.
 
         A stack (T, d, d) of matrices gives (T, d^2 - 1), one row per matrix.
+        Each coefficient sums d entries of A, so A within ``hermitian_part``'s
+        tolerance of Hermitian gives imaginary parts below 1e-12 d max(1,
+        max |A_ik|); larger ones mean A is not Hermitian and raise ValueError.
         """
         n = self.qubits
         A = np.asarray(A)
         rows = A.shape[:-2]
         order = list(range(len(rows))) + [len(rows) + a for a in _interleave(n)]
         pairs = A.reshape(rows + (2,) * (2 * n)).transpose(order)
-        entries = _per_qubit(_TO_PAULI, pairs.reshape(-1, 4**n).T, n)
-        return entries.reshape(rows + (4**n,))[..., 1:].real
+        entries = _per_qubit(_TO_PAULI, pairs.reshape(-1, 4**n).T, n).reshape(rows + (4**n,))
+        scale = np.abs(A).reshape(rows + (-1,)).max(axis=-1, initial=1.0)
+        imag = np.abs(entries.imag).max(axis=-1)
+        bad = imag > _HERMITICITY_ATOL * self.dim * scale
+        if bad.any():
+            raise ValueError(f"matrix is not Hermitian: Pauli coefficient with imaginary part {imag[bad].max():.3e}")
+        return entries[..., 1:].real
 
     def combine(self, coeffs: np.ndarray, identity: float = 0.0) -> np.ndarray:
         """identity * I + sum_j coeffs_j gamma_j as a dense matrix.
@@ -258,11 +267,13 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     (b + 1) * B - 1.  Its rows are drawn by one ``binomial`` call on
     ``substream(seed, *path, b)``, which fills them row by row in operator
     order, so a block cut short after the last trial needed gives the same
-    rows as the whole block.  ``trials`` is an ascending range.
+    rows as the whole block.  ``trials`` is an ascending range.  ``rho`` may
+    be given by its ``BlochVector``, so that a caller that draws many stacks
+    of one state transforms it once.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
-    s = bloch_coefficients(rho, basis).coeffs
+    s = (rho if isinstance(rho, BlochVector) else bloch_coefficients(rho, basis)).coeffs
     p_plus = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
     if not trials:
         return np.empty((0, basis.size), dtype=np.int64)

@@ -249,6 +249,20 @@ class TestDualOptimizer:
             assert norm == pytest.approx(1.0, abs=1e-8)
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.5, 2.0])
+    def test_orthogonal_pair(self, alpha):
+        # T's eigenvalues are rounding noise here; read as overlap, the optimizer had a Frobenius norm of
+        # about 14 and the objective at it was 40.65 (alpha = 1/2), where the divergence is +inf
+        rhos, sigmas = _oracle_stacks(np.random.default_rng(3), 4, "orthogonal")
+        for rho, sigma in zip(rhos, sigmas):
+            assert np.isposinf(sandwiched_renyi(rho, sigma, alpha).value)
+            with pytest.raises(ValueError, match="degenerate sigma support"):
+                sandwiched_dual_optimizer(rho, sigma, alpha)
+            for eta in (np.eye(4), 1e6 * rhos[0]):
+                with pytest.raises(ValueError, match="positive overlap"):
+                    sandwiched_variational_objective(rho, sigma, alpha, eta)
+
+
 class TestFidelity:
     def test_equal_states(self, rng):
         rho = rand_state(rng, 3)

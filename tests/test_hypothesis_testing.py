@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from qdivstat import divergences, hypothesis_testing, pauli_tomography
-from qdivstat.divergences import log_with_kernel, umegaki
+from qdivstat.divergences import log_with_kernel, umegaki, umegaki_spectral
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
     _decided_indices,
@@ -17,13 +17,16 @@ from qdivstat.hypothesis_testing import (
     wilson_interval,
 )
 from qdivstat.pauli_tomography import (
+    bloch_coefficients,
     build_pauli_basis,
     estimate,
+    estimate_stack,
     reconstruct,
     sample_counts,
     variance_v1,
 )
-from conftest import replay_record
+from qdivstat.random_ops import haar_unitary, random_density
+from conftest import rand_state, replay_record
 
 
 
@@ -86,6 +89,10 @@ class TestEigenvalueBound:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             min_eigenvalue_bound([np.diag([1.0, 0.0])])
+
+    def test_names_culprit(self):
+        with pytest.raises(ValueError, match="^state 1 has non-positive eigenvalue"):
+            min_eigenvalue_bound([np.eye(2) / 2, np.diag([1.0, 0.0])])
 
 
 class TestGridAndDecide:
@@ -270,3 +277,103 @@ class TestSimulation:
         for r in rows:
             assert r["borderline"] == (r["rate"] > 0.01 and not r["gross_exceedance"])
             assert set(r) >= {"borderline", "gross_exceedance", "projection_fraction"}
+
+
+def _random_scenario(rng, d):
+    """sigma and two random full-rank states, in increasing D, each inside its bucket."""
+    sigma = random_density(d, rng, min_eig=0.02).mat
+    states = sorted((random_density(d, rng, min_eig=0.01).mat for _ in range(2)),
+                    key=lambda rho: umegaki(rho, sigma).value)
+    divs = [umegaki(rho, sigma).value for rho in states]
+    return states, sigma, HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.3))
+
+
+def _exact_rows(monkeypatch, *args, **kwargs):
+    """The rows with every trial on the exact path: an infinite slack settles none."""
+    with monkeypatch.context() as m:
+        m.setattr(hypothesis_testing, "_DECISION_SLACK", math.inf)
+        return simulate_error_rates(*args, **kwargs)
+
+
+def _without_screened(rows):
+    return [{k: v for k, v in r.items() if k != "screened_fraction"} for r in rows]
+
+
+class TestFirstOrderScreen:
+    """Trials settled from their counts by the Taylor remainder bound give the exact path's rows."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_interval_contains_statistic(self, rng, d):
+        basis = build_pauli_basis(d.bit_length() - 1)
+        covered = 0
+        for n in (20, 200, 10**4, 10**6):
+            rho, sigma = rand_state(rng, d, 0.3 / d), rand_state(rng, d, 0.3 / d)
+            sig_log = log_with_kernel(sigma)
+            lam = np.linalg.eigvalsh(rho)
+            d0 = float(umegaki_spectral(rho, lam, sig_log))
+            screen = hypothesis_testing._first_order_screen(rho, bloch_coefficients(rho, basis), sig_log, basis)
+            counts = sample_counts(rho, basis, n, range(400), 3, n)
+            low, high = hypothesis_testing._first_order_interval(counts, n, screen, d0)
+            rho_hat, lam_hat, projected = estimate_stack(counts, n, basis)
+            d_hat = umegaki_spectral(rho_hat, lam_hat, sig_log)
+            finite = np.isfinite(high)
+            assert np.all(low[finite] <= d_hat[finite] + 1e-12)
+            assert np.all(d_hat[finite] <= high[finite] + 1e-12)
+            # a finite interval proves the estimate a state: it is never projected
+            assert not projected[finite].any()
+            assert np.isneginf(low[~finite]).all()
+            covered += int(finite.sum())
+        assert covered > 400
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("c", [None, 0.0])
+    def test_rows_match_exact_path(self, rng, monkeypatch, d, c):
+        screened = exact = 0
+        for n in (20, 300, 10**4, 10**5, 10**7):
+            states, sigma, grid = _random_scenario(rng, d)
+            kwargs = dict(tau=0.2, n=n, trials=120, seed=n, c=c)
+            rows = simulate_error_rates(states, sigma, grid, **kwargs)
+            reference = _exact_rows(monkeypatch, states, sigma, grid, **kwargs)
+            assert all(r["screened_fraction"] == 0 for r in reference)
+            assert _without_screened(rows) == _without_screened(reference)
+            fractions = [r["screened_fraction"] for r in rows]
+            screened += sum(fractions)
+            exact += sum(1 - f for f in fractions)
+        assert screened > 0 and exact > 0
+
+    def test_boundary_inside_remainder_interval(self, monkeypatch):
+        # the upper boundary of bucket 0 sits 0.5 standard deviations of D_hat above D(rho || sigma),
+        # so trials near it need the exact path and the others are screened
+        basis = build_pauli_basis(1)
+        sigma = np.eye(2) / 2
+        states = [reconstruct(np.array([0.2, 0.0, s3]), basis).mat for s3 in (0.3, 0.9)]
+        divs = [umegaki(r, sigma).value for r in states]
+        n = 2000
+        edge = divs[0] + 0.5 * math.sqrt(variance_v1(states[0], sigma, basis) / n)
+        grid = HypothesisGrid((0.0, edge, divs[1] + 0.2))
+        kwargs = dict(tau=0.2, n=n, trials=400, seed=4, basis=basis, c=0.0)
+        rows = simulate_error_rates(states, sigma, grid, **kwargs)
+        assert 0 < rows[0]["screened_fraction"] < 1
+        assert 0 < rows[0]["errors"] < rows[0]["trials"]
+        assert _without_screened(rows) == _without_screened(_exact_rows(monkeypatch, states, sigma, grid, **kwargs))
+
+    @pytest.mark.parametrize("state, sigma", [
+        (np.diag([0.9, 0.1, 0.0, 0.0]), np.eye(4) / 4),
+        (np.diag([0.9, 0.1 - 2e-10, 1e-10, 1e-10]), np.diag([0.5, 0.5, 0.0, 0.0])),
+    ])
+    def test_singular_state_or_sigma_is_not_screened(self, state, sigma):
+        rows = simulate_error_rates([state], sigma, HypothesisGrid((0.0, 2.0)), tau=0.2, n=10**6,
+                                    trials=20, seed=1, b=0.1)
+        assert rows[0]["screened_fraction"] == 0
+
+    def test_six_qubits_all_screened(self, rng):
+        # a Haar-rotated spectrum at the sample size of the 6-qubit benchmark
+        d = 64
+        lam = np.linspace(0.5, 1.5, d) / d
+        U = haar_unitary(d, rng)
+        rho = (U * lam) @ U.conj().T
+        sigma = np.eye(d) / d
+        rows = simulate_error_rates([rho], sigma, HypothesisGrid((0.0, 1.0)), tau=0.05, n=10**8,
+                                    trials=20, seed=2)
+        assert rows[0]["screened_fraction"] == 1
+        assert rows[0]["errors"] == 0 and rows[0]["projection_fraction"] == 0

@@ -130,6 +130,21 @@ class TestTransform:
         assert variance_v2(rho, sigma, B) == pytest.approx(want, rel=1e-12 * d)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coefficients_reject_non_hermitian(self, rng, n):
+        # Tr[A gamma_j] of a non-Hermitian A has an imaginary part; it is refused, not dropped
+        B = build_pauli_basis(n)
+        H = rand_herm(rng, B.dim)
+        K = rand_herm(rng, B.dim)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            B.coefficients(H + 1j * K)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            B.coefficients(np.stack([H, np.triu(H)]))
+        # rounding-level asymmetry, as hermitian_part accepts, passes
+        noisy = H + 1e-13 * 1j * K
+        assert np.max(np.abs(B.coefficients(noisy) - B.coefficients(H))) < 1e-12
+
+
 class TestBloch:
     def test_maximally_mixed_is_zero(self):
         B = build_pauli_basis(2)
@@ -192,6 +207,13 @@ class TestSampling:
             MeasurementRecord(n=5, plus_counts=np.array([6, 0, 0]), seed=0)
         with pytest.raises(ValueError):
             sample_record(np.eye(2) / 2, build_pauli_basis(1), 0, seed=0)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_counts_from_bloch_vector(self, rng, d):
+        B = build_pauli_basis(d.bit_length() - 1)
+        rho = rand_state(rng, d)
+        want = sample_counts(rho, B, 1000, range(3, 40), 5, 1)
+        assert np.array_equal(sample_counts(bloch_coefficients(rho, B), B, 1000, range(3, 40), 5, 1), want)
 
     def test_substream_independence(self):
         a = substream(3, 0).normal(size=4)
