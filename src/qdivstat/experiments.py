@@ -33,9 +33,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .operator_core import as_matrix, eig_hermitian, eigvals_hermitian, hermitian_part
+from .operator_core import as_matrix, check_density_spectrum, eig_hermitian, eigvals_hermitian, hermitian_part
 from .divergences import (
     Povm,
     check_petz_alpha,
@@ -194,6 +193,12 @@ class ExperimentConfig:
         return _KINDS[self.kind].two_sample
 
 
+def _normal_cdf(var: float):
+    """The CDF of N(0, var) as a vectorized F: 0.5 erfc(-x / sqrt(2 var)) point by point, exact in both tails."""
+    scale = -math.sqrt(2.0 * var)
+    return lambda x: 0.5 * np.fromiter(map(math.erfc, (np.asarray(x) / scale).tolist()), float, np.size(x))
+
+
 def ks_statistic(sample, cdf) -> float:
     """Kolmogorov-Smirnov distance sup |F_n - F| of the sample's empirical CDF from ``cdf``, a vectorized F."""
     x = np.sort(np.asarray(sample, dtype=float))
@@ -282,17 +287,21 @@ def weighted_chi2_cdf(weights):
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     """Run the experiment and return {"experiment_id": ..., "rows": ..., "summary": [...]}.
 
+    rho and sigma must be density operators (unit trace and PSD, to 1e-10,
+    read off the spectra the run computes anyway) and rho strictly positive.
     The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.
     """
     rho = hermitian_part(cfg.rho)
     lam_rho = eigvals_hermitian(rho, checked=True)
+    check_density_spectrum(lam_rho, name="rho")
     if lam_rho[0] <= 0:
         raise ValueError("experiments require strictly positive states")
+    sigma = eig_hermitian(cfg.sigma)
+    check_density_spectrum(sigma.eigenvalues, name="sigma")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
     divergence = _KINDS[cfg.kind].divergence
-    sigma = eig_hermitian(cfg.sigma)
     center = float(divergence(cfg, rho, lam_rho, sigma)) if cfg.kind in ALT_KINDS else 0.0
 
     statistics = np.empty((len(cfg.n_grid), cfg.trials))
@@ -302,7 +311,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         if not v_pred > DEGENERATE_V_PRED:
             raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
                              f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
-        cdf = lambda x: ndtr(x / math.sqrt(v_pred))
+        cdf = _normal_cdf(v_pred)
     else:
         v_pred, cdf = None, weighted_chi2_cdf(null_law_weights(cfg, basis))
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .operator_core import (
     DEFAULT_SUPPORT_RTOL,
+    SpectralDecomposition,
     as_matrix,
+    check_density_spectrum,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_part,
@@ -51,10 +53,10 @@ __all__ = [
 
 
 def inverse_q(tau: float) -> float:
-    """z with Q(z) = tau, Q the complementary standard normal CDF."""
+    """z with Q(z) = tau, Q the complementary standard normal CDF (Wichura's AS241, via ``statistics``)."""
     if not 0 < tau < 1:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return -float(ndtri(tau))
+    return -NormalDist().inv_cdf(tau)
 
 
 def threshold_c(tau: float, d: int, b: float) -> float:
@@ -168,15 +170,16 @@ def wilson_interval(errors: int, trials: int, confidence_z: float = 1.9599639845
     return max(0.0, center - radius), min(1.0, center + radius)
 
 
-def _first_order_screen(rho: np.ndarray, bloch: BlochVector, sig_log: np.ndarray, basis: PauliBasisSet):
+def _first_order_screen(R: SpectralDecomposition, bloch: BlochVector, sig_log: np.ndarray,
+                        basis: PauliBasisSet):
     """(lambda_min(rho), s, g) for the first-order screen of rho's trials, or None where it does not apply.
 
-    s is rho's Bloch vector and g = coefficients(log rho - log sigma);
-    ``sig_log`` must be log sigma (sigma of full support).  The screen needs
-    rho strictly positive, so that log rho exists, and of unit trace, so
-    that rho_hat - rho = (1/d) sum_j x_j gamma_j.
+    R is rho's decomposition, s its Bloch vector and
+    g = coefficients(log rho - log sigma); ``sig_log`` must be log sigma
+    (sigma of full support).  The screen needs rho strictly positive, so
+    that log rho exists, and of unit trace to 1e-12, so that
+    rho_hat - rho = (1/d) sum_j x_j gamma_j.
     """
-    R = eig_hermitian(rho, checked=True)
     lam = R.eigenvalues
     if lam[0] <= 0 or abs(lam.sum() - 1.0) > _UNIT_TRACE_ATOL:
         return None
@@ -215,10 +218,11 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     Each trial simulates Pauli tomography of the true state, evaluates
     D_hat = D(rho_hat_n || sigma) and decides via the shifted grid; the
     trials of a hypothesis run as bounded stacks, sigma's log with its kernel
-    is built once and each state's eigenvalues are computed once, for its
-    bucket check and ``b``.  The records of hypothesis i are drawn in blocks
-    of ``SEED_BLOCK_ENTRIES`` / d^2 trials (16 at d = 64), one substream of
-    (seed, i, block) each; a default stack is one block.
+    is built once and each state is eigendecomposed once, for its density
+    check, its bucket check, ``b`` and the screen's log rho.  The records of
+    hypothesis i are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2 trials
+    (16 at d = 64), one substream of (seed, i, block) each; a default stack
+    is one block.
 
     Most trials are decided from their counts alone.  With x = s_hat - s the
     error of the Bloch vector, g = coefficients(log rho - log sigma) and
@@ -233,10 +237,12 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     so every row, are those of the exact path; ``screened_fraction`` is the
     share of trials settled without an eigensolve.
 
-    Every state must sit strictly inside its hypothesis bucket (validated up
-    front), sigma is known.  ``b`` defaults to the smallest eigenvalue over
-    the states and sigma, which must all be strictly positive; ``c`` to the
-    minimal admissible threshold for level ``tau``.
+    Every state and sigma must be a density operator (unit trace and PSD,
+    to 1e-10) and every state must sit strictly inside its hypothesis bucket
+    (both validated up front); sigma is known.  ``b`` defaults to the
+    smallest eigenvalue over the states and sigma, which must all be
+    strictly positive; ``c`` to the minimal admissible threshold for level
+    ``tau``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -250,15 +256,18 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
     sig_eig = eig_hermitian(sig)
+    check_density_spectrum(sig_eig.eigenvalues, name="sigma")
     sig_log = log_with_kernel(sig_eig)
-    spectra = [eigvals_hermitian(rho, checked=True) for rho in states]
-    divs = [float(umegaki_spectral(rho, lam, sig_log)) for rho, lam in zip(states, spectra)]
+    decomps = [eig_hermitian(rho, checked=True) for rho in states]
+    for i, R in enumerate(decomps):
+        check_density_spectrum(R.eigenvalues, name=f"state {i}")
+    divs = [float(umegaki_spectral(rho, R.eigenvalues, sig_log)) for rho, R in zip(states, decomps)]
     for i, div in enumerate(divs):
         if grid.bucket(div) != i:
             raise ValueError(f"state {i} has D = {div}, outside bucket "
                              f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
     if b is None:
-        lows = {f"state {i}": float(lam[0]) for i, lam in enumerate(spectra)}
+        lows = {f"state {i}": float(R.eigenvalues[0]) for i, R in enumerate(decomps)}
         lows["sigma"] = float(sig_eig.eigenvalues[0])
         b = _positive_minimum(lows)
     if c is None:
@@ -267,9 +276,9 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     sigma_full = bool(support_mask(sig_eig.eigenvalues).all())
 
     rows = []
-    for i, rho in enumerate(states):
+    for i, (rho, R) in enumerate(zip(states, decomps)):
         bloch = bloch_coefficients(rho, basis)
-        screen = _first_order_screen(rho, bloch, sig_log, basis) if sigma_full else None
+        screen = _first_order_screen(R, bloch, sig_log, basis) if sigma_full else None
         errors = screened = projected = 0
         for chunk in trial_chunks(trials, d):
             counts = sample_counts(bloch, basis, n, chunk, seed, i)

@@ -178,14 +178,18 @@ class SpectralDecomposition:
         return (U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
-def check_density_spectrum(lam: np.ndarray, trace_atol: float = 1e-10, eig_atol: float = 1e-10) -> None:
-    """Raise unless ascending eigenvalues (..., d) sum to 1 and are PSD, row by row, within tolerance."""
+def check_density_spectrum(lam: np.ndarray, trace_atol: float = 1e-10, eig_atol: float = 1e-10,
+                           name: str = "matrix") -> None:
+    """Raise unless ascending eigenvalues (..., d) sum to 1 and are PSD, row by row, within tolerance.
+
+    The message names the offending matrix as ``name``.
+    """
     off = np.abs(lam.sum(axis=-1) - 1.0)
     if (off > trace_atol).any():
-        raise ValueError(f"trace is off 1 by {off.max():.3e}, more than {trace_atol}")
+        raise ValueError(f"{name} has trace off 1 by {off.max():.3e}, more than {trace_atol}")
     lo = lam[..., 0].min()
     if lo < -eig_atol:
-        raise ValueError(f"matrix has negative eigenvalue {lo}")
+        raise ValueError(f"{name} has negative eigenvalue {lo}")
 
 
 class DensityOperator:

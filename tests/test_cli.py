@@ -170,6 +170,17 @@ class TestExperimentCommand:
         assert rc == EXIT_VALIDATION
         assert "v_pred" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role", ["rho", "sigma"])
+    def test_non_unit_trace_is_validation_error(self, states, tmp_path, capsys, role):
+        _, _, rp, sp = states
+        bad = tmp_path / "bad.json"
+        qio.dump_matrix(1.5 * np.diag([0.7, 0.3]), str(bad))
+        paths = {"rho": rp, "sigma": sp, role: str(bad)}
+        rc = cli_main(["experiment", "--kind", "two_sample_alt", "--rho", paths["rho"], "--sigma", paths["sigma"],
+                       "--n", "300", "--trials", "120", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert f"{role} has trace off 1" in capsys.readouterr().err
+
     def test_missing_seed_is_validation_error(self, states, capsys):
         _, _, rp, sp = states
         rc, _ = run(capsys, ["experiment", "--kind", "one_sample_alt", "--rho", rp,
@@ -220,6 +231,16 @@ class TestHypothesisCommand:
         assert float(back["projection_fraction"]) == row["projection_fraction"]
         assert back["borderline"] == str(row["borderline"])
         assert back["gross_exceedance"] == str(row["gross_exceedance"])
+
+    def test_non_unit_trace_state_is_validation_error(self, tmp_path, capsys):
+        scenario = {"states": [qio.matrix_to_json(1.5 * np.diag([0.7, 0.3]))],
+                    "sigma": qio.matrix_to_json(np.eye(2) / 2),
+                    "epsilons": [0.2, 1.0], "tau": 0.3, "n": 300, "trials": 60, "seed": 2}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        rc = cli_main(["hypothesis", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_VALIDATION
+        assert "state 0 has trace off 1" in capsys.readouterr().err
 
     def test_bad_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

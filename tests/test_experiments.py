@@ -184,6 +184,20 @@ class TestKsStatistic:
             ks_statistic([1.0], normal_cdf(1.0))
 
 
+class TestNormalCdf:
+    @pytest.mark.parametrize("var", [1.0, 0.37, 12.5])
+    def test_matches_mpmath(self, var):
+        # 2000 standardized points of [-37, 9]; bound 5e-16 absolute, set before measuring
+        x = np.linspace(-37.0, 9.0, 2000) * math.sqrt(var)
+        with mpmath.workdps(40):
+            sd = mpmath.sqrt(mpmath.mpf(var))
+            ref = np.array([float(mpmath.ncdf(mpmath.mpf(t), sigma=sd)) for t in x])
+        assert np.max(np.abs(experiments._normal_cdf(var)(x) - ref)) <= 5e-16
+
+    def test_median_and_limits(self):
+        assert experiments._normal_cdf(2.0)(np.array([-np.inf, 0.0, np.inf])).tolist() == [0.0, 0.5, 1.0]
+
+
 class TestWeightedChi2Cdf:
     @pytest.mark.parametrize("k", [3, 15, 63])
     @pytest.mark.parametrize("weight", [1.0, 0.013])
@@ -220,6 +234,16 @@ class TestWeightedChi2Cdf:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("kind, role", [("one_sample_alt", "rho"), ("one_sample_alt", "sigma"),
+                                            ("two_sample_alt", "sigma"), ("one_sample_null", "rho")])
+    def test_run_rejects_non_unit_trace(self, kind, role):
+        bad, good = 1.5 * np.diag([0.7, 0.3]), np.diag([0.4, 0.6])
+        rho, sigma = (bad, good) if role == "rho" else (good, bad)
+        cfg = ExperimentConfig(kind=kind, rho=rho, sigma=None if kind in NULL_KINDS else sigma,
+                               n_grid=(100,), trials=100)
+        with pytest.raises(ValueError, match=f"^{role} has trace off 1 by 5.000e-01"):
+            run_convergence_experiment(cfg)
+
     def test_unknown_kind(self, rng):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="bogus", rho=rand_state(rng, 2))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -16,6 +17,7 @@ from qdivstat.hypothesis_testing import (
     threshold_c,
     wilson_interval,
 )
+from qdivstat.operator_core import eig_hermitian
 from qdivstat.pauli_tomography import (
     bloch_coefficients,
     build_pauli_basis,
@@ -41,6 +43,17 @@ class TestInverseQ:
     def test_against_scipy_oracle(self):
         for tau in np.concatenate([np.linspace(1e-6, 1 - 1e-6, 41), [1e-9, 1 - 1e-9]]):
             assert abs(inverse_q(tau) - norm.isf(tau)) <= 1e-9, tau
+
+    def test_against_mpmath_root(self):
+        # the root z of log Q(z) = log tau at 40 digits; bound 2e-15 max(1, |z|) set before measuring
+        taus = np.concatenate([10.0 ** -np.arange(300, 1, -13), np.linspace(0.02, 0.98, 25),
+                               1 - 10.0 ** -np.arange(2, 16)])
+        with mpmath.workdps(40):
+            for tau in taus:
+                z = inverse_q(tau)
+                log_tau = mpmath.log(mpmath.mpf(tau))
+                root = mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(-t)) - log_tau, mpmath.mpf(z))
+                assert abs(z - float(root)) <= 2e-15 * max(1.0, abs(float(root))), tau
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -196,6 +209,19 @@ class TestSimulation:
             simulate_error_rates([state], sigma, grid, tau=0.2, n=100, trials=1, seed=1)
         assert simulate_error_rates([state], sigma, grid, tau=0.2, n=100, trials=1, seed=1, b=0.1)
 
+    @pytest.mark.parametrize("role", ["state", "sigma"])
+    def test_rejects_non_unit_trace(self, role):
+        # trace 1.5: the bucket check alone would accept it, with D = 0.732 against I/2
+        bad, good = 1.5 * np.diag([0.7, 0.3]), np.eye(2) / 2
+        states, sigma, culprit = ([bad], good, "state 0") if role == "state" else ([good], bad, "sigma")
+        with pytest.raises(ValueError, match=f"^{culprit} has trace off 1 by 5.000e-01"):
+            simulate_error_rates(states, sigma, HypothesisGrid((0.0, 1.0)), tau=0.2, n=100, trials=10, seed=1)
+
+    def test_rejects_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="^state 0 has negative eigenvalue"):
+            simulate_error_rates([np.diag([1.1, -0.1])], np.eye(2) / 2, HypothesisGrid((0.0, 2.0)),
+                                 tau=0.2, n=100, trials=10, seed=1, b=0.1)
+
     def test_validates_trials(self, rng):
         states, sigma, grid, basis = self._scenario(rng)
         with pytest.raises(ValueError):
@@ -311,7 +337,8 @@ class TestFirstOrderScreen:
             sig_log = log_with_kernel(sigma)
             lam = np.linalg.eigvalsh(rho)
             d0 = float(umegaki_spectral(rho, lam, sig_log))
-            screen = hypothesis_testing._first_order_screen(rho, bloch_coefficients(rho, basis), sig_log, basis)
+            screen = hypothesis_testing._first_order_screen(eig_hermitian(rho), bloch_coefficients(rho, basis),
+                                                            sig_log, basis)
             counts = sample_counts(rho, basis, n, range(400), 3, n)
             low, high = hypothesis_testing._first_order_interval(counts, n, screen, d0)
             rho_hat, lam_hat, projected = estimate_stack(counts, n, basis)
