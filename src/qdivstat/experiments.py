@@ -19,16 +19,19 @@ of sigma as spectra, from one stacked eigensolve.  Every kind evaluates its
 divergence on the whole stack in one call, through its entry in ``_KINDS``.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
 from each n's columns of statistics and branch flags, and the CSV is written
-from its columns.
+from its columns.  The null law depends on rho alone, so a null experiment
+builds it on one extra thread while the trials run; the output is the same.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
 import math
 import numbers
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -57,6 +60,7 @@ from .limit_laws import (
 from .pauli_tomography import (
     PauliBasisSet,
     bernoulli_weights,
+    bloch_coefficients,
     build_pauli_basis,
     estimate_sigma_stack,
     estimate_stack,
@@ -272,8 +276,16 @@ def weighted_chi2_cdf(weights):
         mu = np.arange(CDF_NODES) / 8
         s = c + width * (1j * np.sinh(mu) + (np.cosh(mu) - 1) / math.sqrt(3))
         ds = width * (1j * np.cosh(mu) + np.sinh(mu) / math.sqrt(3)) * np.where(mu > 0, 1 / 8, 1 / 16) / s
-        factors = (1 - 2 * lam * part[..., None] for part in np.array_split(s, 1 + s.size * lam.size // 2**18))
-        log_m = np.concatenate([-(np.log(np.abs(f)).sum(-1) + 1j * np.angle(f).sum(-1)) / 2 for f in factors])
+        # log M(s) = -(1/2) sum_k log(1 - 2 lam_k s), on slices of rows of s with at most 2^16 factors f (1 MB; one
+        # row if it has more), and log |f| and arg f on quarters of the slice, in one float buffer.  Each node is its
+        # own row, so the slicing leaves every value as it is; it bounds what a law built beside the trials holds.
+        log_m, slope = np.empty(s.shape, dtype=complex), (-2 * lam).astype(complex)
+        for part, out in zip(*(np.array_split(a, min(len(s), 1 + s.size * lam.size // 2**16)) for a in (s, log_m))):
+            f = part[..., None] * slope
+            f += 1
+            for g, o in zip(np.array_split(f, 4, axis=1), np.array_split(out, 4, axis=1)):
+                buf = np.abs(g)
+                o[:] = -(np.log(buf, out=buf).sum(-1) + 1j * np.arctan2(g.imag, g.real, out=buf).sum(-1)) / 2
         return (c[:, 0] > 0) - np.sum(np.exp(log_m - s * x) * ds, axis=1).imag / np.pi
     series = np.polynomial.Chebyshev.interpolate(at_nodes, CDF_DEGREE, domain=[lo, hi])
 
@@ -284,6 +296,33 @@ def weighted_chi2_cdf(weights):
     return cdf
 
 
+def _start_thread(fn):
+    """Start fn() on one thread, in a copy of the caller's context (context variables; ``np.errstate`` in numpy 2).
+
+    Returns wait(), which joins the thread and returns fn's value or re-raises
+    the exception fn raised, unchanged.
+    """
+    run, outcome = contextvars.copy_context().run, []
+
+    def target():
+        try:
+            outcome.append((run(fn), None))
+        except BaseException as exc:  # handed to the caller of wait()
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=target, name="qdivstat-null-law")
+    thread.start()
+
+    def wait():
+        thread.join()
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return wait
+
+
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     """Run the experiment and return {"experiment_id": ..., "rows": ..., "summary": [...]}.
 
@@ -291,7 +330,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     read off the spectra the run computes anyway) and rho strictly positive.
     The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
-    an output path.
+    an output path.  A null kind builds its law on one extra thread while
+    the trials run, and joins it before returning or raising.
     """
     rho = hermitian_part(cfg.rho)
     lam_rho = eigvals_hermitian(rho, checked=True)
@@ -311,26 +351,33 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
         if not v_pred > DEGENERATE_V_PRED:
             raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
                              f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
-        cdf = _normal_cdf(v_pred)
+        cdf, law = _normal_cdf(v_pred), None
     else:
-        v_pred, cdf = None, weighted_chi2_cdf(null_law_weights(cfg, basis))
+        v_pred, law = None, _start_thread(lambda: weighted_chi2_cdf(null_law_weights(cfg, basis)))
+    try:
+        # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
+        fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
+        # each sampled state is transformed to its Bloch vector once, for all of its stacks
+        bloch_rho = bloch_coefficients(cfg.rho, basis)
+        bloch_sigma = bloch_coefficients(cfg.sigma, basis) if cfg.two_sample else None
 
-    # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
-    fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
-
-    for n, stats, flags in zip(cfg.n_grid, statistics, branches):
-        scale = float(n) ** cfg.scaling_exponent
-        for chunk in trial_chunks(cfg.trials, cfg.dim):
-            counts = sample_counts(cfg.rho, basis, n, chunk, cfg.seed, n, 0)
-            rho_hat, lam, branch = estimate_stack(counts, n, basis)
-            if cfg.two_sample:
-                counts = sample_counts(cfg.sigma, basis, n, chunk, cfg.seed, n, 1)
-                sigma_hat, branch_s = estimate_sigma_stack(counts, n, basis)
-                branch = branch | branch_s
-            else:
-                sigma_hat = fixed_sigma
-            stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
-            flags[chunk.start:chunk.stop] = branch
+        for n, stats, flags in zip(cfg.n_grid, statistics, branches):
+            scale = float(n) ** cfg.scaling_exponent
+            for chunk in trial_chunks(cfg.trials, cfg.dim):
+                counts = sample_counts(bloch_rho, basis, n, chunk, cfg.seed, n, 0)
+                rho_hat, lam, branch = estimate_stack(counts, n, basis)
+                if cfg.two_sample:
+                    counts = sample_counts(bloch_sigma, basis, n, chunk, cfg.seed, n, 1)
+                    sigma_hat, branch_s = estimate_sigma_stack(counts, n, basis)
+                    branch = branch | branch_s
+                else:
+                    sigma_hat = fixed_sigma
+                stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
+                flags[chunk.start:chunk.stop] = branch
+                del counts, rho_hat, lam, sigma_hat  # this stack's arrays go before the next is drawn
+    finally:
+        if law:  # if the law and a trial both raised, the law's exception is raised, chained to the trial's
+            cdf = law()
     summary = [{"kind": cfg.kind, "n": n, "trials": cfg.trials, "mean": float(stats.mean()),
                 "var": float(stats.var(ddof=1)), "v_pred": v_pred, "ks": ks_statistic(stats, cdf)}
                for n, stats in zip(cfg.n_grid, statistics)]

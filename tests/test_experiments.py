@@ -1,6 +1,9 @@
+import contextvars
 import csv
 import hashlib
 import math
+import sys
+import threading
 from functools import lru_cache, partial
 
 import mpmath
@@ -35,6 +38,7 @@ from qdivstat.divergences import (
 from qdivstat.frechet import build_divided_differences, d_log, frechet1
 from qdivstat.limit_laws import qre_null_limit
 from qdivstat.pauli_tomography import (
+    BlochVector,
     bernoulli_weights,
     build_pauli_basis,
     estimate,
@@ -223,6 +227,14 @@ class TestWeightedChi2Cdf:
         lam = null_law_weights(cfg, build_pauli_basis(2))
         # 0.0115: the KS critical value at level 0.01 for 20000 draws
         assert ks_statistic(weighted_sum_sample(lam, 20_000, np.random.default_rng(8)), weighted_chi2_cdf(lam)) <= 0.0115
+
+    @pytest.mark.parametrize("r", [1.0, 1e-2])
+    def test_spread_weights_match_mpmath(self, r):
+        # two weights (r, 1), from r x 1e-2 to far in the tail; bound 1e-10 set before running.  At r = 1e-3 the
+        # degree-96 interpolant in sqrt(x) misses the small-scale feature near 0 (5.9e-7 near x = 3.5e-4, see README)
+        w = np.array([r, 1.0])
+        x = np.concatenate([np.geomspace(r * 1e-2, 1.0, 15), np.linspace(1.5, 20.0, 8)])
+        assert np.max(np.abs(weighted_chi2_cdf(w)(x) - imhof_cdf(w, x))) <= 1e-10
 
     def test_range_and_bad_weights(self):
         cdf = weighted_chi2_cdf([0.5, 0.2, 0.1])
@@ -540,3 +552,124 @@ class TestBatchedTrials:
         run_convergence_experiment(cfg)
         # one for the centre D(rho || sigma), one shared by the 30 trial stacks
         assert len(builds) == 2
+
+
+class TestNullLawThread:
+    """A null experiment builds its law on one thread while the trials run."""
+
+    @staticmethod
+    def config(rng, kind="one_sample_null", **kw):
+        return ExperimentConfig(kind=kind, rho=rand_state(rng, 2, 0.1), n_grid=(100, 1000), trials=100, seed=61, **kw)
+
+    def test_law_error_reaches_caller_and_nothing_is_written(self, rng, monkeypatch, tmp_path):
+        raised = []
+
+        def failing(cfg, basis):
+            raised.append(ValueError("weights failed at 3 qubits"))
+            raise raised[-1]
+
+        monkeypatch.setattr(experiments, "null_law_weights", failing)
+        out = tmp_path / "rows.csv"
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"^weights failed at 3 qubits$") as info:
+            run_convergence_experiment(self.config(rng, output_path=str(out)))
+        assert info.value is raised[0]
+        assert threading.active_count() == before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trial_error_joins_the_law(self, rng, monkeypatch):
+        built = []
+
+        def recorded(cfg, basis):
+            built.append(threading.get_ident())
+            return null_law_weights(cfg, basis)
+
+        def failing(*args):
+            raise RuntimeError("no records")
+
+        monkeypatch.setattr(experiments, "null_law_weights", recorded)
+        monkeypatch.setattr(experiments, "sample_counts", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="no records"):
+            run_convergence_experiment(self.config(rng))
+        assert threading.active_count() == before
+        assert len(built) == 1 and built[0] != threading.get_ident()
+
+    def test_caller_context_reaches_the_law(self, rng, monkeypatch):
+        var = contextvars.ContextVar("var", default="unset")
+        seen = []
+
+        def reading(cfg, basis):
+            seen.append((var.get(), np.geterr()["divide"], threading.get_ident()))
+            return null_law_weights(cfg, basis)
+
+        monkeypatch.setattr(experiments, "null_law_weights", reading)
+        before = threading.active_count()
+        token = var.set("caller")
+        try:
+            with np.errstate(divide="raise"):
+                run_convergence_experiment(self.config(rng))
+        finally:
+            var.reset(token)
+        assert seen[0][0] == "caller" and seen[0][2] != threading.get_ident()
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy 2 keeps np.errstate in a context variable
+            assert seen[0][1] == "raise"
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_match_serial_runs(self, rng):
+        # three callers, each with its own law thread, on two cores, switching every microsecond
+        cfgs = [self.config(rng, kind) for kind in (*NULL_KINDS, "one_sample_null")]
+        serial = [run_convergence_experiment(cfg) for cfg in cfgs]
+        results = [None] * len(cfgs)
+
+        def run(i):
+            results[i] = run_convergence_experiment(cfgs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, serial):
+            assert np.array_equal(got["rows"], want["rows"]) and got["summary"] == want["summary"]
+
+    @pytest.mark.parametrize("kind", NULL_KINDS)
+    def test_ks_equals_inline_law(self, rng, kind):
+        cfg = self.config(rng, kind)
+        res = run_convergence_experiment(cfg)
+        cdf = weighted_chi2_cdf(null_law_weights(cfg, build_pauli_basis(1)))
+        stats = res["rows"].statistic.reshape(len(cfg.n_grid), cfg.trials)
+        assert [s["ks"] for s in res["summary"]] == [ks_statistic(row, cdf) for row in stats]
+
+    def test_alt_kind_starts_no_thread(self, rng, monkeypatch):
+        def forbidden(fn):
+            raise AssertionError("an alternative kind started a thread")
+
+        monkeypatch.setattr(experiments, "_start_thread", forbidden)
+        cfg = ExperimentConfig(kind="two_sample_alt", rho=rand_state(rng, 2, 0.1), sigma=rand_state(rng, 2, 0.1),
+                               n_grid=(100,), trials=100, seed=62)
+        run_convergence_experiment(cfg)
+
+    @pytest.mark.parametrize("kind, states", [("one_sample_null", 1), ("two_sample_alt", 2)])
+    def test_each_state_transformed_once(self, rng, monkeypatch, kind, states):
+        given, draw = [], experiments.sample_counts
+
+        def recorded(state, *args):
+            given.append(state)
+            return draw(state, *args)
+
+        monkeypatch.setattr(experiments, "sample_counts", recorded)
+        monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 4 * 4)
+        sigma = rand_state(rng, 4, 0.1) if kind in ALT_KINDS else None
+        cfg = ExperimentConfig(kind=kind, rho=rand_state(rng, 4, 0.1), sigma=sigma, n_grid=(100, 1000), trials=100,
+                               seed=63)
+        run_convergence_experiment(cfg)
+        # every one of the 30 trial stacks per side draws from the one Bloch vector of its state
+        assert len(given) == 30 * states
+        assert all(isinstance(b, BlochVector) for b in given) and len({id(b) for b in given}) == states
