@@ -11,7 +11,6 @@ from qdivstat import (
     ExperimentConfig,
     bloch_coefficients,
     build_pauli_basis,
-    estimate_rho,
     random_density,
     run_convergence_experiment,
     sample_record,
@@ -19,6 +18,7 @@ from qdivstat import (
     variance_v1,
     variance_v2,
 )
+from qdivstat.pauli_tomography import estimate
 
 rng = np.random.default_rng(31)
 basis = build_pauli_basis(1)
@@ -29,7 +29,7 @@ print("Bloch coefficients of rho:", np.round(bloch_coefficients(rho, basis).coef
 
 # one measurement record and its estimate
 record = sample_record(rho, basis, n=2000, seed=5)
-rho_hat = estimate_rho(record, basis)
+rho_hat = estimate(record, basis)[0]
 print("plus counts per Pauli:", record.plus_counts)
 print("trace distance of the estimate:",
       0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_hat.mat - rho))))

@@ -12,7 +12,6 @@ from .operator_core import (
     DensityOperator,
     HermitianOperator,
     SpectralDecomposition,
-    apply_scalar_function,
     eig_hermitian,
     loewner_leq,
     moore_penrose_inverse,
@@ -24,17 +23,10 @@ from .operator_core import (
 )
 from .frechet import (
     DividedDifferenceTable,
-    QuadratureRule,
     ScalarFn,
     build_divided_differences,
-    d_log,
-    d_power,
-    finite_difference_check,
     frechet1,
-    frechet1_log_quadrature,
     frechet2,
-    frechet2_log_quadrature,
-    frechet_power_quadrature,
 )
 from .divergences import (
     DivergenceValue,
@@ -46,9 +38,7 @@ from .divergences import (
     measured_relative_entropy,
     petz_renyi,
     povm_apply,
-    sandwiched_dual_optimizer,
     sandwiched_renyi,
-    sandwiched_variational_objective,
     trivial_povm,
     umegaki,
     von_neumann_entropy,
@@ -72,8 +62,6 @@ from .pauli_tomography import (
     PauliBasisSet,
     bloch_coefficients,
     build_pauli_basis,
-    estimate_rho,
-    estimate_sigma,
     reconstruct,
     sample_gaussian_limit,
     sample_record,

@@ -20,7 +20,7 @@ from . import limit_laws as ll
 from .experiments import ExperimentConfig, run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
 from .operator_core import EigensolverError
-from .pauli_tomography import build_pauli_basis, estimate_rho, estimate_sigma, qubits_for_dim, sample_record
+from .pauli_tomography import build_pauli_basis, estimate, qubits_for_dim, sample_record
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -130,8 +130,7 @@ def _run_tomography(args) -> int:
     state = qio.load_matrix(args.state)
     basis = build_pauli_basis(qubits_for_dim(state.shape[0]))
     record = sample_record(state, basis, args.n, args.seed)
-    estimator = estimate_sigma if args.sigma_estimator else estimate_rho
-    est = estimator(record, basis)
+    est = estimate(record, basis, floor=args.sigma_estimator)[0]
     if args.out:
         qio.dump_matrix(est.mat, args.out)
     print(json.dumps({"record": qio.record_to_json(record),

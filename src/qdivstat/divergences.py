@@ -1,8 +1,8 @@
 """Quantum divergence functionals.
 
 Umegaki relative entropy, von Neumann entropy, classical KL, Petz-Renyi and
-sandwiched Renyi divergences (with the dual-form optimizer), fidelity,
-max-divergence, and measured relative entropy over finite POVM families.
+sandwiched Renyi divergences, fidelity, max-divergence, and measured relative
+entropy over finite POVM families.
 
 All logarithms are natural; values are in nats.  Support conventions are
 realized with masked spectral functions: +infinity is a tagged value on the
@@ -47,8 +47,6 @@ __all__ = [
     "petz_renyi_rows",
     "sandwiched_renyi",
     "sandwiched_renyi_rows",
-    "sandwiched_dual_optimizer",
-    "sandwiched_variational_objective",
     "fidelity",
     "max_divergence",
     "measured_relative_entropy",
@@ -61,6 +59,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# Measured relative entropy: family members within this of a row's largest KL tie with it.
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -308,41 +308,6 @@ def sandwiched_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> Dive
     return _renyi_value(sandwiched_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
 
 
-def sandwiched_dual_optimizer(rho, sigma, alpha: float,
-                              rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
-    """Maximizer of the variational (dual Schatten-norm) form of the sandwiched divergence.
-
-    Returns T^(alpha-1) / ||T||_alpha^(alpha-1) for T = rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2),
-    which is PSD with unit alpha/(alpha-1) (quasi-)norm and attains the divergence when
-    plugged into the variational objective.  As in ``sandwiched_renyi_rows``, the eigenvalues
-    of T below rel_tol ||rho|| ||sigma^q|| count as 0; if none is left (orthogonal states), it raises.
-    """
-    check_sandwiched_alpha(alpha)
-    T, bound = _sandwich_base(rho, sigma, alpha)
-    S = eig_hermitian(T, checked=True)
-    kept = _sandwich_kept(bound, rel_tol)
-    lam = np.where(kept(S.eigenvalues), S.eigenvalues, 0.0)
-    if not lam.any():
-        raise ValueError("degenerate sigma support: variational base operator vanishes")
-    norm_alpha = float(np.sum(lam**alpha)) ** (1.0 / alpha)
-    num = spectral_map(S, lambda lam: lam ** (alpha - 1), kept)
-    return HermitianOperator(num / norm_alpha ** (alpha - 1))
-
-
-def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:
-    """alpha/(alpha-1) log Tr[rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2) eta].
-
-    T keeps only the eigenvalues that ``sandwiched_renyi_rows`` counts, so orthogonal states
-    have no positive overlap with any eta.
-    """
-    T, bound = _sandwich_base(rho, sigma, alpha)
-    T = spectral_map(eig_hermitian(T, checked=True), lambda lam: lam, _sandwich_kept(bound))
-    val = float(np.trace(T @ as_matrix(eta)).real)
-    if val <= 0:
-        raise ValueError(f"variational objective needs a positive overlap Tr[T eta], got {val:.6e}")
-    return alpha / (alpha - 1) * math.log(val)
-
-
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 = exp(-D_1/2), in [0, 1], with D_1/2 the sandwiched divergence."""
     return min(math.exp(-float(sandwiched_renyi_rows(rho, sigma, 0.5))), 1.0)
@@ -358,10 +323,10 @@ def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     return DivergenceValue(math.log(lam_max))
 
 
-def _measured_kl(rho, sigma, family, tol: float, tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _measured_kl(rho, sigma, family, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """KL of the outcome distributions per family member (..., members), and which are near-maximal.
 
-    A member is near-maximal within ``tie_tol`` of its row's largest KL; on an infinite row, where infinite.
+    A member is near-maximal within ``_TIE_TOL`` of its row's largest KL; on an infinite row, where infinite.
     """
     family = list(family)
     if not family:
@@ -372,26 +337,24 @@ def _measured_kl(rho, sigma, family, tol: float, tie_tol: float) -> tuple[np.nda
         Q = np.clip(povm_apply(M, sigma), 0.0, None)
         kl.append(_kl_rows(P / P.sum(axis=-1, keepdims=True), Q / Q.sum(axis=-1, keepdims=True), tol))
     kl = np.stack(kl, axis=-1)
-    return kl, kl >= kl.max(axis=-1, keepdims=True) - tie_tol
+    return kl, kl >= kl.max(axis=-1, keepdims=True) - _TIE_TOL
 
 
-def measured_relative_entropy_rows(rho, sigma, family, tol: float = DEFAULT_TOL,
-                                   tie_tol: float = 1e-9) -> np.ndarray:
+def measured_relative_entropy_rows(rho, sigma, family, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Measured relative entropy per pair, as ``petz_renyi_rows``: the KL of the first near-maximal member."""
-    kl, near = _measured_kl(rho, sigma, family, tol, tie_tol)
+    kl, near = _measured_kl(rho, sigma, family, tol)
     first = np.argmax(near, axis=-1)
     return np.take_along_axis(kl, first[..., None], axis=-1)[..., 0]
 
 
-def measured_relative_entropy(rho, sigma, family, tol: float = DEFAULT_TOL,
-                              tie_tol: float = 1e-9) -> tuple[DivergenceValue, int]:
+def measured_relative_entropy(rho, sigma, family, tol: float = DEFAULT_TOL) -> tuple[DivergenceValue, int]:
     """Largest KL divergence of the outcome distributions over a finite POVM family.
 
     Returns the maximizing value and its (lowest) index; indices of any other
-    family members within ``tie_tol`` of the maximum are listed in the
-    diagnostics so non-unique maximizers are detectable.
+    family members within 1e-9 of the maximum are listed in the diagnostics
+    so non-unique maximizers are detectable.
     """
-    kl, near = _measured_kl(rho, sigma, family, tol, tie_tol)
+    kl, near = _measured_kl(rho, sigma, family, tol)
     ties = np.flatnonzero(near).tolist()
     if math.isinf(kl[ties[0]]):
         return DivergenceValue.infinite(f"measurement {ties[0]} separates the supports"), ties[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 
 import numpy as np
 
@@ -76,16 +77,45 @@ def record_from_json(obj: dict) -> MeasurementRecord:
                              plus_counts=np.asarray(obj["plus_counts"], dtype=np.int64))
 
 
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, convert, default=_REQUIRED):
+    """``convert(obj[key])``, or ``convert(default)`` where the key is absent.
+
+    A missing required field, or a value that ``convert`` rejects with a
+    TypeError, ValueError or OverflowError (an infinite count), raises a
+    ValueError that names the field.
+    """
+    if key not in obj and default is _REQUIRED:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(obj.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _or_null(kind: type):
+    """A converter that passes None or an instance of ``kind`` through unchanged and rejects the rest."""
+
+    def check(value):
+        if value is None or isinstance(value, kind):
+            return value
+        raise TypeError(f"expected {kind.__name__} or null, got {value!r}")
+
+    return check
+
+
 def scenario_from_json(obj: dict) -> dict:
     """Hypothesis-test scenario: states, sigma, epsilons, tau, n, trials, seed."""
     return {
-        "states": [matrix_from_json(o) for o in obj["states"]],
-        "sigma": matrix_from_json(obj["sigma"]),
-        "grid": HypothesisGrid(tuple(obj["epsilons"])),
-        "tau": float(obj["tau"]),
-        "n": int(obj["n"]),
-        "trials": int(obj["trials"]),
-        "seed": int(obj["seed"]),
+        "states": _field(obj, "states", lambda v: [matrix_from_json(o) for o in v]),
+        "sigma": _field(obj, "sigma", matrix_from_json),
+        "grid": _field(obj, "epsilons", lambda v: HypothesisGrid(tuple(v))),
+        "tau": _field(obj, "tau", float),
+        "n": _field(obj, "n", int),
+        "trials": _field(obj, "trials", int),
+        "seed": _field(obj, "seed", int),
     }
 
 
@@ -93,16 +123,16 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     if "seed" not in obj:
         raise ValueError("experiment config requires an explicit seed")
     return ExperimentConfig(
-        kind=obj["kind"],
-        rho=matrix_from_json(obj["rho"]),
-        sigma=matrix_from_json(obj["sigma"]) if obj.get("sigma") is not None else None,
+        kind=_field(obj, "kind", str),
+        rho=_field(obj, "rho", matrix_from_json),
+        sigma=_field(obj, "sigma", lambda v: None if v is None else matrix_from_json(v), None),
         alpha=obj.get("alpha"),
-        n_grid=tuple(obj.get("n_grid", (1_000, 10_000, 100_000))),
-        trials=int(obj.get("trials", 2_000)),
-        scaling_exponent=obj.get("scaling_exponent"),
-        seed=int(obj["seed"]),
-        output_path=obj.get("output_path"),
-        povm_family=[povm_from_json(p) for p in obj["povm_family"]] if obj.get("povm_family") else None,
+        n_grid=_field(obj, "n_grid", lambda v: tuple(int(n) for n in v), (1_000, 10_000, 100_000)),
+        trials=_field(obj, "trials", int, 2_000),
+        scaling_exponent=_field(obj, "scaling_exponent", _or_null(numbers.Real), None),
+        seed=_field(obj, "seed", int),
+        output_path=_field(obj, "output_path", _or_null(str), None),
+        povm_family=_field(obj, "povm_family", lambda v: [povm_from_json(p) for p in v] if v else None, None),
     )
 
 

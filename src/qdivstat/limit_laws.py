@@ -71,6 +71,9 @@ __all__ = [
     "petz_null_commutative",
 ]
 
+# Relative gap below which the top eigenvalue of the max-divergence operator counts as degenerate.
+_GAP_TOL = 1e-8
+
 
 class SupportViolation(ValueError):
     """A support precondition of a limit functional failed."""
@@ -342,11 +345,11 @@ def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     return _pair(_sandwich_gradient(rho, sigma, 1.0, weight, tol), L1, L2)
 
 
-def maxdiv_gradient(rho, sigma, tol: float = 1e-8, gap_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def maxdiv_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the max-divergence log lambda_max(T), T = rho^(1/2) sigma^-1 rho^(1/2).
 
     The weight is the top eigenprojection of T, with c = 1/lambda_max.  The
-    maximal eigenvalue must be simple within ``gap_tol`` (relative), else the
+    maximal eigenvalue must be simple within ``_GAP_TOL`` (relative), else the
     projection is ill-defined and an error is raised rather than silently
     picking a branch.
     """
@@ -354,7 +357,7 @@ def maxdiv_gradient(rho, sigma, tol: float = 1e-8, gap_tol: float = 1e-8) -> tup
     def weight(T):
         lam = T.eigenvalues
         lam_max = float(lam[-1])
-        if len(lam) > 1 and (lam_max - float(lam[-2])) <= gap_tol * max(1.0, lam_max):
+        if len(lam) > 1 and (lam_max - float(lam[-2])) <= _GAP_TOL * max(1.0, lam_max):
             raise ValueError("top eigenvalue of rho^(1/2) sigma^-1 rho^(1/2) is degenerate; "
                              "the limit projection is ill-defined")
         v = T.eigenvectors[:, -1]
@@ -363,9 +366,9 @@ def maxdiv_gradient(rho, sigma, tol: float = 1e-8, gap_tol: float = 1e-8) -> tup
     return _sandwich_gradient(rho, sigma, -1.0, weight, tol)
 
 
-def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8, gap_tol: float = 1e-8) -> float:
+def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     """First-order max-divergence limit, using the top eigenprojection of rho^(1/2) sigma^-1 rho^(1/2)."""
-    return _pair(maxdiv_gradient(rho, sigma, tol, gap_tol), L1, L2)
+    return _pair(maxdiv_gradient(rho, sigma, tol), L1, L2)
 
 
 # ---------------------------------------------------------------------------

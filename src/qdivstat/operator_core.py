@@ -36,7 +36,6 @@ __all__ = [
     "eigvals_hermitian",
     "support_mask",
     "spectral_map",
-    "apply_scalar_function",
     "schatten_norm",
     "support_projector",
     "support_leak",
@@ -58,9 +57,9 @@ class HermitianOperator:
     """A d x d complex Hermitian matrix.
 
     The constructor symmetrizes ``(A + A^dagger)/2`` after checking that the
-    asymmetry is below an absolute tolerance of 1e-12; downstream quadrature
-    and repeated products accumulate tiny asymmetries, so symmetrizing here
-    keeps every later eigendecomposition honest.
+    asymmetry is below an absolute tolerance of 1e-12; repeated products
+    accumulate tiny asymmetries, so symmetrizing here keeps every later
+    eigendecomposition honest.
     """
 
     __slots__ = ("mat", "dim")
@@ -411,15 +410,6 @@ def spectral_map(A, f: Callable[[np.ndarray], np.ndarray],
     if bad.any():
         raise ValueError(f"scalar function is not finite at eigenvalue {lam[bad][0]}")
     return S.reassemble(vals)
-
-
-def apply_scalar_function(S: SpectralDecomposition, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
-    """f(A) = U diag(f(lambda)) U^dagger for a real map f of the eigenvalue array.
-
-    The caller is responsible for masking kernel eigenvalues (log, negative
-    powers); a non-finite value raises naming the offending eigenvalue.
-    """
-    return HermitianOperator(spectral_map(S, f))
 
 
 def schatten_norm(A, p: float) -> float:

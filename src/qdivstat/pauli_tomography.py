@@ -61,8 +61,6 @@ __all__ = [
     "estimate_stack",
     "estimate_sigma_stack",
     "estimate",
-    "estimate_rho",
-    "estimate_sigma",
     "bernoulli_weights",
     "linear_law_variance",
     "variance_v1",
@@ -301,8 +299,7 @@ def trial_chunks(trials: int, dim: int) -> Iterator[range]:
     return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
-def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
-                   psd_atol: float = _PSD_ATOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First-argument tomographic estimates of a stack of records with n shots each.
 
     Row t of ``counts`` holds the plus counts of record t.  Returns the
@@ -313,15 +310,14 @@ def estimate_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
     reassemble their projection onto the simplex with the same eigenvectors.
     """
     raw = _reconstruct_rows(_bloch_rows(np.asarray(counts), n), basis)
-    lam, projected = density_spectrum(eigvals_hermitian(raw, checked=True), psd_atol)
+    lam, projected = density_spectrum(eigvals_hermitian(raw, checked=True), _PSD_ATOL)
     check_density_spectrum(lam)
     if projected.any():
         raw[projected] = eig_hermitian(raw[projected], checked=True).reassemble(lam[projected])
     return raw, lam, projected
 
 
-def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
-                         psd_atol: float = _PSD_ATOL) -> tuple[SpectralDecomposition, np.ndarray]:
+def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet) -> tuple[SpectralDecomposition, np.ndarray]:
     """Second-argument estimates of a stack of records, as spectra, and the projection flags.
 
     Each estimate is the first-argument estimate mixed with I/(nd), so that
@@ -331,14 +327,13 @@ def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet,
     """
     raw = _reconstruct_rows(_bloch_rows(np.asarray(counts), n), basis)
     S = eig_hermitian(raw, checked=True)
-    lam, projected = density_spectrum(S.eigenvalues, psd_atol)
+    lam, projected = density_spectrum(S.eigenvalues, _PSD_ATOL)
     lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
     check_density_spectrum(lam)
     return S.with_eigenvalues(lam), projected
 
 
-def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False,
-             psd_atol: float = _PSD_ATOL) -> tuple[DensityOperator, bool]:
+def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False) -> tuple[DensityOperator, bool]:
     """Tomographic estimate of a record and whether it took the projection branch.
 
     The raw reconstruction is kept if PSD, else replaced by the nearest
@@ -348,23 +343,12 @@ def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = Fals
     """
     counts = record.plus_counts[None]
     if floor:
-        S, projected = estimate_sigma_stack(counts, record.n, basis, psd_atol)
+        S, projected = estimate_sigma_stack(counts, record.n, basis)
         mat, lam = S.reassemble()[0], S.eigenvalues[0]
     else:
-        mats, lams, projected = estimate_stack(counts, record.n, basis, psd_atol)
+        mats, lams, projected = estimate_stack(counts, record.n, basis)
         mat, lam = mats[0], lams[0]
     return DensityOperator.from_spectrum(mat, lam), bool(projected[0])
-
-
-def estimate_rho(record: MeasurementRecord, basis: PauliBasisSet,
-                 psd_atol: float = _PSD_ATOL) -> DensityOperator:
-    """Tomographic estimator: raw reconstruction if PSD, nearest density operator otherwise."""
-    return estimate(record, basis, psd_atol=psd_atol)[0]
-
-
-def estimate_sigma(record: MeasurementRecord, basis: PauliBasisSet) -> DensityOperator:
-    """Second-argument estimator with the I/(nd) floor that keeps it strictly positive."""
-    return estimate(record, basis, floor=True)[0]
 
 
 def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qdivstat.divergences import povm_apply
-from qdivstat.frechet import build_divided_differences, d_power, frechet1
+from qdivstat.frechet import build_divided_differences, frechet1
 from qdivstat.operator_core import as_matrix, eig_hermitian, hermitian_part, spectral_map, support_mask
 
 
@@ -45,7 +45,8 @@ def petz_alt(rho, sigma, alpha, L1, L2=None) -> float:
     ab = 1 - alpha
     r_pow = spectral_map(R, lambda lam: lam**alpha)
     s_pow = spectral_map(Sg, lambda lam: lam**ab)
-    num = _retr(s_pow @ d_power(R, M1, alpha).mat) + _retr(r_pow @ d_power(Sg, M2, ab).mat)
+    num = (_retr(s_pow @ frechet1(build_divided_differences(R, alpha), M1).mat)
+           + _retr(r_pow @ frechet1(build_divided_differences(Sg, ab), M2).mat))
     return num / ((alpha - 1) * _retr(r_pow @ s_pow))
 
 
@@ -55,8 +56,8 @@ def sandwiched_alt(rho, sigma, alpha, L1, L2=None) -> float:
     q = (1 - alpha) / alpha
     root = spectral_map(R, np.sqrt)
     s_q = spectral_map(Sg, lambda lam: lam**q)
-    d_root = d_power(R, M1, 0.5).mat
-    d_sq = d_power(Sg, M2, q).mat if q != 1 else M2
+    d_root = frechet1(build_divided_differences(R, 0.5), M1).mat
+    d_sq = frechet1(build_divided_differences(Sg, q), M2).mat if q != 1 else M2
     T = eig_hermitian(hermitian_part(root @ s_q @ root, atol=np.inf))
     dT = d_root @ s_q @ root + root @ s_q @ d_root + root @ d_sq @ root
     num = _retr(dT @ spectral_map(T, lambda lam: lam ** (alpha - 1)))
@@ -68,7 +69,7 @@ def fidelity_alt(rho, sigma, L1, L2=None) -> float:
     """sqrt(F) Tr[dT (rho^(1/2) sigma rho^(1/2))^(-1/2)]."""
     R, Sg, M1, M2 = _on_support(rho, sigma, L1, L2)
     root = spectral_map(R, np.sqrt)
-    d_root = d_power(R, M1, 0.5).mat
+    d_root = frechet1(build_divided_differences(R, 0.5), M1).mat
     T = eig_hermitian(hermitian_part(root @ Sg @ root, atol=np.inf))
     dT = d_root @ Sg @ root + root @ Sg @ d_root + root @ M2 @ root
     sqrt_fid = float(np.sum(np.sqrt(np.clip(T.eigenvalues, 0.0, None))))
@@ -82,7 +83,7 @@ def maxdiv_alt(rho, sigma, L1, L2=None) -> float:
     s_inv = spectral_map(Sg, np.reciprocal)
     S = eig_hermitian(hermitian_part(root @ s_inv @ root, atol=np.inf))
     v = S.eigenvectors[:, -1]
-    d_root = d_power(R, M1, 0.5).mat
+    d_root = frechet1(build_divided_differences(R, 0.5), M1).mat
     dM = d_root @ s_inv @ root + root @ s_inv @ d_root - root @ s_inv @ M2 @ s_inv @ root
     return _retr(dM @ np.outer(v, v.conj())) / float(S.eigenvalues[-1])
 

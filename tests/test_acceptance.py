@@ -22,13 +22,7 @@ from qdivstat.divergences import (
     Povm,
 )
 from qdivstat.experiments import ExperimentConfig, ks_statistic, run_convergence_experiment
-from qdivstat.frechet import (
-    ScalarFn,
-    build_divided_differences,
-    frechet1,
-    frechet1_log_quadrature,
-    frechet_power_quadrature,
-)
+from qdivstat.frechet import ScalarFn, build_divided_differences, frechet1
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
     min_eigenvalue_bound,
@@ -65,6 +59,7 @@ from qdivstat.pauli_tomography import (
 from qdivstat.random_ops import haar_unitary, random_density, random_hermitian, random_traceless
 
 from conftest import normal_cdf, pauli_operators
+from frechet_oracles import frechet1_log_quadrature, frechet_power_quadrature
 
 
 def report(name: str, ok: bool, detail: str) -> None:

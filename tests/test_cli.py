@@ -208,6 +208,35 @@ class TestExperimentCommand:
         assert rc == 2
 
 
+def _config(rho, **fields):
+    return {"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "n_grid": [200], "trials": 110,
+            "seed": 12, **fields}
+
+
+def _scenario(**fields):
+    return {"states": [qio.matrix_to_json(np.diag([0.75, 0.25]))], "sigma": qio.matrix_to_json(np.eye(2) / 2),
+            "epsilons": [0.0, 1.0], "tau": 0.3, "n": 300, "trials": 60, "seed": 2, **fields}
+
+
+@pytest.mark.parametrize("command,flag,body,field", [
+    ("experiment", "--config", lambda rho: _config(rho, scaling_exponent="fast"), "scaling_exponent"),
+    ("experiment", "--config", lambda rho: _config(rho, n_grid=100), "n_grid"),
+    ("experiment", "--config", lambda rho: _config(rho, seed=None), "seed"),
+    ("experiment", "--config", lambda rho: _config(rho, output_path=["rows.csv"]), "output_path"),
+    ("hypothesis", "--scenario", lambda rho: _scenario(epsilons=2), "epsilons"),
+    ("hypothesis", "--scenario", lambda rho: _scenario(n=float("inf")), "n"),
+])
+def test_malformed_json_field_is_validation_error(states, tmp_path, capsys, command, flag, body, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body(states[0])))
+    argv = [command, flag, str(path)] + (["--out", str(tmp_path / "x.csv")] if command == "hypothesis" else [])
+    rc = cli_main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "Traceback" not in err
+    assert f"field {field!r}" in err
+
+
 class TestHypothesisCommand:
     def test_scenario_run(self, tmp_path, capsys):
         sigma = np.eye(2) / 2

@@ -13,10 +13,8 @@ from qdivstat.divergences import (
     petz_renyi,
     petz_renyi_rows,
     povm_apply,
-    sandwiched_dual_optimizer,
     sandwiched_renyi,
     sandwiched_renyi_rows,
-    sandwiched_variational_objective,
     trivial_povm,
     umegaki,
     umegaki_spectral,
@@ -27,6 +25,7 @@ from qdivstat.random_ops import haar_unitary
 
 import scalar_divergences as scalar
 from conftest import rand_herm, rand_state
+from frechet_oracles import sandwiched_dual_optimizer, sandwiched_variational_objective
 
 KL_75_50 = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)  # ~0.130812 nats
 

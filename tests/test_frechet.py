@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from qdivstat import frechet
-from qdivstat.frechet import (
-    QuadratureRule,
-    ScalarFn,
-    build_divided_differences,
-    d_power,
-    finite_difference_check,
-    frechet1,
-    frechet1_log_quadrature,
-    frechet2,
-    frechet2_log_quadrature,
-    frechet_power_quadrature,
-)
+from qdivstat.frechet import ScalarFn, build_divided_differences, frechet1, frechet2
 from qdivstat.operator_core import eig_hermitian, moore_penrose_inverse
 from qdivstat.pauli_tomography import build_pauli_basis, variance_v2
 
 from conftest import rand_herm
+from frechet_oracles import (
+    QuadratureRule,
+    finite_difference_check,
+    frechet1_log_quadrature,
+    frechet2_log_quadrature,
+    frechet_power_quadrature,
+)
 
 
 def positive_matrix(rng, dim, spread=10.0):
@@ -40,7 +36,7 @@ class TestTables:
         assert T.first[1, 0] == pytest.approx(1 / (np.e - 1))
 
     def test_coalescing_rule(self):
-        T = build_divided_differences(np.diag([1.0, 1.0 + 1e-14]), "log", coalesce_tol=1e-8)
+        T = build_divided_differences(np.diag([1.0, 1.0 + 1e-14]), "log")
         # nearly equal eigenvalues switch to f' at the midpoint
         assert T.first[0, 1] == pytest.approx(1.0, abs=1e-10)
 
@@ -69,7 +65,7 @@ class TestTables:
         monkeypatch.setattr(frechet, "_dd2", unbuilt)
         T = build_divided_differences(A, "log")
         frechet1(T, rand_herm(rng, 4))
-        d_power(A, rand_herm(rng, 4), 0.5)
+        frechet1(build_divided_differences(A, 0.5), rand_herm(rng, 4))
         variance_v2(A / np.trace(A).real, np.eye(4) / 4, build_pauli_basis(2))
         assert "second" not in vars(T)
 
@@ -103,7 +99,7 @@ def exact_divided_differences(name, alpha):
 
 class TestDividedDifferenceAccuracy:
     FNS = [("log", None), ("power", 0.5), ("power", -0.5), ("power", 1.5)]
-    TOL = frechet.DEFAULT_COALESCE_TOL
+    TOL = frechet.COALESCE_TOL
 
     @pytest.mark.parametrize("name,alpha", FNS)
     def test_close_arguments(self, name, alpha):
@@ -138,7 +134,7 @@ class TestFrechet1:
     def test_square_commuting(self):
         A = np.diag([1.0, 3.0])
         H = np.diag([0.5, -2.0])
-        assert np.allclose(d_power(A, H, 2).mat, 2 * A @ H)
+        assert np.allclose(frechet1(build_divided_differences(A, 2.0), H).mat, 2 * A @ H)
 
     def test_log_offdiagonal(self):
         T = build_divided_differences(np.diag([1.0, 2.0]), "log")
@@ -171,7 +167,7 @@ class TestFrechet1:
         A = positive_matrix(rng, 4)
         H = rand_herm(rng, 4)
         inv = moore_penrose_inverse(A).mat
-        got = d_power(A, H, -1.0).mat
+        got = frechet1(build_divided_differences(A, -1.0), H).mat
         assert np.max(np.abs(got + inv @ H @ inv)) < 1e-9
 
     def test_product_rule_cubic(self, rng):
@@ -179,8 +175,8 @@ class TestFrechet1:
         # an indefinite A takes the plain quotient at eigenvalues <= 0
         for A in (positive_matrix(rng, 3), rand_herm(rng, 3)):
             H = rand_herm(rng, 3)
-            lhs = d_power(A, H, 3.0).mat
-            rhs = A @ d_power(A, H, 2).mat + H @ A @ A
+            lhs = frechet1(build_divided_differences(A, 3.0), H).mat
+            rhs = A @ frechet1(build_divided_differences(A, 2.0), H).mat + H @ A @ A
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

@@ -15,8 +15,6 @@ from qdivstat.pauli_tomography import (
     bloch_coefficients,
     build_pauli_basis,
     estimate,
-    estimate_rho,
-    estimate_sigma,
     estimate_stack,
     qubits_for_dim,
     reconstruct,
@@ -302,7 +300,7 @@ class TestEstimators:
         rho = reconstruct(s, B).mat
         rec = MeasurementRecord(n=10, plus_counts=np.array([7, 5, 6]), seed=0)
         assert np.allclose((2 * rec.plus_counts - rec.n) / rec.n, s)
-        est = estimate_rho(rec, B)
+        est = estimate(rec, B)[0]
         assert np.max(np.abs(est.mat - rho)) < 1e-12
         assert estimate(rec, B)[1] is False
 
@@ -311,7 +309,7 @@ class TestEstimators:
         rec = MeasurementRecord(n=10, plus_counts=np.array([10, 10, 10]), seed=0)
         # s_hat = (1,1,1) is outside the Bloch ball
         assert estimate(rec, B)[1]
-        est = estimate_rho(rec, B)
+        est = estimate(rec, B)[0]
         lam = np.linalg.eigvalsh(est.mat)
         assert lam[0] >= -1e-12
         assert np.trace(est.mat).real == pytest.approx(1.0)
@@ -327,7 +325,7 @@ class TestEstimators:
         for n in (1000, 4000):
             errs = []
             for t in range(100):
-                est = estimate_rho(sample_record(rho, B, n, seed=1000 * n + t), B)
+                est = estimate(sample_record(rho, B, n, seed=1000 * n + t), B)[0]
                 errs.append(np.sum(np.abs(np.linalg.eigvalsh(est.mat - rho))))
             meds.append(np.median(errs))
         ratio = meds[0] / meds[1]
@@ -338,7 +336,7 @@ class TestEstimators:
         s = np.array([0.4, 0.0, 0.2])
         sigma = reconstruct(s, B).mat
         rec = MeasurementRecord(n=10, plus_counts=np.array([7, 5, 6]), seed=0)
-        est = estimate_sigma(rec, B)
+        est = estimate(rec, B, floor=True)[0]
         want = np.eye(2) / 20 + 0.9 * sigma
         assert np.max(np.abs(est.mat - want)) < 1e-12
 
@@ -346,7 +344,7 @@ class TestEstimators:
         B = build_pauli_basis(1)
         for seed in range(20):
             rec = sample_record(np.diag([1.0, 0.0]), B, 7, seed=seed)
-            est = estimate_sigma(rec, B)
+            est = estimate(rec, B, floor=True)[0]
             assert np.linalg.eigvalsh(est.mat)[0] >= 1 / (7 * 2) - 1e-12
 
     def test_relative_entropy_always_finite(self, rng):
@@ -354,8 +352,8 @@ class TestEstimators:
         B = build_pauli_basis(1)
         pure = np.diag([1.0, 0.0])
         for seed in range(30):
-            rho_hat = estimate_rho(sample_record(pure, B, 5, seed=seed), B)
-            sig_hat = estimate_sigma(sample_record(pure, B, 5, seed=seed + 10**6), B)
+            rho_hat = estimate(sample_record(pure, B, 5, seed=seed), B)[0]
+            sig_hat = estimate(sample_record(pure, B, 5, seed=seed + 10**6), B, floor=True)[0]
             val = umegaki(rho_hat.mat, sig_hat.mat)
             assert val.support_ok and np.isfinite(val.value)
 
