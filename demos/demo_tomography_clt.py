@@ -14,7 +14,6 @@ from qdivstat import (
     random_density,
     run_convergence_experiment,
     sample_record,
-    umegaki,
     variance_v1,
     variance_v2,
 )
@@ -54,8 +53,8 @@ print(f"\ntwo-sample variant at n = {s['n']}: var {s['var']:.5f} vs v2^2 {s['v_p
 
 print("\nnull case: n * D(rho_hat || rho) has a non-Gaussian limit, the weighted")
 print("chi-squared law sum_k lam_k Z_k^2 whose weights come from the Hessian of D")
-print("in Pauli coordinates; the statistic is matched against a sample of that law:")
+print("in Pauli coordinates; the statistic is compared with that law's exact CDF:")
 cfg3 = ExperimentConfig(kind="one_sample_null", rho=rho, n_grid=(1_000, 10_000),
                         trials=800, seed=44)
 for s in run_convergence_experiment(cfg3)["summary"]:
-    print(f"  n = {s['n']:6d}: mean {s['mean']:.4f}  var {s['var']:.4f}  two-sample KS = {s['ks']:.3f}")
+    print(f"  n = {s['n']:6d}: mean {s['mean']:.4f}  var {s['var']:.4f}  KS to the exact CDF = {s['ks']:.3f}")

@@ -101,15 +101,16 @@ def _run_divergence(args) -> int:
     return EXIT_OK
 
 
+# Each functional reads the bundle fields it needs through ``b``, which names the field it rejects.
 _LIMIT_FUNCTIONALS = {
-    "qre_alt": lambda b: ll.qre_alt_limit(b["rho"], b["sigma"], b["L1"], b["L2"]),
-    "qre_null": lambda b: ll.qre_null_limit(b["rho"], b["L1"], b["L2"]),
-    "vn_entropy": lambda b: ll.vn_entropy_limit(b["rho"], b["L1"]),
-    "petz_alt": lambda b: ll.petz_alt_limit(b["rho"], b["sigma"], b["alpha"], b["L1"], b["L2"]),
-    "petz_null": lambda b: ll.petz_null_limit(b["rho"], b["alpha"], b["L1"], b["L2"]),
-    "sandwiched_alt": lambda b: ll.sandwiched_alt_limit(b["rho"], b["sigma"], b["alpha"], b["L1"], b["L2"]),
-    "fidelity": lambda b: ll.fidelity_limit(b["rho"], b["sigma"], b["L1"], b["L2"]),
-    "maxdiv": lambda b: ll.maxdiv_limit(b["rho"], b["sigma"], b["L1"], b["L2"]),
+    "qre_alt": lambda b: ll.qre_alt_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
+    "qre_null": lambda b: ll.qre_null_limit(b("rho"), b("L1"), b("L2")),
+    "vn_entropy": lambda b: ll.vn_entropy_limit(b("rho"), b("L1")),
+    "petz_alt": lambda b: ll.petz_alt_limit(b("rho"), b("sigma"), b("alpha"), b("L1"), b("L2")),
+    "petz_null": lambda b: ll.petz_null_limit(b("rho"), b("alpha"), b("L1"), b("L2")),
+    "sandwiched_alt": lambda b: ll.sandwiched_alt_limit(b("rho"), b("sigma"), b("alpha"), b("L1"), b("L2")),
+    "fidelity": lambda b: ll.fidelity_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
+    "maxdiv": lambda b: ll.maxdiv_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
 }
 
 
@@ -119,10 +120,14 @@ def _run_limit(args) -> int:
     name = raw.get("functional")
     if name not in _LIMIT_FUNCTIONALS:
         raise ValueError(f"unknown functional {name!r}; choose from {sorted(_LIMIT_FUNCTIONALS)}")
-    bundle = {"alpha": raw.get("alpha")}
-    for key in ("rho", "sigma", "L1", "L2"):
-        bundle[key] = qio.matrix_from_json(raw[key]) if raw.get(key) is not None else None
-    print(repr(_LIMIT_FUNCTIONALS[name](bundle)))
+
+    def field(key: str):
+        # a missing or null direction is zero; alpha is a number and every other field a matrix
+        if key in ("L1", "L2") and raw.get(key) is None:
+            return None
+        return qio._field(raw, key, qio._number if key == "alpha" else qio.matrix_from_json)
+
+    print(repr(_LIMIT_FUNCTIONALS[name](field)))
     return EXIT_OK
 
 
@@ -140,6 +145,10 @@ def _run_tomography(args) -> int:
 
 def _run_experiment(args) -> int:
     if args.config:
+        # the file describes the experiment; only --seed and --out override it
+        given = [f"--{k}" for k in ("kind", "rho", "sigma", "alpha", "n", "trials") if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --config; set it in the config file")
         with open(args.config) as fh:
             obj = json.load(fh)
         if args.seed is not None:
@@ -158,7 +167,7 @@ def _run_experiment(args) -> int:
             sigma=qio.load_matrix(args.sigma) if args.sigma else None,
             alpha=args.alpha,
             n_grid=tuple(int(x) for x in args.n.split(",")) if args.n else (1_000, 10_000),
-            trials=args.trials if args.trials else 2_000,
+            trials=ExperimentConfig.trials if args.trials is None else args.trials,
             seed=args.seed,
             output_path=args.out,
         )

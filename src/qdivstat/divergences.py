@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator_core import (
-    DEFAULT_SUPPORT_RTOL,
+    SUPPORT_RTOL,
     HermitianOperator,
     SpectralDecomposition,
     as_matrix,
@@ -58,9 +58,9 @@ __all__ = [
     "masked_log_trace",
 ]
 
-DEFAULT_TOL = 1e-9
-# Measured relative entropy: family members within this of a row's largest KL tie with it.
-_TIE_TOL = 1e-9
+MASS_TOL = 1e-9  # mass counted as none: a leak out of supp(sigma), an outcome probability, a Renyi overlap
+POVM_ATOL = 1e-10  # how far a POVM element may be below PSD, and the elements' sum off the identity
+_TIE_TOL = 1e-9  # measured relative entropy: members within this of a row's largest KL tie with it
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class Povm:
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, *, atol: float = 1e-10):
+    def __init__(self, elements):
         ops = [HermitianOperator(as_matrix(E)) for E in elements]
         if not ops:
             raise ValueError("a POVM needs at least one element")
@@ -104,10 +104,10 @@ class Povm:
         for E in ops:
             if E.dim != d:
                 raise ValueError("POVM elements have mixed dimensions")
-            if float(eigvals_hermitian(E)[0]) < -atol:
+            if float(eigvals_hermitian(E)[0]) < -POVM_ATOL:
                 raise ValueError("POVM element is not PSD")
             total += E.mat
-        if np.max(np.abs(total - np.eye(d))) > atol:
+        if np.max(np.abs(total - np.eye(d))) > POVM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         self.elements = tuple(ops)
 
@@ -142,14 +142,14 @@ def povm_apply(M: Povm, A) -> np.ndarray:
     return np.einsum("kij,...ji->...k", np.stack([E.mat for E in M.elements]), mat).real
 
 
-def masked_power(A, p: float, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
+def masked_power(A, p: float) -> np.ndarray:
     """A^p on the support of A; kernel eigenvalues map to zero."""
-    return spectral_map(A, lambda lam: lam**p, lambda lam: support_mask(lam, rel_tol))
+    return spectral_map(A, lambda lam: lam**p, support_mask)
 
 
-def masked_log_trace(rho, B, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> float:
+def masked_log_trace(rho, B) -> float:
     """Tr[rho log B] restricted to the support of B (0 log 0 = 0 convention)."""
-    log_b = spectral_map(B, np.log, lambda lam: support_mask(lam, rel_tol))
+    log_b = spectral_map(B, np.log, support_mask)
     return float(np.trace(as_matrix(rho) @ log_b).real)
 
 
@@ -163,8 +163,7 @@ def log_with_kernel(sigma) -> np.ndarray:
     return spectral_map(sigma, lambda s: np.where(support_mask(s), np.log(s), 1j))
 
 
-def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
+def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma) -> np.ndarray:
     """Tr[rho (log rho - log sigma)] from rho's matrix and eigenvalues and sigma's decomposition.
 
     ``rho`` is a Hermitian matrix or a stack (..., d, d), with its ascending
@@ -173,7 +172,7 @@ def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma,
     their broadcast leading shape: D = sum lam log lam over the support of
     rho, minus Tr[rho L], with L the log of sigma on its support.  D is +inf
     where supp(rho) is not contained in supp(sigma), that is where the leak
-    Tr[rho Q] onto the kernel projector Q of sigma exceeds ``tol``.  Kernels
+    Tr[rho Q] onto the kernel projector Q of sigma exceeds ``MASS_TOL``.  Kernels
     are masked as in ``masked_log_trace``.  Every term is linear in rho or
     reads its eigenvalues, so rho's eigenvectors are never needed.
     """
@@ -181,13 +180,13 @@ def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma,
     own = np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
     log_kernel = log_with_kernel(sigma) if isinstance(sigma, SpectralDecomposition) else sigma
     cross_and_leak = np.einsum("...ij,...ji->...", rho, log_kernel)
-    return np.where(cross_and_leak.imag <= tol, own - cross_and_leak.real, np.inf)
+    return np.where(cross_and_leak.imag <= MASS_TOL, own - cross_and_leak.real, np.inf)
 
 
-def umegaki(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
+def umegaki(rho, sigma) -> DivergenceValue:
     """Quantum relative entropy Tr[rho (log rho - log sigma)], +inf without support containment."""
     mat = hermitian_part(as_matrix(rho))
-    value = float(umegaki_spectral(mat, eigvals_hermitian(mat, checked=True), eig_hermitian(sigma), tol))
+    value = float(umegaki_spectral(mat, eigvals_hermitian(mat, checked=True), eig_hermitian(sigma)))
     if math.isinf(value):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     return DivergenceValue(value)
@@ -198,34 +197,33 @@ def von_neumann_entropy(rho) -> float:
     return max(0.0, -masked_log_trace(rho, rho))
 
 
-def _check_prob_vector(P: np.ndarray, tol: float, name: str) -> np.ndarray:
+def _check_prob_vector(P: np.ndarray, name: str) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if np.any(P < -tol):
+    if np.any(P < -MASS_TOL):
         raise ValueError(f"{name} has a negative entry beyond tolerance")
-    if abs(P.sum() - 1.0) > max(tol, 1e-8):
+    if abs(P.sum() - 1.0) > 1e-8:
         raise ValueError(f"{name} does not sum to 1 within tolerance")
     return np.clip(P, 0.0, None)
 
 
-def classical_kl(P, Q, tol: float = DEFAULT_TOL) -> DivergenceValue:
+def classical_kl(P, Q) -> DivergenceValue:
     """Kullback-Leibler divergence of discrete distributions, with the support convention."""
-    P = _check_prob_vector(P, tol, "P")
-    Q = _check_prob_vector(Q, tol, "Q")
+    P, Q = _check_prob_vector(P, "P"), _check_prob_vector(Q, "Q")
     if P.shape != Q.shape:
         raise ValueError("distributions have different lengths")
-    value = float(_kl_rows(P, Q, tol))
+    value = float(_kl_rows(P, Q))
     if math.isinf(value):
         return DivergenceValue.infinite("P puts mass where Q vanishes")
     return DivergenceValue(value)
 
 
-def _kl_rows(P: np.ndarray, Q: np.ndarray, tol: float) -> np.ndarray:
-    """KL divergence of the distributions along the last axis; +inf where P > tol meets Q <= tol."""
-    live = P > tol
-    leaks = np.any(live & (Q <= tol), axis=-1)
-    ratio = np.where(live, P, 1.0) / np.where(live & (Q > tol), Q, 1.0)
+def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """KL divergence of the distributions along the last axis; +inf where P > MASS_TOL meets Q <= MASS_TOL."""
+    live = P > MASS_TOL
+    leaks = np.any(live & (Q <= MASS_TOL), axis=-1)
+    ratio = np.where(live, P, 1.0) / np.where(live & (Q > MASS_TOL), Q, 1.0)
     return np.where(leaks, np.inf, np.sum(P * np.log(ratio), axis=-1))
 
 
@@ -241,33 +239,33 @@ def check_sandwiched_alpha(alpha: float) -> None:
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
 
 
-def _renyi_rows(total, alpha: float, rho, sigma, tol: float) -> np.ndarray:
-    """log(total) / (alpha - 1) per row; +inf where total <= tol or, for alpha > 1, rho leaks out of supp(sigma)."""
-    finite = total > tol
+def _renyi_rows(total, alpha: float, rho, sigma) -> np.ndarray:
+    """log(total) / (alpha - 1) per row; +inf where total <= MASS_TOL or (alpha > 1) rho leaks out of supp(sigma)."""
+    finite = total > MASS_TOL
     if alpha > 1:
-        finite &= support_leak(rho, sigma) <= tol
+        finite &= support_leak(rho, sigma) <= MASS_TOL
     return np.where(finite, np.log(np.where(finite, total, 1.0)) / (alpha - 1), np.inf)
 
 
-def _renyi_value(value, rho, sigma, alpha: float, tol: float) -> DivergenceValue:
+def _renyi_value(value, rho, sigma, alpha: float) -> DivergenceValue:
     """One row of ``_renyi_rows`` as a DivergenceValue, naming why it is infinite."""
     if math.isfinite(value):
         return DivergenceValue(float(value))
-    leaks = alpha > 1 and not support_contained(rho, sigma, tol)
+    leaks = alpha > 1 and not support_contained(rho, sigma, MASS_TOL)
     return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)" if leaks
                                     else "rho and sigma are orthogonal")
 
 
-def petz_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def petz_renyi_rows(rho, sigma, alpha: float) -> np.ndarray:
     """Petz-Renyi divergence per pair of matrices or stacks (..., d, d); sigma may be their decomposition."""
     check_petz_alpha(alpha)
     overlap = np.einsum("...ij,...ji->...", masked_power(rho, alpha), masked_power(sigma, 1 - alpha)).real
-    return _renyi_rows(overlap, alpha, rho, sigma, tol)
+    return _renyi_rows(overlap, alpha, rho, sigma)
 
 
-def petz_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> DivergenceValue:
+def petz_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     """Petz-Renyi divergence (alpha - 1)^-1 log Tr[rho^alpha sigma^(1-alpha)]."""
-    return _renyi_value(petz_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
+    return _renyi_value(petz_renyi_rows(rho, sigma, alpha), rho, sigma, alpha)
 
 
 def _sandwich_base(rho, sigma, alpha: float):
@@ -285,27 +283,27 @@ def _sandwich_base(rho, sigma, alpha: float):
     return hermitian_part(root @ mid @ root, atol=np.inf), R.eigenvalues[..., -1] * norm_q
 
 
-def _sandwich_kept(bound, rel_tol: float = DEFAULT_SUPPORT_RTOL):
-    """The eigenvalues of T that count: above rel_tol ||rho|| ||sigma^q||; smaller ones are rounding noise."""
-    return lambda lam: lam > rel_tol * np.asarray(bound)[..., None]
+def _sandwich_kept(bound):
+    """The eigenvalues of T that count: above SUPPORT_RTOL ||rho|| ||sigma^q||; smaller ones are rounding noise."""
+    return lambda lam: lam > SUPPORT_RTOL * np.asarray(bound)[..., None]
 
 
-def sandwiched_renyi_rows(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def sandwiched_renyi_rows(rho, sigma, alpha: float) -> np.ndarray:
     """Sandwiched Renyi divergence per pair, as ``petz_renyi_rows``: (alpha - 1)^-1 log Tr T^alpha.
 
-    Eigenvalues of T below DEFAULT_SUPPORT_RTOL ||rho|| ||sigma^q|| are rounding noise and count as 0,
+    Eigenvalues of T below SUPPORT_RTOL ||rho|| ||sigma^q|| are rounding noise and count as 0,
     so orthogonal states give +inf (and ``fidelity`` 0) at every alpha.
     """
     check_sandwiched_alpha(alpha)
     T, bound = _sandwich_base(rho, sigma, alpha)
     lam = eigvals_hermitian(T, checked=True)
     lam = np.where(_sandwich_kept(bound)(lam), lam, 0.0)
-    return _renyi_rows(np.sum(lam**alpha, axis=-1), alpha, rho, sigma, tol)
+    return _renyi_rows(np.sum(lam**alpha, axis=-1), alpha, rho, sigma)
 
 
-def sandwiched_renyi(rho, sigma, alpha: float, tol: float = DEFAULT_TOL) -> DivergenceValue:
+def sandwiched_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     """Sandwiched Renyi divergence alpha/(alpha-1) log ||rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2)||_alpha."""
-    return _renyi_value(sandwiched_renyi_rows(rho, sigma, alpha, tol), rho, sigma, alpha, tol)
+    return _renyi_value(sandwiched_renyi_rows(rho, sigma, alpha), rho, sigma, alpha)
 
 
 def fidelity(rho, sigma) -> float:
@@ -313,9 +311,9 @@ def fidelity(rho, sigma) -> float:
     return min(math.exp(-float(sandwiched_renyi_rows(rho, sigma, 0.5))), 1.0)
 
 
-def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
+def max_divergence(rho, sigma) -> DivergenceValue:
     """inf{lambda : rho <= e^lambda sigma} = log lambda_max(sigma^(-1/2) rho sigma^(-1/2))."""
-    if not support_contained(rho, sigma, tol):
+    if not support_contained(rho, sigma, MASS_TOL):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     inv_root = masked_power(sigma, -0.5)
     lam_max = float(eigvals_hermitian(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf),
@@ -323,7 +321,7 @@ def max_divergence(rho, sigma, tol: float = DEFAULT_TOL) -> DivergenceValue:
     return DivergenceValue(math.log(lam_max))
 
 
-def _measured_kl(rho, sigma, family, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _measured_kl(rho, sigma, family) -> tuple[np.ndarray, np.ndarray]:
     """KL of the outcome distributions per family member (..., members), and which are near-maximal.
 
     A member is near-maximal within ``_TIE_TOL`` of its row's largest KL; on an infinite row, where infinite.
@@ -335,26 +333,26 @@ def _measured_kl(rho, sigma, family, tol: float) -> tuple[np.ndarray, np.ndarray
     for M in family:
         P = np.clip(povm_apply(M, rho), 0.0, None)
         Q = np.clip(povm_apply(M, sigma), 0.0, None)
-        kl.append(_kl_rows(P / P.sum(axis=-1, keepdims=True), Q / Q.sum(axis=-1, keepdims=True), tol))
+        kl.append(_kl_rows(P / P.sum(axis=-1, keepdims=True), Q / Q.sum(axis=-1, keepdims=True)))
     kl = np.stack(kl, axis=-1)
     return kl, kl >= kl.max(axis=-1, keepdims=True) - _TIE_TOL
 
 
-def measured_relative_entropy_rows(rho, sigma, family, tol: float = DEFAULT_TOL) -> np.ndarray:
+def measured_relative_entropy_rows(rho, sigma, family) -> np.ndarray:
     """Measured relative entropy per pair, as ``petz_renyi_rows``: the KL of the first near-maximal member."""
-    kl, near = _measured_kl(rho, sigma, family, tol)
+    kl, near = _measured_kl(rho, sigma, family)
     first = np.argmax(near, axis=-1)
     return np.take_along_axis(kl, first[..., None], axis=-1)[..., 0]
 
 
-def measured_relative_entropy(rho, sigma, family, tol: float = DEFAULT_TOL) -> tuple[DivergenceValue, int]:
+def measured_relative_entropy(rho, sigma, family) -> tuple[DivergenceValue, int]:
     """Largest KL divergence of the outcome distributions over a finite POVM family.
 
     Returns the maximizing value and its (lowest) index; indices of any other
     family members within 1e-9 of the maximum are listed in the diagnostics
     so non-unique maximizers are detectable.
     """
-    kl, near = _measured_kl(rho, sigma, family, tol)
+    kl, near = _measured_kl(rho, sigma, family)
     ties = np.flatnonzero(near).tolist()
     if math.isinf(kl[ties[0]]):
         return DivergenceValue.infinite(f"measurement {ties[0]} separates the supports"), ties[0]

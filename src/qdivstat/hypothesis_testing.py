@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .operator_core import (
-    DEFAULT_SUPPORT_RTOL,
+    SUPPORT_RTOL,
     SpectralDecomposition,
     as_matrix,
     check_density_spectrum,
@@ -50,6 +50,8 @@ __all__ = [
     "wilson_interval",
     "simulate_error_rates",
 ]
+
+WILSON_Z = 1.959963984540054  # the two-sided 95% standard normal quantile of the Wilson intervals
 
 
 def inverse_q(tau: float) -> float:
@@ -160,13 +162,13 @@ def decide(d_hat: float, n: int, grid: HypothesisGrid, c: float) -> TestOutcome:
     return TestOutcome(None if index < 0 else index, d_hat, tuple(zip(bounds, bounds[1:])))
 
 
-def wilson_interval(errors: int, trials: int, confidence_z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    z2 = confidence_z**2
+    z2 = WILSON_Z**2
     center = (errors + z2 / 2) / (trials + z2)
-    radius = confidence_z * math.sqrt(errors * (trials - errors) / trials + z2 / 4) / (trials + z2)
+    radius = WILSON_Z * math.sqrt(errors * (trials - errors) / trials + z2 / 4) / (trials + z2)
     return max(0.0, center - radius), min(1.0, center + radius)
 
 
@@ -205,7 +207,7 @@ def _first_order_interval(counts: np.ndarray, n: int, screen, d0: float) -> tupl
     # Lowered by the support cutoff: it is far above the eigensolver's error
     # in lambda_min(rho), and it keeps rho_hat's eigenvalues above the cutoff
     # below which the exact path masks them.
-    mu = lam_min - np.sqrt(frob2) - DEFAULT_SUPPORT_RTOL
+    mu = lam_min - np.sqrt(frob2) - SUPPORT_RTOL
     ok = mu > 0
     return np.where(ok, ell, -np.inf), np.where(ok, ell + frob2 / (2 * np.where(ok, mu, 1.0)), np.inf)
 

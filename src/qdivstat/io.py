@@ -77,22 +77,26 @@ def record_from_json(obj: dict) -> MeasurementRecord:
                              plus_counts=np.asarray(obj["plus_counts"], dtype=np.int64))
 
 
-_REQUIRED = object()
+def _field(obj: dict, key: str, convert):
+    """``convert(obj[key])``.
 
-
-def _field(obj: dict, key: str, convert, default=_REQUIRED):
-    """``convert(obj[key])``, or ``convert(default)`` where the key is absent.
-
-    A missing required field, or a value that ``convert`` rejects with a
-    TypeError, ValueError or OverflowError (an infinite count), raises a
-    ValueError that names the field.
+    A missing field, or a value that ``convert`` rejects with a TypeError,
+    ValueError or OverflowError (an infinite count), raises a ValueError that
+    names the field.
     """
-    if key not in obj and default is _REQUIRED:
+    if key not in obj:
         raise ValueError(f"missing field {key!r}")
     try:
-        return convert(obj.get(key, default))
+        return convert(obj[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _number(value):
+    """A real number, passed through unchanged; a string or null is rejected."""
+    if isinstance(value, numbers.Real):
+        return value
+    raise TypeError(f"expected a number, got {value!r}")
 
 
 def _or_null(kind: type):
@@ -120,20 +124,23 @@ def scenario_from_json(obj: dict) -> dict:
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
+    """The experiment config of ``obj``: kind, rho and seed are required; an absent field takes its default."""
     if "seed" not in obj:
         raise ValueError("experiment config requires an explicit seed")
-    return ExperimentConfig(
-        kind=_field(obj, "kind", str),
-        rho=_field(obj, "rho", matrix_from_json),
-        sigma=_field(obj, "sigma", lambda v: None if v is None else matrix_from_json(v), None),
-        alpha=obj.get("alpha"),
-        n_grid=_field(obj, "n_grid", lambda v: tuple(int(n) for n in v), (1_000, 10_000, 100_000)),
-        trials=_field(obj, "trials", int, 2_000),
-        scaling_exponent=_field(obj, "scaling_exponent", _or_null(numbers.Real), None),
-        seed=_field(obj, "seed", int),
-        output_path=_field(obj, "output_path", _or_null(str), None),
-        povm_family=_field(obj, "povm_family", lambda v: [povm_from_json(p) for p in v] if v else None, None),
-    )
+    fields = {
+        "kind": str,
+        "rho": matrix_from_json,
+        "sigma": lambda v: None if v is None else matrix_from_json(v),
+        "alpha": lambda v: v,
+        "n_grid": lambda v: tuple(int(n) for n in v),
+        "trials": int,
+        "scaling_exponent": _or_null(numbers.Real),
+        "seed": int,
+        "output_path": _or_null(str),
+        "povm_family": lambda v: [povm_from_json(p) for p in v] if v else None,
+    }
+    return ExperimentConfig(**{key: _field(obj, key, convert) for key, convert in fields.items()
+                               if key in obj or key in ("kind", "rho")})
 
 
 ERROR_RATE_FIELDS = ("hypothesis", "trials", "errors", "rate",

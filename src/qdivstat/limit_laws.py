@@ -71,8 +71,10 @@ __all__ = [
     "petz_null_commutative",
 ]
 
-# Relative gap below which the top eigenvalue of the max-divergence operator counts as degenerate.
-_GAP_TOL = 1e-8
+TRACELESS_ATOL = 1e-9  # largest trace of a limit direction, relative to max(1, its largest entry modulus)
+LEAK_TOL = 1e-8  # mass outside a support counted as none; for a direction L, relative to max(1, Tr L^2)
+OUTCOME_TOL = 1e-10  # outcome probabilities of the measured relative entropy counted as zero
+_GAP_TOL = 1e-8  # relative gap below which the max-divergence operator's top eigenvalue is degenerate
 
 
 class SupportViolation(ValueError):
@@ -88,13 +90,13 @@ class LimitDirection:
 
     __slots__ = ("op",)
 
-    def __init__(self, mat, *, base=None, trace_atol: float = 1e-9, support_tol: float = 1e-8):
+    def __init__(self, mat, *, base=None):
         op = HermitianOperator(as_matrix(mat)) if not isinstance(mat, HermitianOperator) else mat
         tr = abs(op.trace())
         scale = max(1.0, float(np.max(np.abs(op.mat))))
-        if tr > trace_atol * scale:
+        if tr > TRACELESS_ATOL * scale:
             raise ValueError(f"limit direction has trace {tr:.3e}; expected traceless")
-        if base is not None and not _direction_in_support(op.mat, base, support_tol):
+        if base is not None and not _direction_in_support(op.mat, base):
             raise SupportViolation("direction has mass outside the support of its base state")
         self.op = op
 
@@ -115,9 +117,9 @@ def _dir_mat(L, dim: int) -> np.ndarray:
     return M
 
 
-def _direction_in_support(L: np.ndarray, base, tol: float) -> bool:
+def _direction_in_support(L: np.ndarray, base) -> bool:
     square = L @ L
-    return support_leak(square, base) <= tol * max(float(np.trace(square).real), 1.0)
+    return support_leak(square, base) <= LEAK_TOL * max(float(np.trace(square).real), 1.0)
 
 
 def _retr(x) -> float:
@@ -141,7 +143,7 @@ def _require_positive(name: str, lam: np.ndarray) -> None:
         raise SupportViolation(f"{name} must be strictly positive on the working subspace (min eig {lam[0]:.3e})")
 
 
-def _support_frame(rho, sigma, tol: float):
+def _support_frame(rho, sigma):
     """(V, rho_c, eig(rho_c), eig(sigma_c)): V spans supp(sigma) with sigma's eigenvectors, rho_c = V^dagger rho V.
 
     ``sigma`` is a matrix or its decomposition.  sigma_c is diagonal, so its
@@ -149,7 +151,7 @@ def _support_frame(rho, sigma, tol: float):
     """
     R = as_matrix(rho)
     S = sigma if isinstance(sigma, SpectralDecomposition) else eig_hermitian(sigma)
-    if not support_contained(R, S, tol):
+    if not support_contained(R, S, LEAK_TOL):
         raise SupportViolation("rho is not supported inside sigma")
     keep = support_mask(S.eigenvalues)
     V = S.eigenvectors[:, keep]
@@ -190,12 +192,12 @@ def _qre_gradient(V, R, rho_eig, sigma_eig) -> tuple[np.ndarray, np.ndarray]:
     return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
 
 
-def qre_alt_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def qre_alt_gradient(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
-    return _qre_gradient(*_support_frame(rho, sigma, tol))
+    return _qre_gradient(*_support_frame(rho, sigma))
 
 
-def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
+def qre_alt_limit(rho, sigma, L1, L2=None) -> float:
     """Alternative-case limit Tr[L1 (log rho - log sigma) - rho D[log sigma](L2)].
 
     The one-sample variant is obtained with L2 = 0 (or None).
@@ -204,34 +206,34 @@ def qre_alt_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
     d = R.shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
     S = eig_hermitian(sigma)
-    V, R_c, rho_eig, sigma_eig = _support_frame(R, S, tol)
+    V, R_c, rho_eig, sigma_eig = _support_frame(R, S)
     gradient = _qre_gradient(V, R_c, rho_eig, sigma_eig)
-    if not _direction_in_support(M2, S, tol):
+    if not _direction_in_support(M2, S):
         raise SupportViolation("L2 has mass outside the support of sigma")
-    if not _direction_in_support(M1, _lift_spectrum(S, V, rho_eig), tol):
+    if not _direction_in_support(M1, _lift_spectrum(S, V, rho_eig)):
         raise SupportViolation("L1 has mass outside the support of rho")
     return _pair(gradient, M1, M2)
 
 
-def qre_null_limit(rho, L1, L2=None, tol: float = 1e-8) -> float:
+def qre_null_limit(rho, L1, L2=None) -> float:
     """Null-case limit (1/2) Tr[(L1-L2) D[log rho](L1-L2)]; nonnegative."""
     R = as_matrix(rho)
     d = R.shape[0]
     delta = _dir_mat(L1, d) - _dir_mat(L2, d)
     S = eig_hermitian(R)
-    if not _direction_in_support(delta, S, tol):
+    if not _direction_in_support(delta, S):
         raise SupportViolation("directions have mass outside the support of rho")
     rho_eig, delta = _compress(S, delta)
     table = build_divided_differences(rho_eig, "log")
     return 0.5 * _retr(delta @ frechet1(table, delta).mat)
 
 
-def vn_entropy_limit(rho, L, tol: float = 1e-8) -> float:
+def vn_entropy_limit(rho, L) -> float:
     """Entropy limit -Tr[L log rho]."""
     R = as_matrix(rho)
     M = _dir_mat(L, R.shape[0])
     S = eig_hermitian(R)
-    if not _direction_in_support(M, S, tol):
+    if not _direction_in_support(M, S):
         raise SupportViolation("L has mass outside the support of rho")
     rho_eig, M = _compress(S, M)
     return -_retr(M @ spectral_map(rho_eig, np.log, support_mask))
@@ -241,10 +243,10 @@ def vn_entropy_limit(rho, L, tol: float = 1e-8) -> float:
 # Petz-Renyi
 # ---------------------------------------------------------------------------
 
-def petz_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def petz_alt_gradient(rho, sigma, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(D[rho^a](sigma^(1-a)), D[sigma^(1-a)](rho^a)) / ((a-1) Tr[rho^a sigma^(1-a)])."""
     check_petz_alpha(alpha)
-    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma)
     _require_positive("rho", rho_eig.eigenvalues)
     r_pow = spectral_map(rho_eig, lambda lam: lam**alpha)
     s_pow = spectral_map(sigma_eig, lambda lam: lam ** (1 - alpha))
@@ -254,15 +256,15 @@ def petz_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.n
     return _lift(V, g_rho / den, g_sigma / den)
 
 
-def petz_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
+def petz_alt_limit(rho, sigma, alpha: float, L1, L2=None) -> float:
     """Alternative-case Petz-Renyi limit.
 
     [Tr(sigma^(1-a) D[rho^a](L1)) + Tr(rho^a D[sigma^(1-a)](L2))] / ((a-1) Tr[rho^a sigma^(1-a)]).
     """
-    return _pair(petz_alt_gradient(rho, sigma, alpha, tol), L1, L2)
+    return _pair(petz_alt_gradient(rho, sigma, alpha), L1, L2)
 
 
-def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
+def petz_null_limit(rho, alpha: float, L1, L2=None) -> float:
     """Null-case Petz-Renyi limit (second-order trace functional at rho)."""
     check_petz_alpha(alpha)
     R = as_matrix(rho)
@@ -270,7 +272,7 @@ def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
     S = eig_hermitian(R)
     for M, name in ((M1, "L1"), (M2, "L2")):
-        if not _direction_in_support(M, S, tol):
+        if not _direction_in_support(M, S):
             raise SupportViolation(f"{name} has mass outside the support of rho")
     rho_eig, M1, M2 = _compress(S, M1, M2)
     ab = 1 - alpha
@@ -294,14 +296,14 @@ def petz_null_limit(rho, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
 # Sandwiched Renyi, fidelity, max-divergence
 # ---------------------------------------------------------------------------
 
-def _sandwich_gradient(rho, sigma, q: float, weight, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich_gradient(rho, sigma, q: float, weight) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of c Tr[X T] at fixed (c, X) = weight(T), for T = rho^(1/2) sigma^q rho^(1/2).
 
     c D[rho^(1/2)](Y + Y^dagger) with Y = sigma^q rho^(1/2) X, and
     c D[sigma^q](rho^(1/2) X rho^(1/2)).  ``weight`` receives the
     decomposition of T.
     """
-    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma, tol)
+    V, _, rho_eig, sigma_eig = _support_frame(rho, sigma)
     _require_positive("rho", rho_eig.eigenvalues)
     root = spectral_map(rho_eig, np.sqrt)
     s_q = spectral_map(sigma_eig, lambda lam: lam**q)
@@ -312,7 +314,7 @@ def _sandwich_gradient(rho, sigma, q: float, weight, tol: float) -> tuple[np.nda
     return _lift(V, c * g_rho, c * g_sigma)
 
 
-def sandwiched_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def sandwiched_alt_gradient(rho, sigma, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the sandwiched Renyi divergence (1/(a-1)) log Tr T^a, T = rho^(1/2) sigma^q rho^(1/2).
 
     q = (1-a)/a; the weight is X = T^(a-1) with c = a / ((a-1) Tr T^a).
@@ -323,15 +325,15 @@ def sandwiched_alt_gradient(rho, sigma, alpha: float, tol: float = 1e-8) -> tupl
         den = float(np.sum(np.clip(T.eigenvalues, 0.0, None) ** alpha))
         return alpha / ((alpha - 1) * den), spectral_map(T, lambda lam: lam ** (alpha - 1))
 
-    return _sandwich_gradient(rho, sigma, (1 - alpha) / alpha, weight, tol)
+    return _sandwich_gradient(rho, sigma, (1 - alpha) / alpha, weight)
 
 
-def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None, tol: float = 1e-8) -> float:
+def sandwiched_alt_limit(rho, sigma, alpha: float, L1, L2=None) -> float:
     """Alternative-case sandwiched Renyi limit (vanishes when rho = sigma)."""
-    return _pair(sandwiched_alt_gradient(rho, sigma, alpha, tol), L1, L2)
+    return _pair(sandwiched_alt_gradient(rho, sigma, alpha), L1, L2)
 
 
-def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
+def fidelity_limit(rho, sigma, L1, L2=None) -> float:
     """First-order fidelity limit -F dD_(1/2), since F = exp(-D_(1/2)) for the sandwiched order 1/2.
 
     With T = rho^(1/2) sigma rho^(1/2), dD_(1/2) has the weight -T^(-1/2) / Tr T^(1/2), and
@@ -342,10 +344,10 @@ def fidelity_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
         root_sum = float(np.sum(np.sqrt(np.clip(T.eigenvalues, 0.0, None))))
         return min(root_sum**2, 1.0) / root_sum, spectral_map(T, lambda lam: lam**-0.5)
 
-    return _pair(_sandwich_gradient(rho, sigma, 1.0, weight, tol), L1, L2)
+    return _pair(_sandwich_gradient(rho, sigma, 1.0, weight), L1, L2)
 
 
-def maxdiv_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def maxdiv_gradient(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the max-divergence log lambda_max(T), T = rho^(1/2) sigma^-1 rho^(1/2).
 
     The weight is the top eigenprojection of T, with c = 1/lambda_max.  The
@@ -363,35 +365,35 @@ def maxdiv_gradient(rho, sigma, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarr
         v = T.eigenvectors[:, -1]
         return 1.0 / lam_max, np.outer(v, v.conj())
 
-    return _sandwich_gradient(rho, sigma, -1.0, weight, tol)
+    return _sandwich_gradient(rho, sigma, -1.0, weight)
 
 
-def maxdiv_limit(rho, sigma, L1, L2=None, tol: float = 1e-8) -> float:
+def maxdiv_limit(rho, sigma, L1, L2=None) -> float:
     """First-order max-divergence limit, using the top eigenprojection of rho^(1/2) sigma^-1 rho^(1/2)."""
-    return _pair(maxdiv_gradient(rho, sigma, tol), L1, L2)
+    return _pair(maxdiv_gradient(rho, sigma), L1, L2)
 
 
 # ---------------------------------------------------------------------------
 # Measured relative entropy
 # ---------------------------------------------------------------------------
 
-def measured_alt_gradient(rho, sigma, m_star, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_i log(p_i/q_i) M_i, -sum_i (p_i/q_i) M_i) over the outcomes i with p_i > tol.
+def measured_alt_gradient(rho, sigma, m_star) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i log(p_i/q_i) M_i, -sum_i (p_i/q_i) M_i) over the outcomes i with p_i > OUTCOME_TOL.
 
     p and q are the outcome distributions of rho and sigma under the POVM
     ``m_star``; q may vanish only where p does.
     """
     p, q = povm_apply(m_star, rho), povm_apply(m_star, sigma)
-    if np.any((q <= tol) & (p > tol)):
+    if np.any((q <= OUTCOME_TOL) & (p > OUTCOME_TOL)):
         raise SupportViolation("outcome distribution of sigma vanishes where rho does not")
-    live = p > tol
+    live = p > OUTCOME_TOL
     ratio = np.where(live, p, 0.0) / np.where(live, q, 1.0)
     elements = np.stack([E.mat for E in m_star.elements])
     return (np.tensordot(np.log(np.where(live, ratio, 1.0)), elements, axes=1),
             -np.tensordot(ratio, elements, axes=1))
 
 
-def measured_alt_limit(rho, sigma, m_star, L1, L2=None, tol: float = 1e-10) -> float:
+def measured_alt_limit(rho, sigma, m_star, L1, L2=None) -> float:
     """Alternative-case limit for measured relative entropy at the optimal POVM.
 
     sum_i P_L1(i) log(P_rho(i)/P_sigma(i)) - P_L2(i) P_rho(i)/P_sigma(i),
@@ -400,11 +402,11 @@ def measured_alt_limit(rho, sigma, m_star, L1, L2=None, tol: float = 1e-10) -> f
     d = as_matrix(rho).shape[0]
     M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
     pr, ps, a, b = povm_apply(m_star, np.stack([as_matrix(rho), as_matrix(sigma), M1, M2]))
-    if np.any((ps <= tol) & (np.maximum(pr, np.maximum(abs(a), abs(b))) > tol)):
+    if np.any((ps <= OUTCOME_TOL) & (np.maximum(pr, np.maximum(abs(a), abs(b))) > OUTCOME_TOL)):
         raise SupportViolation("outcome distribution of sigma vanishes where rho or a direction does not")
-    if np.any((ps > tol) & (pr <= tol) & (abs(a) > tol)):
+    if np.any((ps > OUTCOME_TOL) & (pr <= OUTCOME_TOL) & (abs(a) > OUTCOME_TOL)):
         raise SupportViolation("L1 outcome mass outside the support of the rho distribution")
-    return _pair(measured_alt_gradient(rho, sigma, m_star, tol), M1, M2)
+    return _pair(measured_alt_gradient(rho, sigma, m_star), M1, M2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ __all__ = [
     "SpectralDecomposition",
     "DensityOperator",
     "check_density_spectrum",
-    "DEFAULT_SUPPORT_RTOL",
+    "SUPPORT_RTOL",
     "as_matrix",
     "hermitian_part",
     "eig_hermitian",
@@ -47,10 +47,9 @@ __all__ = [
     "project_to_density",
 ]
 
-# Relative cutoff separating support from kernel eigenvalues.
-DEFAULT_SUPPORT_RTOL = 1e-10
-
-_HERMITICITY_ATOL = 1e-12
+SUPPORT_RTOL = 1e-10  # relative cutoff separating support from kernel eigenvalues
+DENSITY_ATOL = 1e-10  # how far a density operator's trace may be off 1, and its eigenvalues below 0
+_HERMITICITY_ATOL = 1e-12  # largest asymmetry of a Hermitian matrix, relative to max(1, its largest entry)
 
 
 class HermitianOperator:
@@ -64,11 +63,11 @@ class HermitianOperator:
 
     __slots__ = ("mat", "dim")
 
-    def __init__(self, mat: np.ndarray, *, atol: float = _HERMITICITY_ATOL):
+    def __init__(self, mat: np.ndarray):
         A = np.asarray(mat, dtype=complex)
         if A.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        A = hermitian_part(A, atol=atol)
+        A = hermitian_part(A)
         A.setflags(write=False)
         self.mat = A
         self.dim = A.shape[0]
@@ -177,17 +176,16 @@ class SpectralDecomposition:
         return (U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
-def check_density_spectrum(lam: np.ndarray, trace_atol: float = 1e-10, eig_atol: float = 1e-10,
-                           name: str = "matrix") -> None:
-    """Raise unless ascending eigenvalues (..., d) sum to 1 and are PSD, row by row, within tolerance.
+def check_density_spectrum(lam: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless ascending eigenvalues (..., d) sum to 1 and are PSD, row by row, within DENSITY_ATOL.
 
     The message names the offending matrix as ``name``.
     """
     off = np.abs(lam.sum(axis=-1) - 1.0)
-    if (off > trace_atol).any():
-        raise ValueError(f"{name} has trace off 1 by {off.max():.3e}, more than {trace_atol}")
+    if (off > DENSITY_ATOL).any():
+        raise ValueError(f"{name} has trace off 1 by {off.max():.3e}, more than {DENSITY_ATOL}")
     lo = lam[..., 0].min()
-    if lo < -eig_atol:
+    if lo < -DENSITY_ATOL:
         raise ValueError(f"{name} has negative eigenvalue {lo}")
 
 
@@ -196,9 +194,9 @@ class DensityOperator:
 
     __slots__ = ("op",)
 
-    def __init__(self, mat, *, trace_atol: float = 1e-10, eig_atol: float = 1e-10):
+    def __init__(self, mat):
         op = _hermitian(mat)
-        check_density_spectrum(eigvals_hermitian(op), trace_atol, eig_atol)
+        check_density_spectrum(eigvals_hermitian(op))
         self.op = op
 
     @classmethod
@@ -383,9 +381,9 @@ def eigvals_hermitian(A, *, checked: bool = False) -> np.ndarray:
         raise EigensolverError(M.shape[-1]) from exc
 
 
-def support_mask(lam: np.ndarray, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> np.ndarray:
-    """Support eigenvalues: lambda > rel_tol * max|lambda|, row by row along the last axis."""
-    return lam > rel_tol * np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
+def support_mask(lam: np.ndarray) -> np.ndarray:
+    """Support eigenvalues: lambda > SUPPORT_RTOL * max|lambda|, row by row along the last axis."""
+    return lam > SUPPORT_RTOL * np.max(np.abs(lam), axis=-1, keepdims=True, initial=0.0)
 
 
 def spectral_map(A, f: Callable[[np.ndarray], np.ndarray],
@@ -428,25 +426,25 @@ def schatten_norm(A, p: float) -> float:
     return float(np.sum(lam**p) ** (1.0 / p))
 
 
-def support_projector(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
-    """Orthogonal projector onto the span of eigenvectors with lambda > rel_tol * max|lambda|."""
-    return HermitianOperator(spectral_map(A, np.ones_like, lambda lam: support_mask(lam, rel_tol)))
+def support_projector(A) -> HermitianOperator:
+    """Orthogonal projector onto the span of eigenvectors with lambda > SUPPORT_RTOL * max|lambda|."""
+    return HermitianOperator(spectral_map(A, np.ones_like, support_mask))
 
 
-def support_leak(A, B, rel_tol: float = DEFAULT_SUPPORT_RTOL):
+def support_leak(A, B):
     """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B), per matrix of a stack."""
-    Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam, rel_tol))
+    Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam))
     return np.trace(Q @ as_matrix(A) @ Q, axis1=-2, axis2=-1).real
 
 
-def support_contained(A, B, tol: float = 1e-9, rel_tol: float = DEFAULT_SUPPORT_RTOL):
+def support_contained(A, B, tol: float = 1e-9):
     """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A; per matrix of a stack."""
-    return support_leak(A, B, rel_tol) <= tol
+    return support_leak(A, B) <= tol
 
 
-def moore_penrose_inverse(A, rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
-    """Generalized inverse: eigenvalues with |lambda| <= rel_tol * max|lambda| map to 0, others to 1/lambda."""
-    return HermitianOperator(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam), rel_tol)))
+def moore_penrose_inverse(A) -> HermitianOperator:
+    """Generalized inverse: eigenvalues with |lambda| <= SUPPORT_RTOL * max|lambda| map to 0, others to 1/lambda."""
+    return HermitianOperator(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam))))
 
 
 def loewner_leq(A, B, tol: float = 0.0) -> bool:
@@ -477,11 +475,11 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
 def density_spectrum(lam: np.ndarray, eig_atol: float) -> tuple[np.ndarray, np.ndarray]:
     """Nearest density spectra to ascending eigenvalues (..., d), and which rows moved.
 
-    A row that sums to 1 within 1e-10 and has no eigenvalue below -eig_atol
-    is kept as it is; any other row is projected onto the probability
-    simplex, which keeps it ascending.
+    A row that sums to 1 within DENSITY_ATOL and has no eigenvalue below
+    -eig_atol is kept as it is; any other row is projected onto the
+    probability simplex, which keeps it ascending.
     """
-    moved = (np.abs(lam.sum(axis=-1) - 1.0) > 1e-10) | (lam[..., 0] < -eig_atol)
+    moved = (np.abs(lam.sum(axis=-1) - 1.0) > DENSITY_ATOL) | (lam[..., 0] < -eig_atol)
     if moved.any():
         lam = lam.copy()
         lam[moved] = project_to_simplex(lam[moved])
@@ -497,5 +495,5 @@ def project_to_density(A) -> DensityOperator:
     """
     op = _hermitian(A)
     S = eig_hermitian(op)
-    lam, moved = density_spectrum(S.eigenvalues, eig_atol=1e-10)
+    lam, moved = density_spectrum(S.eigenvalues, DENSITY_ATOL)
     return DensityOperator.from_spectrum(S.reassemble(lam) if moved else op, lam)

@@ -22,7 +22,6 @@ import numpy as np
 from qdivstat.divergences import _sandwich_base, _sandwich_kept, check_sandwiched_alpha
 from qdivstat.frechet import _as_fn, _check_domain, build_divided_differences, frechet1
 from qdivstat.operator_core import (
-    DEFAULT_SUPPORT_RTOL,
     HermitianOperator,
     as_matrix,
     eig_hermitian,
@@ -229,19 +228,18 @@ def finite_difference_check(fn, A, H, h_step: float) -> float:
 # Dual form of the sandwiched divergence
 # ---------------------------------------------------------------------------
 
-def sandwiched_dual_optimizer(rho, sigma, alpha: float,
-                              rel_tol: float = DEFAULT_SUPPORT_RTOL) -> HermitianOperator:
+def sandwiched_dual_optimizer(rho, sigma, alpha: float) -> HermitianOperator:
     """Maximizer of the variational (dual Schatten-norm) form of the sandwiched divergence.
 
     Returns T^(alpha-1) / ||T||_alpha^(alpha-1) for T = rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2),
     which is PSD with unit alpha/(alpha-1) (quasi-)norm and attains the divergence when
     plugged into the variational objective.  As in ``sandwiched_renyi_rows``, the eigenvalues
-    of T below rel_tol ||rho|| ||sigma^q|| count as 0; if none is left (orthogonal states), it raises.
+    of T below SUPPORT_RTOL ||rho|| ||sigma^q|| count as 0; if none is left (orthogonal states), it raises.
     """
     check_sandwiched_alpha(alpha)
     T, bound = _sandwich_base(rho, sigma, alpha)
     S = eig_hermitian(T, checked=True)
-    kept = _sandwich_kept(bound, rel_tol)
+    kept = _sandwich_kept(bound)
     lam = np.where(kept(S.eigenvalues), S.eigenvalues, 0.0)
     if not lam.any():
         raise ValueError("degenerate sigma support: variational base operator vanishes")

@@ -100,6 +100,31 @@ class TestLimitCommand:
         assert rc == 0
         assert float(out) == pytest.approx(qre_null_limit(rho, L1, None))
 
+    @pytest.mark.parametrize("functional,change,field", [
+        ("petz_alt", {}, "alpha"),
+        ("petz_null", {}, "alpha"),
+        ("sandwiched_alt", {}, "alpha"),
+        ("petz_alt", {"alpha": "1.5"}, "alpha"),
+        ("sandwiched_alt", {"alpha": None}, "alpha"),
+        ("qre_alt", {"sigma": None}, "sigma"),
+        ("qre_alt", {"sigma": "missing"}, "sigma"),
+        ("fidelity", {"sigma": [[1, 0], [0, 0]]}, "sigma"),
+    ])
+    def test_bad_bundle_field_is_validation_error(self, rng, tmp_path, capsys, functional, change, field):
+        # no alpha unless ``change`` sets one; a sigma of "missing" drops the field
+        state = qio.matrix_to_json(rand_state(rng, 2, 0.1))
+        bundle = {"functional": functional, "rho": state, "sigma": state,
+                  "L1": qio.matrix_to_json(rand_direction(rng, 2)), "L2": None, **change}
+        if bundle["sigma"] == "missing":
+            del bundle["sigma"]
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        rc = cli_main(["limit", "eval", str(path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "Traceback" not in err
+        assert f"field {field!r}" in err
+
     def test_unknown_functional(self, rng, tmp_path, capsys):
         path = tmp_path / "bundle.json"
         with open(path, "w") as fh:
@@ -161,6 +186,33 @@ class TestExperimentCommand:
         rc, out = run(capsys, ["experiment", "--config", str(path)])
         assert rc == 0
         assert json.loads(out)["summary"][0]["n"] == 200
+
+    @pytest.mark.parametrize("flag,value", [("--kind", "two_sample_alt"), ("--rho", None), ("--sigma", None),
+                                            ("--alpha", "1.5"), ("--n", "300,400"), ("--trials", "500")])
+    def test_config_rejects_experiment_flags(self, states, tmp_path, capsys, flag, value):
+        rho, _, rp, _ = states
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_config(rho)))
+        rc = cli_main(["experiment", "--config", str(path), flag, rp if value is None else value])
+        assert rc == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
+    def test_config_seed_and_out_override_the_file(self, states, tmp_path, capsys):
+        rho, _, _, _ = states
+        path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+        path.write_text(json.dumps(_config(rho, seed=1)))
+        rc, printed = run(capsys, ["experiment", "--config", str(path), "--seed", "12", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 110
+        assert rows[0]["experiment_id"] == json.loads(printed)["experiment_id"] == "one_sample_null-d2-seed12"
+
+    def test_zero_trials_is_validation_error(self, states, capsys):
+        _, _, rp, sp = states
+        rc = cli_main(["experiment", "--kind", "one_sample_alt", "--rho", rp, "--sigma", sp,
+                       "--n", "300", "--trials", "0", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert "at least 100 trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["one_sample_alt", "two_sample_alt"])
     def test_degenerate_alternative_law_is_validation_error(self, states, capsys, kind):

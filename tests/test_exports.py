@@ -41,3 +41,31 @@ def test_removed_names_stay_out_of_the_package():
     assert not [(m.__name__, name) for m in modules for name in REMOVED if hasattr(m, name)]
     src = Path(qdivstat.__file__).parent
     assert not [p.name for p in src.rglob("*.py") if "quadrature" in p.read_text()]
+
+
+# Tolerance keywords: every threshold is a module constant.  These keep theirs,
+# because callers pass more than one value.
+TOLERANCE_KEYWORDS = {"tol", "rel_tol", "atol", "trace_atol", "eig_atol", "support_tol", "confidence_z"}
+KEPT_KEYWORDS = {("hermitian_part", "atol"), ("support_contained", "tol"), ("loewner_leq", "tol"),
+                 ("density_spectrum", "eig_atol")}
+
+
+def _parameters(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except ValueError:  # a class that keeps a builtin constructor, such as an exception
+        return {}
+
+
+def test_no_public_signature_takes_a_tolerance():
+    found = []
+    for name in MODULES:
+        module = importlib.import_module(f"qdivstat.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            found += [(name, attr, p) for p in _parameters(obj)
+                      if p in TOLERANCE_KEYWORDS and (attr, p) not in KEPT_KEYWORDS]
+    assert not found

@@ -5,6 +5,7 @@ import pytest
 
 from qdivstat import io as qio
 from qdivstat.divergences import eigenbasis_povm
+from qdivstat.experiments import ExperimentConfig
 from qdivstat.pauli_tomography import MeasurementRecord, build_pauli_basis, sample_record
 
 from conftest import rand_state
@@ -87,3 +88,10 @@ class TestScenarioAndConfig:
         assert cfg.kind == "one_sample_null"
         assert cfg.n_grid == (100, 200)
         assert cfg.trials == 150
+
+    def test_absent_config_fields_take_the_defaults(self, rng):
+        rho = rand_state(rng, 2)
+        cfg = qio.config_from_json({"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "seed": 9})
+        expected = ExperimentConfig(kind="one_sample_null", rho=rho, seed=9)
+        for name in ("alpha", "n_grid", "trials", "scaling_exponent", "output_path", "povm_family", "experiment_id"):
+            assert getattr(cfg, name) == getattr(expected, name), name

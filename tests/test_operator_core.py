@@ -30,7 +30,7 @@ from qdivstat.operator_core import (
     support_projector,
 )
 
-from qdivstat.random_ops import haar_unitary
+from qdivstat.random_ops import haar_unitary, random_density_spectrum
 
 from qdivstat.pauli_tomography import build_pauli_basis, estimate_sigma_stack, estimate_stack, sample_counts
 
@@ -218,7 +218,7 @@ class TestSupport:
     def test_projector_examples(self):
         assert np.allclose(support_projector(np.diag([1.0, 0.0])).mat, np.diag([1.0, 0.0]))
         assert np.allclose(support_projector(np.eye(3)).mat, np.eye(3))
-        got = support_projector(np.diag([1.0, 1e-15]), rel_tol=1e-10).mat
+        got = support_projector(np.diag([1.0, 1e-15])).mat
         assert np.allclose(got, np.diag([1.0, 0.0]))
 
     @pytest.mark.parametrize("f,kernel_free", [
@@ -320,6 +320,20 @@ class TestDensityProjection:
         assert np.allclose(project_to_simplex([0.8, 0.8]), [0.5, 0.5])
         v = project_to_simplex([0.3, 0.2, 0.1])
         assert v.sum() == pytest.approx(1.0) and np.all(v >= 0)
+
+
+
+class TestRandomDensitySpectrum:
+    @pytest.mark.parametrize("spectrum", [[0.5, 0.5], [0.7, 0.2, 0.1, 0.0], [1.0, 0.0, 0.0], [1e-9, 0.25, 0.75 - 1e-9]])
+    def test_prescribed_spectrum_comes_back(self, rng, spectrum):
+        rho = random_density_spectrum(spectrum, rng)
+        assert isinstance(rho, DensityOperator)
+        assert np.allclose(eigvals_hermitian(rho), np.sort(spectrum), atol=1e-12)
+
+    @pytest.mark.parametrize("spectrum", [[0.5, 0.6], [1.2, -0.2], [0.5, 0.5 - 1e-9]])
+    def test_non_probability_vector_is_rejected(self, rng, spectrum):
+        with pytest.raises(ValueError, match="probability vector"):
+            random_density_spectrum(spectrum, rng)
 
 
 class TestTraceClassLemmas:
