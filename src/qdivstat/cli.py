@@ -16,8 +16,7 @@ import numpy as np
 
 from . import divergences as dv
 from . import io as qio
-from . import limit_laws as ll
-from .experiments import ExperimentConfig, run_convergence_experiment
+from .experiments import run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
 from .operator_core import EigensolverError
 from .pauli_tomography import build_pauli_basis, estimate, qubits_for_dim, sample_record
@@ -72,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_divergence(args) -> int:
-    rho = qio.load_matrix(args.rho)
-    sigma = qio.load_matrix(args.sigma)
+    rho = qio.read_json(args.rho, qio.matrix_from_json)
+    sigma = qio.read_json(args.sigma, qio.matrix_from_json)
     result = {"name": args.kind}
     if args.kind == "umegaki":
         val = dv.umegaki(rho, sigma)
@@ -89,10 +88,7 @@ def _run_divergence(args) -> int:
     else:
         if not args.povm:
             raise ValueError("measured requires at least one --povm file")
-        family = []
-        for path in args.povm:
-            with open(path) as fh:
-                family.append(qio.povm_from_json(json.load(fh)))
+        family = [qio.read_json(path, qio.povm_from_json) for path in args.povm]
         val, idx = dv.measured_relative_entropy(rho, sigma, family)
         result["argmax_index"] = idx
     result["value"] = "inf" if not val.support_ok else val.value
@@ -101,38 +97,13 @@ def _run_divergence(args) -> int:
     return EXIT_OK
 
 
-# Each functional reads the bundle fields it needs through ``b``, which names the field it rejects.
-_LIMIT_FUNCTIONALS = {
-    "qre_alt": lambda b: ll.qre_alt_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
-    "qre_null": lambda b: ll.qre_null_limit(b("rho"), b("L1"), b("L2")),
-    "vn_entropy": lambda b: ll.vn_entropy_limit(b("rho"), b("L1")),
-    "petz_alt": lambda b: ll.petz_alt_limit(b("rho"), b("sigma"), b("alpha"), b("L1"), b("L2")),
-    "petz_null": lambda b: ll.petz_null_limit(b("rho"), b("alpha"), b("L1"), b("L2")),
-    "sandwiched_alt": lambda b: ll.sandwiched_alt_limit(b("rho"), b("sigma"), b("alpha"), b("L1"), b("L2")),
-    "fidelity": lambda b: ll.fidelity_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
-    "maxdiv": lambda b: ll.maxdiv_limit(b("rho"), b("sigma"), b("L1"), b("L2")),
-}
-
-
 def _run_limit(args) -> int:
-    with open(args.bundle) as fh:
-        raw = json.load(fh)
-    name = raw.get("functional")
-    if name not in _LIMIT_FUNCTIONALS:
-        raise ValueError(f"unknown functional {name!r}; choose from {sorted(_LIMIT_FUNCTIONALS)}")
-
-    def field(key: str):
-        # a missing or null direction is zero; alpha is a number and every other field a matrix
-        if key in ("L1", "L2") and raw.get(key) is None:
-            return None
-        return qio._field(raw, key, qio._number if key == "alpha" else qio.matrix_from_json)
-
-    print(repr(_LIMIT_FUNCTIONALS[name](field)))
+    print(repr(qio.read_json(args.bundle, qio.bundle_from_json)()))
     return EXIT_OK
 
 
 def _run_tomography(args) -> int:
-    state = qio.load_matrix(args.state)
+    state = qio.read_json(args.state, qio.matrix_from_json)
     basis = build_pauli_basis(qubits_for_dim(state.shape[0]))
     record = sample_record(state, basis, args.n, args.seed)
     est = estimate(record, basis, floor=args.sigma_estimator)[0]
@@ -143,34 +114,31 @@ def _run_tomography(args) -> int:
     return EXIT_OK
 
 
+def _matrix_json(path: str) -> dict:
+    """The matrix in the file at ``path``, as a config file holds it."""
+    return qio.matrix_to_json(qio.read_json(path, qio.matrix_from_json))
+
+
 def _run_experiment(args) -> int:
+    # a config file describes the experiment and only --seed and --out override it; without one the flags do
+    overrides = {key: value for key, value in (("seed", args.seed), ("output_path", args.out or None))
+                 if value is not None}
     if args.config:
-        # the file describes the experiment; only --seed and --out override it
         given = [f"--{k}" for k in ("kind", "rho", "sigma", "alpha", "n", "trials") if getattr(args, k) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} cannot be combined with --config; set it in the config file")
-        with open(args.config) as fh:
-            obj = json.load(fh)
-        if args.seed is not None:
-            obj["seed"] = args.seed
-        if args.out:
-            obj["output_path"] = args.out
-        cfg = qio.config_from_json(obj)
+        cfg = qio.read_json(args.config, lambda obj: qio.config_from_json(
+            {**obj, **overrides} if isinstance(obj, dict) else obj))
     else:
         if args.seed is None:
             raise ValueError("--seed is required (no wall-clock seeding)")
         if not (args.kind and args.rho):
             raise ValueError("inline experiments need at least --kind and --rho")
-        cfg = ExperimentConfig(
-            kind=args.kind,
-            rho=qio.load_matrix(args.rho),
-            sigma=qio.load_matrix(args.sigma) if args.sigma else None,
-            alpha=args.alpha,
-            n_grid=tuple(int(x) for x in args.n.split(",")) if args.n else (1_000, 10_000),
-            trials=ExperimentConfig.trials if args.trials is None else args.trials,
-            seed=args.seed,
-            output_path=args.out,
-        )
+        flags = {"kind": args.kind, "rho": _matrix_json(args.rho),
+                 "sigma": _matrix_json(args.sigma) if args.sigma else None, "alpha": args.alpha,
+                 "n_grid": [int(x) for x in args.n.split(",")] if args.n else [1_000, 10_000],
+                 "trials": args.trials, **overrides}
+        cfg = qio.config_from_json({key: value for key, value in flags.items() if value is not None})
     result = run_convergence_experiment(cfg)
     print(json.dumps({"experiment_id": result["experiment_id"],
                       "summary": result["summary"]}))
@@ -178,8 +146,7 @@ def _run_experiment(args) -> int:
 
 
 def _run_hypothesis(args) -> int:
-    with open(args.scenario) as fh:
-        scenario = qio.scenario_from_json(json.load(fh))
+    scenario = qio.read_json(args.scenario, qio.scenario_from_json)
     if args.seed is not None:
         scenario["seed"] = args.seed
     rows = simulate_error_rates(**scenario)
@@ -205,7 +172,7 @@ def cli_main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return _RUNNERS[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, np.linalg.LinAlgError, EigensolverError) as exc:

@@ -419,11 +419,6 @@ def write_rows_csv(cfg: ExperimentConfig, rows, path: str) -> None:
         fh.write("".join(pieces))
 
 
-def read_rows_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
-
-
 def write_summary_json(cfg: ExperimentConfig, summary, path: str) -> None:
     with open(path, "w") as fh:
         json.dump({"experiment_id": cfg.experiment_id, "seed": cfg.seed,

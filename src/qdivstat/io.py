@@ -2,16 +2,21 @@
 
 Matrices travel as {"dim": d, "re": [[...]], "im": [[...]]}; POVMs as lists
 of such objects; measurement records as {"n": ..., "seed": ..., "plus_counts": [...]}.
+The CLI reads each input file with ``read_json(path, parse)``, where ``parse`` is one
+of the schemas ``matrix_from_json``, ``povm_from_json``, ``bundle_from_json``
+(a limit functional), ``config_from_json`` or ``scenario_from_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import numbers
 
 import numpy as np
 
+from . import limit_laws as ll
 from .operator_core import as_matrix
 from .divergences import Povm
 from .pauli_tomography import MeasurementRecord
@@ -19,14 +24,13 @@ from .hypothesis_testing import HypothesisGrid
 from .experiments import ExperimentConfig
 
 __all__ = [
+    "read_json",
     "matrix_to_json",
     "matrix_from_json",
-    "load_matrix",
     "dump_matrix",
-    "povm_to_json",
     "povm_from_json",
     "record_to_json",
-    "record_from_json",
+    "bundle_from_json",
     "scenario_from_json",
     "config_from_json",
     "write_error_rate_csv",
@@ -39,19 +43,21 @@ def matrix_to_json(M) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((d, d))), dtype=float)
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise ValueError(f"matrix blocks do not match dim {d}")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise ValueError("matrix has NaN or inf entries")
+    """The matrix of ``obj``: a dim x dim ``re`` block of finite reals, plus an optional ``im`` block."""
+    obj = _object(obj, ("dim", "re", "im"))
+    d = _field(obj, "dim", _integer)
+
+    def block(value):
+        value = np.asarray(value, dtype=float)
+        if value.shape != (d, d):
+            raise ValueError(f"expected a {d} x {d} array, got shape {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError("matrix has NaN or inf entries")
+        return value
+
+    re = _field(obj, "re", block)
+    im = _field(obj, "im", block) if "im" in obj else 0.0
     return re + 1j * im
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
 
 
 def dump_matrix(M, path: str) -> None:
@@ -60,11 +66,9 @@ def dump_matrix(M, path: str) -> None:
         fh.write("\n")
 
 
-def povm_to_json(M: Povm) -> list[dict]:
-    return [matrix_to_json(E) for E in M.elements]
-
-
 def povm_from_json(objs: list[dict]) -> Povm:
+    if not isinstance(objs, list):
+        raise TypeError(f"a POVM is a JSON array of matrices, got {type(objs).__name__}")
     return Povm([matrix_from_json(o) for o in objs])
 
 
@@ -72,18 +76,27 @@ def record_to_json(rec: MeasurementRecord) -> dict:
     return {"n": rec.n, "seed": rec.seed, "plus_counts": rec.plus_counts.tolist()}
 
 
-def record_from_json(obj: dict) -> MeasurementRecord:
-    return MeasurementRecord(n=int(obj["n"]), seed=int(obj["seed"]),
-                             plus_counts=np.asarray(obj["plus_counts"], dtype=np.int64))
+def read_json(path: str, parse):
+    """``parse`` of the JSON in the file at ``path``; bad JSON or a value ``parse`` rejects names the file."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _object(obj, keys) -> dict:
+    """``obj`` if it is a JSON object whose keys are all in ``keys``; else the first unknown key is named."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}; the fields are {', '.join(keys)}")
+    return obj
 
 
 def _field(obj: dict, key: str, convert):
-    """``convert(obj[key])``.
-
-    A missing field, or a value that ``convert`` rejects with a TypeError,
-    ValueError or OverflowError (an infinite count), raises a ValueError that
-    names the field.
-    """
+    """``convert(obj[key])``; a missing field, or a value that ``convert`` rejects, is a ValueError naming it."""
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     try:
@@ -92,53 +105,78 @@ def _field(obj: dict, key: str, convert):
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
-def _number(value):
-    """A real number, passed through unchanged; a string or null is rejected."""
-    if isinstance(value, numbers.Real):
-        return value
-    raise TypeError(f"expected a number, got {value!r}")
-
-
-def _or_null(kind: type):
-    """A converter that passes None or an instance of ``kind`` through unchanged and rejects the rest."""
+def _instance(name: str, *kinds: type):
+    """A converter that passes an instance of ``kinds`` through unchanged and rejects the rest, bools included."""
 
     def check(value):
-        if value is None or isinstance(value, kind):
+        if isinstance(value, kinds) and not isinstance(value, bool):
             return value
-        raise TypeError(f"expected {kind.__name__} or null, got {value!r}")
+        raise TypeError(f"expected {name}, got {value!r}")
 
     return check
 
 
+# an integer field takes a JSON integer only: 1.9, "2", true and null are rejected, not converted
+_number, _integer = _instance("a number", numbers.Real), _instance("an integer", int)
+
+
+# Each limit functional a bundle can name, and the bundle fields it takes, in argument order.
+_LIMIT_FUNCTIONALS = {
+    "qre_alt": (ll.qre_alt_limit, ("rho", "sigma", "L1", "L2")),
+    "qre_null": (ll.qre_null_limit, ("rho", "L1", "L2")),
+    "vn_entropy": (ll.vn_entropy_limit, ("rho", "L1")),
+    "petz_alt": (ll.petz_alt_limit, ("rho", "sigma", "alpha", "L1", "L2")),
+    "petz_null": (ll.petz_null_limit, ("rho", "alpha", "L1", "L2")),
+    "sandwiched_alt": (ll.sandwiched_alt_limit, ("rho", "sigma", "alpha", "L1", "L2")),
+    "fidelity": (ll.fidelity_limit, ("rho", "sigma", "L1", "L2")),
+    "maxdiv": (ll.maxdiv_limit, ("rho", "sigma", "L1", "L2")),
+}
+
+
+def bundle_from_json(obj: dict) -> functools.partial:
+    """The limit functional a bundle names, bound to the bundle fields it takes; it reads no other field."""
+    obj = _object(obj, ("functional", "rho", "sigma", "alpha", "L1", "L2"))
+    name = obj.get("functional")
+    if not isinstance(name, str) or name not in _LIMIT_FUNCTIONALS:
+        raise ValueError(f"unknown functional {name!r}; choose from {sorted(_LIMIT_FUNCTIONALS)}")
+    function, keys = _LIMIT_FUNCTIONALS[name]
+    # a missing or null direction is zero; alpha is a number and every other field a matrix
+    return functools.partial(function, *(None if key in ("L1", "L2") and obj.get(key) is None
+                                         else _field(obj, key, _number if key == "alpha" else matrix_from_json)
+                                         for key in keys))
+
+
 def scenario_from_json(obj: dict) -> dict:
     """Hypothesis-test scenario: states, sigma, epsilons, tau, n, trials, seed."""
+    obj = _object(obj, ("states", "sigma", "epsilons", "tau", "n", "trials", "seed"))
     return {
         "states": _field(obj, "states", lambda v: [matrix_from_json(o) for o in v]),
         "sigma": _field(obj, "sigma", matrix_from_json),
         "grid": _field(obj, "epsilons", lambda v: HypothesisGrid(tuple(v))),
-        "tau": _field(obj, "tau", float),
-        "n": _field(obj, "n", int),
-        "trials": _field(obj, "trials", int),
-        "seed": _field(obj, "seed", int),
+        "tau": _field(obj, "tau", lambda v: float(_number(v))),
+        "n": _field(obj, "n", _integer),
+        "trials": _field(obj, "trials", _integer),
+        "seed": _field(obj, "seed", _integer),
     }
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
     """The experiment config of ``obj``: kind, rho and seed are required; an absent field takes its default."""
-    if "seed" not in obj:
-        raise ValueError("experiment config requires an explicit seed")
     fields = {
-        "kind": str,
+        "kind": _instance("a string", str),
         "rho": matrix_from_json,
         "sigma": lambda v: None if v is None else matrix_from_json(v),
-        "alpha": lambda v: v,
-        "n_grid": lambda v: tuple(int(n) for n in v),
-        "trials": int,
-        "scaling_exponent": _or_null(numbers.Real),
-        "seed": int,
-        "output_path": _or_null(str),
+        "alpha": _instance("a number or null", numbers.Real, type(None)),
+        "n_grid": lambda v: tuple(_integer(n) for n in v),
+        "trials": _integer,
+        "scaling_exponent": _instance("a number or null", numbers.Real, type(None)),
+        "seed": _integer,
+        "output_path": _instance("a string or null", str, type(None)),
         "povm_family": lambda v: [povm_from_json(p) for p in v] if v else None,
     }
+    obj = _object(obj, tuple(fields))
+    if "seed" not in obj:
+        raise ValueError("experiment config requires an explicit seed")
     return ExperimentConfig(**{key: _field(obj, key, convert) for key, convert in fields.items()
                                if key in obj or key in ("kind", "rho")})
 

@@ -2,9 +2,10 @@
 
 Imports ``qdivstat`` and its CLI, runs one small ``qdivstat experiment``
 (``two_sample_alt``, d = 2) and one small ``qdivstat hypothesis`` through
-``qdivstat.cli.main``, then fails if any module whose name starts with
-``scipy`` is in ``sys.modules``.  It needs no test dependency, so it also
-runs in an environment where only the package and numpy are installed:
+``qdivstat.cli.main``, and feeds it one malformed config (an unknown key and
+a float seed), which must exit 2.  It then fails if any module whose name
+starts with ``scipy`` is in ``sys.modules``.  It needs no test dependency, so
+it also runs in an environment where only the package and numpy are installed:
 
     python tests/numpy_only_check.py
 """
@@ -21,14 +22,16 @@ import qdivstat.cli
 from qdivstat import io as qio
 
 
-def _run(argv: list[str]) -> None:
-    """``qdivstat argv`` through the console entry point; raise unless it exits 0."""
+def _run(argv: list[str], expected: int = 0) -> None:
+    """``qdivstat argv`` through the console entry point; raise unless it exits with ``expected``."""
     sys.argv = ["qdivstat", *argv]
     try:
         qdivstat.cli.main()
+        code = 0
     except SystemExit as exc:
-        if exc.code not in (0, None):
-            raise RuntimeError(f"qdivstat {argv[0]} exited with {exc.code}") from None
+        code = exc.code or 0
+    if code != expected:
+        raise RuntimeError(f"qdivstat {argv[0]} exited with {code}, not {expected}")
 
 
 def main() -> int:
@@ -44,6 +47,10 @@ def main() -> int:
             "states": [qio.matrix_to_json(rho)], "sigma": qio.matrix_to_json(np.eye(2) / 2),
             "epsilons": [0.0, 1.0], "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
         _run(["hypothesis", "--scenario", str(scenario), "--out", str(Path(tmp, "rates.csv"))])
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps({"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "trails": 100,
+                                      "seed": 1.5}))
+        _run(["experiment", "--config", str(config)], expected=2)
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
     if loaded:
         print(f"scipy modules imported: {', '.join(loaded)}", file=sys.stderr)

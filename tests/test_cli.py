@@ -66,7 +66,7 @@ class TestDivergenceCommand:
         rho, sigma, rp, sp = states
         pv = tmp_path / "povm.json"
         with open(pv, "w") as fh:
-            json.dump(qio.povm_to_json(eigenbasis_povm(rho)), fh)
+            json.dump([qio.matrix_to_json(E.mat) for E in eigenbasis_povm(rho).elements], fh)
         rc, out = run(capsys, ["divergence", "--kind", "measured", "--rho", rp,
                                "--sigma", sp, "--povm", str(pv)])
         assert rc == 0
@@ -287,6 +287,41 @@ def test_malformed_json_field_is_validation_error(states, tmp_path, capsys, comm
     assert rc == EXIT_VALIDATION
     assert "Traceback" not in err
     assert f"field {field!r}" in err
+
+
+_RHO = np.diag([0.75, 0.25])
+_STATE = qio.matrix_to_json(_RHO)
+_INLINE = "experiment --kind two_sample_alt --rho {bad} --sigma {sp} --n 300 --trials 120 --seed 7"
+
+
+@pytest.mark.parametrize("command,content,named", [
+    ("divergence --kind umegaki --rho {bad} --sigma {sp}", [1, 2], "expected a JSON object"),
+    ("tomography --state {bad} --n 200 --seed 4", [1, 2], "expected a JSON object"),
+    (_INLINE, [1, 2], "expected a JSON object"),
+    ("divergence --kind umegaki --rho {bad} --sigma {sp}", {**_STATE, "dim": None}, "field 'dim'"),
+    ("tomography --state {bad} --n 200 --seed 4", {**_STATE, "dim": None}, "field 'dim'"),
+    (_INLINE, {**_STATE, "dim": None}, "field 'dim'"),
+    ("divergence --kind umegaki --rho {bad} --sigma {sp}", {**_STATE, "im": None}, "field 'im'"),
+    ("divergence --kind measured --rho {rp} --sigma {sp} --povm {bad}", {"a": 1}, "a POVM is a JSON array"),
+    ("limit eval {bad}", [1], "expected a JSON object"),
+    ("limit eval {bad}", {"functional": "qre_null", "rho": _STATE, "l1": _STATE}, "unknown field 'l1'"),
+    ("experiment --config {bad}", _config(_RHO, trails=100), "unknown field 'trails'"),
+    ("experiment --config {bad}", _config(_RHO, ouput_path="rows.csv"), "unknown field 'ouput_path'"),
+    ("experiment --config {bad}", _config(_RHO, seed=1.9), "field 'seed'"),
+    ("experiment --config {bad}", _config(_RHO, n_grid=[100.8]), "field 'n_grid'"),
+    ("experiment --config {bad}", _config(_RHO, trials=150.9), "field 'trials'"),
+], ids=["divergence-array", "tomography-array", "inline-array", "divergence-null-dim", "tomography-null-dim",
+        "inline-null-dim", "divergence-null-im", "povm-object", "bundle-array", "bundle-l1", "config-trails",
+        "config-ouput_path", "config-float-seed", "config-float-n", "config-float-trials"])
+def test_malformed_input_file_is_validation_error(states, tmp_path, capsys, command, content, named):
+    _, _, rp, sp = states
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    rc = cli_main(command.format(bad=bad, rp=rp, sp=sp).split())
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "Traceback" not in err
+    assert f"{bad}: " in err and named in err
 
 
 class TestHypothesisCommand:

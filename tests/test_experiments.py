@@ -22,7 +22,6 @@ from qdivstat.experiments import (
     alt_limit_variance,
     ks_statistic,
     null_law_weights,
-    read_rows_csv,
     run_convergence_experiment,
     weighted_chi2_cdf,
     write_rows_csv,
@@ -352,7 +351,8 @@ class TestRuns:
                                    output_path=str(out))
             run_convergence_experiment(cfg)
         assert out1.read_bytes() == out2.read_bytes()
-        rows = read_rows_csv(str(out1))
+        with open(out1, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 240
         assert set(rows[0]) == {"experiment_id", "kind", "d", "alpha", "n",
                                 "trial", "statistic", "branch_taken"}

@@ -30,10 +30,12 @@ def test_package_reexports_are_in_module_all():
         assert not [name for name in public if name not in exported], node.module
 
 
-# Oracles and one-row wrappers that live beside the tests, not in the package.
+# Oracles and one-row wrappers that live beside the tests, not in the package, and
+# exchange-format helpers that no library or CLI code calls.
 REMOVED = ["QuadratureRule", "frechet1_log_quadrature", "frechet2_log_quadrature", "frechet_power_quadrature",
            "finite_difference_check", "sandwiched_dual_optimizer", "sandwiched_variational_objective",
-           "d_log", "d_power", "apply_scalar_function", "estimate_rho", "estimate_sigma"]
+           "d_log", "d_power", "apply_scalar_function", "estimate_rho", "estimate_sigma",
+           "record_from_json", "povm_to_json", "load_matrix", "read_rows_csv"]
 
 
 def test_removed_names_stay_out_of_the_package():
