@@ -172,7 +172,7 @@ def cli_main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return _RUNNERS[args.command](args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # an OSError names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, np.linalg.LinAlgError, EigensolverError) as exc:

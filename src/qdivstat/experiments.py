@@ -19,19 +19,20 @@ of sigma as spectra, from one stacked eigensolve.  Every kind evaluates its
 divergence on the whole stack in one call, through its entry in ``_KINDS``.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
 from each n's columns of statistics and branch flags, and the CSV is written
-from its columns.  The null law depends on rho alone, so a null experiment
-builds it on one extra thread while the trials run; the output is the same.
+from its columns.  The counts of every stack are drawn on one worker thread
+(``pauli_tomography._worker``), a few stacks ahead of the estimates, and a
+null experiment's law, which depends on rho alone, is built there after the
+last draw; each stack keeps its substream, so the output is the same.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
+import functools
 import io
 import json
 import math
 import numbers
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -59,6 +60,7 @@ from .limit_laws import (
 )
 from .pauli_tomography import (
     PauliBasisSet,
+    _worker,
     bernoulli_weights,
     bloch_coefficients,
     build_pauli_basis,
@@ -174,6 +176,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.kind} requires a numeric alpha, got {self.alpha!r}")
             self.alpha = float(self.alpha)
             check_alpha(self.alpha)
+        elif self.alpha is not None:
+            raise ValueError(f"{self.kind} takes no alpha, got {self.alpha!r}")
         self.n_grid = tuple(int(n) for n in self.n_grid)
         if any(n < 1 for n in self.n_grid) or any(
                 b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -296,33 +300,6 @@ def weighted_chi2_cdf(weights):
     return cdf
 
 
-def _start_thread(fn):
-    """Start fn() on one thread, in a copy of the caller's context (context variables; ``np.errstate`` in numpy 2).
-
-    Returns wait(), which joins the thread and returns fn's value or re-raises
-    the exception fn raised, unchanged.
-    """
-    run, outcome = contextvars.copy_context().run, []
-
-    def target():
-        try:
-            outcome.append((run(fn), None))
-        except BaseException as exc:  # handed to the caller of wait()
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=target, name="qdivstat-null-law")
-    thread.start()
-
-    def wait():
-        thread.join()
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return wait
-
-
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     """Run the experiment and return {"experiment_id": ..., "rows": ..., "summary": [...]}.
 
@@ -330,8 +307,13 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     read off the spectra the run computes anyway) and rho strictly positive.
     The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
-    an output path.  A null kind builds its law on one extra thread while
-    the trials run, and joins it before returning or raising.
+    an output path.  An alternative kind checks its law first, so a
+    degenerate ``v_pred`` fails before any draw.  Then one worker thread draws
+    every stack's counts in (n, stack, side) order, rho's before sigma's, and
+    for a null kind builds the law ``weighted_chi2_cdf(null_law_weights(...))``
+    last, while this thread estimates the stacks as they come.  An exception
+    on the worker is raised here unchanged, and the worker is joined before
+    this function returns or raises; nothing is written after an error.
     """
     rho = hermitian_part(cfg.rho)
     lam_rho = eigvals_hermitian(rho, checked=True)
@@ -341,43 +323,46 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     sigma = eig_hermitian(cfg.sigma)
     check_density_spectrum(sigma.eigenvalues, name="sigma")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
-    divergence = _KINDS[cfg.kind].divergence
-    center = float(divergence(cfg, rho, lam_rho, sigma)) if cfg.kind in ALT_KINDS else 0.0
-
-    statistics = np.empty((len(cfg.n_grid), cfg.trials))
-    branches = np.empty(statistics.shape, dtype=bool)
     if cfg.kind in ALT_KINDS:
         v_pred = alt_limit_variance(cfg, basis)
         if not v_pred > DEGENERATE_V_PRED:
             raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
                              f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
-        cdf, law = _normal_cdf(v_pred), None
+        cdf = _normal_cdf(v_pred)
     else:
-        v_pred, law = None, _start_thread(lambda: weighted_chi2_cdf(null_law_weights(cfg, basis)))
-    try:
+        v_pred = None
+    # each sampled state is transformed to its Bloch vector once, for all of its stacks
+    blochs = [bloch_coefficients(cfg.rho, basis)] + ([bloch_coefficients(cfg.sigma, basis)] if cfg.two_sample else [])
+
+    def jobs():
+        for n in cfg.n_grid:
+            for chunk in trial_chunks(cfg.trials, cfg.dim):
+                for side, bloch in enumerate(blochs):
+                    yield functools.partial(sample_counts, bloch, basis, n, chunk, cfg.seed, n, side)
+        if v_pred is None:
+            yield lambda: weighted_chi2_cdf(null_law_weights(cfg, basis))
+
+    statistics = np.empty((len(cfg.n_grid), cfg.trials))
+    branches = np.empty(statistics.shape, dtype=bool)
+    with _worker(jobs()) as take:
+        divergence = _KINDS[cfg.kind].divergence
+        center = 0.0 if v_pred is None else float(divergence(cfg, rho, lam_rho, sigma))
         # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
         fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
-        # each sampled state is transformed to its Bloch vector once, for all of its stacks
-        bloch_rho = bloch_coefficients(cfg.rho, basis)
-        bloch_sigma = bloch_coefficients(cfg.sigma, basis) if cfg.two_sample else None
-
         for n, stats, flags in zip(cfg.n_grid, statistics, branches):
             scale = float(n) ** cfg.scaling_exponent
             for chunk in trial_chunks(cfg.trials, cfg.dim):
-                counts = sample_counts(bloch_rho, basis, n, chunk, cfg.seed, n, 0)
-                rho_hat, lam, branch = estimate_stack(counts, n, basis)
+                rho_hat, lam, branch = estimate_stack(take(), n, basis)
                 if cfg.two_sample:
-                    counts = sample_counts(bloch_sigma, basis, n, chunk, cfg.seed, n, 1)
-                    sigma_hat, branch_s = estimate_sigma_stack(counts, n, basis)
+                    sigma_hat, branch_s = estimate_sigma_stack(take(), n, basis)
                     branch = branch | branch_s
                 else:
                     sigma_hat = fixed_sigma
                 stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
                 flags[chunk.start:chunk.stop] = branch
-                del counts, rho_hat, lam, sigma_hat  # this stack's arrays go before the next is drawn
-    finally:
-        if law:  # if the law and a trial both raised, the law's exception is raised, chained to the trial's
-            cdf = law()
+                del rho_hat, lam, sigma_hat  # this stack's estimates go before the next is made
+        if v_pred is None:
+            cdf = take()
     summary = [{"kind": cfg.kind, "n": n, "trials": cfg.trials, "mean": float(stats.mean()),
                 "var": float(stats.var(ddof=1)), "v_pred": v_pred, "ks": ks_statistic(stats, cdf)}
                for n, stats in zip(cfg.n_grid, statistics)]

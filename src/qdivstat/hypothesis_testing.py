@@ -10,6 +10,7 @@ eigensolve only the trials whose bucket it leaves in doubt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -32,6 +33,7 @@ from .pauli_tomography import (
     BlochVector,
     PauliBasisSet,
     _bloch_rows,
+    _worker,
     bloch_coefficients,
     build_pauli_basis,
     estimate_stack,
@@ -224,7 +226,11 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     check, its bucket check, ``b`` and the screen's log rho.  The records of
     hypothesis i are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2 trials
     (16 at d = 64), one substream of (seed, i, block) each; a default stack
-    is one block.
+    is one block.  The stacks are drawn on one worker thread, in (hypothesis,
+    stack) order, started before the eigensolves and Pauli transforms below
+    so that those overlap the draws; an exception on the worker is raised
+    here unchanged, and the worker is joined before this function returns or
+    raises.
 
     Most trials are decided from their counts alone.  With x = s_hat - s the
     error of the Bloch vector, g = coefficients(log rho - log sigma) and
@@ -257,63 +263,67 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     d = sig.shape[0]
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
-    sig_eig = eig_hermitian(sig)
-    check_density_spectrum(sig_eig.eigenvalues, name="sigma")
-    sig_log = log_with_kernel(sig_eig)
-    decomps = [eig_hermitian(rho, checked=True) for rho in states]
-    for i, R in enumerate(decomps):
-        check_density_spectrum(R.eigenvalues, name=f"state {i}")
-    divs = [float(umegaki_spectral(rho, R.eigenvalues, sig_log)) for rho, R in zip(states, decomps)]
-    for i, div in enumerate(divs):
-        if grid.bucket(div) != i:
-            raise ValueError(f"state {i} has D = {div}, outside bucket "
-                             f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
-    if b is None:
-        lows = {f"state {i}": float(R.eigenvalues[0]) for i, R in enumerate(decomps)}
-        lows["sigma"] = float(sig_eig.eigenvalues[0])
-        b = _positive_minimum(lows)
-    if c is None:
-        c = threshold_c(tau, d, b)
-    copies = n * (d * d - 1)
-    sigma_full = bool(support_mask(sig_eig.eigenvalues).all())
+    blochs = [bloch_coefficients(rho, basis) for rho in states]
+    chunks = list(trial_chunks(trials, d))
+    draws = (functools.partial(sample_counts, bloch, basis, n, chunk, seed, i)
+             for i, bloch in enumerate(blochs) for chunk in chunks)
+    with _worker(draws) as take:
+        sig_eig = eig_hermitian(sig)
+        check_density_spectrum(sig_eig.eigenvalues, name="sigma")
+        sig_log = log_with_kernel(sig_eig)
+        decomps = [eig_hermitian(rho, checked=True) for rho in states]
+        for i, R in enumerate(decomps):
+            check_density_spectrum(R.eigenvalues, name=f"state {i}")
+        divs = [float(umegaki_spectral(rho, R.eigenvalues, sig_log)) for rho, R in zip(states, decomps)]
+        for i, div in enumerate(divs):
+            if grid.bucket(div) != i:
+                raise ValueError(f"state {i} has D = {div}, outside bucket "
+                                 f"({grid.epsilons[i]}, {grid.epsilons[i + 1]}]")
+        if b is None:
+            lows = {f"state {i}": float(R.eigenvalues[0]) for i, R in enumerate(decomps)}
+            lows["sigma"] = float(sig_eig.eigenvalues[0])
+            b = _positive_minimum(lows)
+        if c is None:
+            c = threshold_c(tau, d, b)
+        copies = n * (d * d - 1)
+        sigma_full = bool(support_mask(sig_eig.eigenvalues).all())
 
-    rows = []
-    for i, (rho, R) in enumerate(zip(states, decomps)):
-        bloch = bloch_coefficients(rho, basis)
-        screen = _first_order_screen(R, bloch, sig_log, basis) if sigma_full else None
-        errors = screened = projected = 0
-        for chunk in trial_chunks(trials, d):
-            counts = sample_counts(bloch, basis, n, chunk, seed, i)
-            if screen is not None:
-                low, high = _first_order_interval(counts, n, screen, divs[i])
-                decided = _decided_indices(low - _DECISION_SLACK, n, grid, c)
-                settled = decided == _decided_indices(high + _DECISION_SLACK, n, grid, c)
-                errors += int(np.count_nonzero(decided[settled] != i))
-                screened += int(settled.sum())
-                counts = counts[~settled]
-            if len(counts):
-                rho_hat, lam, branch = estimate_stack(counts, n, basis)
-                decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_log), n, grid, c)
-                errors += int(np.count_nonzero(decided != i))
-                projected += int(branch.sum())
-        low, high = wilson_interval(errors, trials)
-        rate = errors / trials
-        radius = (high - low) / 2
-        rows.append({
-            "hypothesis": i,
-            "trials": trials,
-            "errors": errors,
-            "rate": rate,
-            "wilson_low": low,
-            "wilson_high": high,
-            "copies_used": copies,
-            "projection_fraction": projected / trials,
-            "threshold_c": c,
-            "eigenvalue_bound": b,
-            # the level guarantee is asymptotic; a finite-n rate above tau but
-            # within three interval radii is flagged, not treated as failure
-            "borderline": tau < rate <= tau + 3 * radius,
-            "gross_exceedance": rate > tau + 3 * radius,
-            "screened_fraction": screened / trials,
-        })
+        rows = []
+        for i, (R, bloch) in enumerate(zip(decomps, blochs)):
+            screen = _first_order_screen(R, bloch, sig_log, basis) if sigma_full else None
+            errors = screened = projected = 0
+            for _ in chunks:
+                counts = take()
+                if screen is not None:
+                    low, high = _first_order_interval(counts, n, screen, divs[i])
+                    decided = _decided_indices(low - _DECISION_SLACK, n, grid, c)
+                    settled = decided == _decided_indices(high + _DECISION_SLACK, n, grid, c)
+                    errors += int(np.count_nonzero(decided[settled] != i))
+                    screened += int(settled.sum())
+                    counts = counts[~settled]
+                if len(counts):
+                    rho_hat, lam, branch = estimate_stack(counts, n, basis)
+                    decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_log), n, grid, c)
+                    errors += int(np.count_nonzero(decided != i))
+                    projected += int(branch.sum())
+            low, high = wilson_interval(errors, trials)
+            rate = errors / trials
+            radius = (high - low) / 2
+            rows.append({
+                "hypothesis": i,
+                "trials": trials,
+                "errors": errors,
+                "rate": rate,
+                "wilson_low": low,
+                "wilson_high": high,
+                "copies_used": copies,
+                "projection_fraction": projected / trials,
+                "threshold_c": c,
+                "eigenvalue_bound": b,
+                # the level guarantee is asymptotic; a finite-n rate above tau but
+                # within three interval radii is flagged, not treated as failure
+                "borderline": tau < rate <= tau + 3 * radius,
+                "gross_exceedance": rate > tau + 3 * radius,
+                "screened_fraction": screened / trials,
+            })
     return rows

@@ -8,7 +8,10 @@ one call from the substream of (seed, path, block).  Blocks share no generator
 state, so they run in any order or in parallel, and a trial's counts depend
 neither on how many trials are drawn nor on how they are stacked.  A block
 holds as many matrix entries as a default stack, so each stack of a run draws
-from one generator: 16384 trials per block at d = 2, 16 at d = 64.
+from one generator: 16384 trials per block at d = 2, 16 at d = 64.  The
+runners draw their stacks on one worker thread (``_worker``), a few stacks
+ahead of the caller, which estimates them meanwhile: ``binomial`` and the
+eigensolves release the interpreter lock, so the two overlap.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -24,7 +27,11 @@ decomposition from ``estimate_sigma_stack``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import contextvars
+import queue
+import threading
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +96,10 @@ STACK_ENTRIES = 2**16
 # equals the default STACK_ENTRIES, so a default stack is one whole block, but
 # it is kept apart: the seed stream must not move when the stack size does.
 SEED_BLOCK_ENTRIES = 2**16
+
+# Most values a worker thread (``_worker``) holds that its caller has not read:
+# it runs at most this many jobs ahead.
+_WORKER_AHEAD = 4
 
 # Most negative eigenvalue of a raw reconstruction still taken as PSD.
 _PSD_ATOL = 1e-12
@@ -281,6 +292,50 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     blocks = [substream(seed, *path, b // block).binomial(n, p_plus, size=(min(block, stop - b), basis.size))
               for b in range(start, stop, block)]
     return np.concatenate(blocks)[trials.start - start::trials.step]
+
+
+@contextmanager
+def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], object]]:
+    """Run ``jobs``, zero-argument callables, in order on one thread; the ``with`` target reads their values.
+
+    Each call of the target returns the value of the next job, in job order,
+    or re-raises, unchanged, the exception that job raised; the thread runs
+    no job after that one.  The thread runs in a copy of the caller's context
+    (context variables; ``np.errstate`` in numpy 2), iterates ``jobs`` itself,
+    and holds at most ``_WORKER_AHEAD`` values the caller has not read.  It
+    waits for its first slot until ``Thread.start`` has returned, so the
+    caller is not held up while the new thread holds the interpreter lock.
+    However the ``with`` block is left, the thread stops after its current
+    job and is joined.
+    """
+    slots, done, stop = threading.Semaphore(0), queue.SimpleQueue(), threading.Event()
+
+    def work():
+        try:
+            for job in jobs:
+                slots.acquire()
+                if stop.is_set():
+                    return
+                done.put((job(), None))
+        except BaseException as exc:  # raised where the caller reads the next value
+            done.put((None, exc))
+
+    def take():
+        value, exc = done.get()
+        if exc is not None:
+            raise exc
+        slots.release()
+        return value
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(work,), name="qdivstat-worker")
+    thread.start()
+    slots.release(_WORKER_AHEAD)
+    try:
+        yield take
+    finally:
+        stop.set()
+        slots.release()
+        thread.join()
 
 
 def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:

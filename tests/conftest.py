@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from qdivstat.divergences import umegaki
+from qdivstat.hypothesis_testing import HypothesisGrid
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
     SEED_BLOCK_ENTRIES,
     MeasurementRecord,
     PauliBasisSet,
     bloch_coefficients,
+    reconstruct,
     substream,
 )
 from qdivstat.random_ops import random_density, random_hermitian, random_traceless
@@ -72,3 +75,12 @@ def pauli_operators(basis: PauliBasisSet) -> Sequence[np.ndarray]:
     The reference for the tensorized transform, which never forms them.
     """
     return _KroneckerProducts(basis.labels)
+
+
+def two_hypotheses():
+    """(states, sigma, grid) of a 1-qubit test whose second state often leaves the Bloch ball at n = 20."""
+    basis = PauliBasisSet(1)
+    sigma = np.eye(2) / 2
+    states = [reconstruct(np.array([0.1, 0.0, s3]), basis).mat for s3 in (0.3, 0.95)]
+    divs = [umegaki(r, sigma).value for r in states]
+    return states, sigma, HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.2))

@@ -1,10 +1,12 @@
 """Check that the library runs on numpy alone: no scipy module is imported.
 
-Imports ``qdivstat`` and its CLI, runs one small ``qdivstat experiment``
-(``two_sample_alt``, d = 2) and one small ``qdivstat hypothesis`` through
-``qdivstat.cli.main``, and feeds it one malformed config (an unknown key and
-a float seed), which must exit 2.  It then fails if any module whose name
-starts with ``scipy`` is in ``sys.modules``.  It needs no test dependency, so
+Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
+(``two_sample_alt`` and ``one_sample_null``, d = 2) and one small
+``qdivstat hypothesis`` through ``qdivstat.cli.main``, and feeds it one
+malformed config (an unknown key and a float seed), which must exit 2.  After
+each command only the main thread may be alive: the runners join their worker
+thread.  It then fails if any module whose name starts with ``scipy`` is in
+``sys.modules``.  It needs no test dependency, so
 it also runs in an environment where only the package and numpy are installed:
 
     python tests/numpy_only_check.py
@@ -13,6 +15,7 @@ it also runs in an environment where only the package and numpy are installed:
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,10 @@ from qdivstat import io as qio
 
 
 def _run(argv: list[str], expected: int = 0) -> None:
-    """``qdivstat argv`` through the console entry point; raise unless it exits with ``expected``."""
+    """``qdivstat argv`` through the console entry point.
+
+    Raises unless it exits with ``expected`` and leaves only the main thread alive.
+    """
     sys.argv = ["qdivstat", *argv]
     try:
         qdivstat.cli.main()
@@ -32,6 +38,8 @@ def _run(argv: list[str], expected: int = 0) -> None:
         code = exc.code or 0
     if code != expected:
         raise RuntimeError(f"qdivstat {argv[0]} exited with {code}, not {expected}")
+    if threading.enumerate() != [threading.main_thread()]:
+        raise RuntimeError(f"qdivstat {argv[0]} left threads alive: {threading.enumerate()}")
 
 
 def main() -> int:
@@ -42,6 +50,8 @@ def main() -> int:
         qio.dump_matrix(sigma, str(sp))
         _run(["experiment", "--kind", "two_sample_alt", "--rho", str(rp), "--sigma", str(sp),
               "--n", "300", "--trials", "100", "--seed", "1"])
+        _run(["experiment", "--kind", "one_sample_null", "--rho", str(rp), "--n", "300", "--trials", "100",
+              "--seed", "1"])
         scenario = Path(tmp, "scenario.json")
         scenario.write_text(json.dumps({
             "states": [qio.matrix_to_json(rho)], "sigma": qio.matrix_to_json(np.eye(2) / 2),

@@ -162,6 +162,14 @@ class TestTomographyCommand:
         rc = cli_main(["tomography", "--state", rp, "--n", "200"])
         assert rc == 2
 
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unreadable_path_is_validation_error(self, states, tmp_path, capsys, where):
+        _, _, rp, _ = states
+        path = str(tmp_path) if where == "directory" else rp + "/state.json"
+        rc = cli_main(["tomography", "--state", path, "--n", "3", "--seed", "1"])
+        assert rc == EXIT_VALIDATION
+        assert repr(path) in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_inline_run_writes_byte_identical_csv(self, states, tmp_path, capsys):
@@ -249,6 +257,21 @@ class TestExperimentCommand:
         rc = cli_main(["experiment", "--config", str(path)])
         assert rc == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["one_sample_alt", "measured", "two_sample_null"])
+    def test_alpha_for_a_kind_without_order_is_validation_error(self, states, tmp_path, capsys, kind):
+        rho, sigma, rp, sp = states
+        sigma_flags = [] if kind.endswith("null") else ["--sigma", sp]
+        rc = cli_main(["experiment", "--kind", kind, "--rho", rp, *sigma_flags, "--alpha", "1.5", "--n", "300",
+                       "--trials", "120", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert f"{kind} takes no alpha" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        fields = {} if kind.endswith("null") else {"sigma": qio.matrix_to_json(sigma)}
+        path.write_text(json.dumps(_config(rho, kind=kind, alpha=1.5, **fields)))
+        rc = cli_main(["experiment", "--config", str(path)])
+        assert rc == EXIT_VALIDATION
+        assert f"{kind} takes no alpha" in capsys.readouterr().err
 
     def test_config_missing_seed(self, states, tmp_path, capsys):
         rho, _, _, _ = states

@@ -46,11 +46,12 @@ from qdivstat.pauli_tomography import (
     variance_v1,
     variance_v2,
 )
+from qdivstat.hypothesis_testing import simulate_error_rates
 from qdivstat.random_ops import haar_unitary
 
 import directional_limits as directional
 import scalar_divergences as scalar
-from conftest import normal_cdf, pauli_operators, rand_state, replay_record
+from conftest import normal_cdf, pauli_operators, rand_state, replay_record, two_hypotheses
 
 
 def per_record_rows(cfg, divergence):
@@ -479,12 +480,11 @@ class TestExactLaws:
         cfg = ExperimentConfig(kind=kind, rho=rho, sigma=rho.copy(), n_grid=(100, 1000), trials=100)
         assert alt_limit_variance(cfg, build_pauli_basis(1)) <= experiments.DEGENERATE_V_PRED
 
-        def no_trials(*args):
-            raise AssertionError("a trial was drawn")
-
-        monkeypatch.setattr(experiments, "sample_counts", no_trials)
+        drawn = []
+        monkeypatch.setattr(experiments, "sample_counts", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=r"v_pred = .*null kind \(one_sample_null, two_sample_null\)"):
             run_convergence_experiment(cfg)
+        assert drawn == []  # recorded, not raised: an exception on the worker thread would not reach this test
 
     def test_null_kinds_have_no_gaussian_variance(self, rng):
         cfg = ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), trials=100)
@@ -556,7 +556,7 @@ class TestBatchedTrials:
 
 
 class TestNullLawThread:
-    """A null experiment builds its law on one thread while the trials run."""
+    """A run draws its counts, and a null experiment builds its law, on one worker thread (tests/test_worker.py)."""
 
     @staticmethod
     def config(rng, kind="one_sample_null", **kw):
@@ -577,24 +577,6 @@ class TestNullLawThread:
         assert info.value is raised[0]
         assert threading.active_count() == before
         assert list(tmp_path.iterdir()) == []
-
-    def test_trial_error_joins_the_law(self, rng, monkeypatch):
-        built = []
-
-        def recorded(cfg, basis):
-            built.append(threading.get_ident())
-            return null_law_weights(cfg, basis)
-
-        def failing(*args):
-            raise RuntimeError("no records")
-
-        monkeypatch.setattr(experiments, "null_law_weights", recorded)
-        monkeypatch.setattr(experiments, "sample_counts", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="no records"):
-            run_convergence_experiment(self.config(rng))
-        assert threading.active_count() == before
-        assert len(built) == 1 and built[0] != threading.get_ident()
 
     def test_caller_context_reaches_the_law(self, rng, monkeypatch):
         var = contextvars.ContextVar("var", default="unset")
@@ -617,19 +599,24 @@ class TestNullLawThread:
             assert seen[0][1] == "raise"
         assert threading.active_count() == before
 
-    def test_concurrent_runs_match_serial_runs(self, rng):
-        # three callers, each with its own law thread, on two cores, switching every microsecond
+    def test_concurrent_runs_match_serial_runs(self, rng, monkeypatch):
+        # five callers, each with its own worker, on two cores, switching every microsecond; stacks of 7 trials
+        # give every run more stacks than its worker holds values
+        monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", 7 * 2 * 2)
         cfgs = [self.config(rng, kind) for kind in (*NULL_KINDS, "one_sample_null")]
-        serial = [run_convergence_experiment(cfg) for cfg in cfgs]
-        results = [None] * len(cfgs)
+        calls = [partial(run_convergence_experiment, cfg) for cfg in cfgs] + [
+            partial(simulate_error_rates, *two_hypotheses(), tau=0.3, n=20, trials=150, seed=seed)
+            for seed in (17, 18)]
+        serial = [call() for call in calls]
+        results = [None] * len(calls)
 
         def run(i):
-            results[i] = run_convergence_experiment(cfgs[i])
+            results[i] = calls[i]()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
             for t in callers:
                 t.start()
             for t in callers:
@@ -637,8 +624,9 @@ class TestNullLawThread:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        for got, want in zip(results, serial):
+        for got, want in zip(results[:len(cfgs)], serial):
             assert np.array_equal(got["rows"], want["rows"]) and got["summary"] == want["summary"]
+        assert results[len(cfgs):] == serial[len(cfgs):] and serial[-2] != serial[-1]
 
     @pytest.mark.parametrize("kind", NULL_KINDS)
     def test_ks_equals_inline_law(self, rng, kind):
@@ -647,15 +635,6 @@ class TestNullLawThread:
         cdf = weighted_chi2_cdf(null_law_weights(cfg, build_pauli_basis(1)))
         stats = res["rows"].statistic.reshape(len(cfg.n_grid), cfg.trials)
         assert [s["ks"] for s in res["summary"]] == [ks_statistic(row, cdf) for row in stats]
-
-    def test_alt_kind_starts_no_thread(self, rng, monkeypatch):
-        def forbidden(fn):
-            raise AssertionError("an alternative kind started a thread")
-
-        monkeypatch.setattr(experiments, "_start_thread", forbidden)
-        cfg = ExperimentConfig(kind="two_sample_alt", rho=rand_state(rng, 2, 0.1), sigma=rand_state(rng, 2, 0.1),
-                               n_grid=(100,), trials=100, seed=62)
-        run_convergence_experiment(cfg)
 
     @pytest.mark.parametrize("kind, states", [("one_sample_null", 1), ("two_sample_alt", 2)])
     def test_each_state_transformed_once(self, rng, monkeypatch, kind, states):
