@@ -203,7 +203,8 @@ def _first_order_interval(counts: np.ndarray, n: int, screen, d0: float) -> tupl
     """
     lam_min, s, g = screen
     d = math.isqrt(len(s) + 1)
-    x = _bloch_rows(counts, n) - s
+    x = _bloch_rows(counts, n)
+    x -= s
     ell = d0 + x @ g / d
     frob2 = np.einsum("ij,ij->i", x, x) / d
     # Lowered by the support cutoff: it is far above the eigensolver's error
@@ -226,11 +227,12 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     check, its bucket check, ``b`` and the screen's log rho.  The records of
     hypothesis i are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2 trials
     (16 at d = 64), one substream of (seed, i, block) each; a default stack
-    is one block.  The stacks are drawn on one worker thread, in (hypothesis,
-    stack) order, started before the eigensolves and Pauli transforms below
-    so that those overlap the draws; an exception on the worker is raised
-    here unchanged, and the worker is joined before this function returns or
-    raises.
+    is one block.  One worker thread first transforms each state to its
+    Bloch vector s, then draws the stacks in (hypothesis, stack) order; it
+    starts before the eigensolves of sigma and the states, which overlap it,
+    and each vector is read from it as its state is eigensolved.  An
+    exception on the worker is raised here unchanged, and the worker is
+    joined before this function returns or raises.
 
     Most trials are decided from their counts alone.  With x = s_hat - s the
     error of the Bloch vector, g = coefficients(log rho - log sigma) and
@@ -263,15 +265,38 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     d = sig.shape[0]
     if basis is None:
         basis = build_pauli_basis(qubits_for_dim(d))
-    blochs = [bloch_coefficients(rho, basis) for rho in states]
+    # bloch_coefficients' own check, made here so that it fails before the
+    # worker starts and before any eigensolve
+    if any(rho.shape[0] != basis.dim for rho in states):
+        raise ValueError("state dimension does not match the basis")
     chunks = list(trial_chunks(trials, d))
-    draws = (functools.partial(sample_counts, bloch, basis, n, chunk, seed, i)
-             for i, bloch in enumerate(blochs) for chunk in chunks)
-    with _worker(draws) as take:
+
+    def jobs():
+        # Iterated on the worker, and resumed only after the job it yielded
+        # last has run, so the draws read the vectors the transforms stored.
+        blochs = []
+
+        def transform(rho):
+            blochs.append(bloch_coefficients(rho, basis))
+            return blochs[-1]
+
+        for rho in states:
+            yield functools.partial(transform, rho)
+        for i, bloch in enumerate(blochs):
+            for chunk in chunks:
+                yield functools.partial(sample_counts, bloch, basis, n, chunk, seed, i)
+
+    with _worker(jobs()) as take:
         sig_eig = eig_hermitian(sig)
         check_density_spectrum(sig_eig.eigenvalues, name="sigma")
         sig_log = log_with_kernel(sig_eig)
-        decomps = [eig_hermitian(rho, checked=True) for rho in states]
+        # Each vector is read as its state is eigensolved, not where the screen
+        # needs it: read later, the first _WORKER_AHEAD vectors would hold
+        # every slot of the worker, and no draw could overlap the eigensolves.
+        decomps, blochs = [], []
+        for rho in states:
+            decomps.append(eig_hermitian(rho, checked=True))
+            blochs.append(take())
         for i, R in enumerate(decomps):
             check_density_spectrum(R.eigenvalues, name=f"state {i}")
         divs = [float(umegaki_spectral(rho, R.eigenvalues, sig_log)) for rho, R in zip(states, decomps)]

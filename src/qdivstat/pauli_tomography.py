@@ -11,7 +11,9 @@ holds as many matrix entries as a default stack, so each stack of a run draws
 from one generator: 16384 trials per block at d = 2, 16 at d = 64.  The
 runners draw their stacks on one worker thread (``_worker``), a few stacks
 ahead of the caller, which estimates them meanwhile: ``binomial`` and the
-eigensolves release the interpreter lock, so the two overlap.
+eigensolves release the interpreter lock, so the two overlap.  The
+hypothesis runner's worker first transforms each state to its Bloch vector
+and then draws, so the caller's eigensolves start at once.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -278,7 +280,8 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     order, so a block cut short after the last trial needed gives the same
     rows as the whole block.  ``trials`` is an ascending range.  ``rho`` may
     be given by its ``BlochVector``, so that a caller that draws many stacks
-    of one state transforms it once.
+    of one state transforms it once; the hypothesis runner's worker does so
+    ahead of its draws.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
@@ -302,9 +305,11 @@ def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], objec
     or re-raises, unchanged, the exception that job raised; the thread runs
     no job after that one.  The thread runs in a copy of the caller's context
     (context variables; ``np.errstate`` in numpy 2), iterates ``jobs`` itself,
-    and holds at most ``_WORKER_AHEAD`` values the caller has not read.  It
-    waits for its first slot until ``Thread.start`` has returned, so the
-    caller is not held up while the new thread holds the interpreter lock.
+    taking each job only after the one before it has run, so a generator of
+    jobs may pass one job's value on to later jobs, and holds at most
+    ``_WORKER_AHEAD`` values the caller has not read.  It waits for its
+    first slot until ``Thread.start`` has returned, so the caller is not
+    held up while the new thread holds the interpreter lock.
     However the ``with`` block is left, the thread stops after its current
     job and is joined.
     """

@@ -3,15 +3,19 @@
 Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
 (``two_sample_alt`` and ``one_sample_null``, d = 2) and one small
 ``qdivstat hypothesis`` through ``qdivstat.cli.main``, and feeds it one
-malformed config (an unknown key and a float seed), which must exit 2.  After
-each command only the main thread may be alive: the runners join their worker
-thread.  It then fails if any module whose name starts with ``scipy`` is in
-``sys.modules``.  It needs no test dependency, so
-it also runs in an environment where only the package and numpy are installed:
+malformed config (an unknown key and a float seed) and one scenario whose
+state has a negative eigenvalue, which the runner finds after its worker has
+started; both must exit 2.  After each command only the main thread may be
+alive: the runners join their worker thread.  It then fails if any module
+whose name starts with ``scipy`` is in ``sys.modules``.  It needs no test
+dependency, so it also runs in an environment where only the package and
+numpy are installed:
 
     python tests/numpy_only_check.py
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -25,19 +29,22 @@ import qdivstat.cli
 from qdivstat import io as qio
 
 
-def _run(argv: list[str], expected: int = 0) -> None:
+def _run(argv: list[str], expected: int = 0, error: str = "") -> None:
     """``qdivstat argv`` through the console entry point.
 
-    Raises unless it exits with ``expected`` and leaves only the main thread alive.
+    Raises unless it exits with ``expected``, writes ``error`` to standard
+    error, and leaves only the main thread alive.
     """
     sys.argv = ["qdivstat", *argv]
+    stderr = io.StringIO()
     try:
-        qdivstat.cli.main()
+        with contextlib.redirect_stderr(stderr):
+            qdivstat.cli.main()
         code = 0
     except SystemExit as exc:
         code = exc.code or 0
-    if code != expected:
-        raise RuntimeError(f"qdivstat {argv[0]} exited with {code}, not {expected}")
+    if code != expected or error not in stderr.getvalue():
+        raise RuntimeError(f"qdivstat {argv[0]} exited with {code}, not {expected}: {stderr.getvalue()}")
     if threading.enumerate() != [threading.main_thread()]:
         raise RuntimeError(f"qdivstat {argv[0]} left threads alive: {threading.enumerate()}")
 
@@ -53,10 +60,11 @@ def main() -> int:
         _run(["experiment", "--kind", "one_sample_null", "--rho", str(rp), "--n", "300", "--trials", "100",
               "--seed", "1"])
         scenario = Path(tmp, "scenario.json")
-        scenario.write_text(json.dumps({
-            "states": [qio.matrix_to_json(rho)], "sigma": qio.matrix_to_json(np.eye(2) / 2),
-            "epsilons": [0.0, 1.0], "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
-        _run(["hypothesis", "--scenario", str(scenario), "--out", str(Path(tmp, "rates.csv"))])
+        for state, expected, error in ((rho, 0, ""), (np.diag([1.2, -0.2]), 2, "state 0 has negative eigenvalue")):
+            scenario.write_text(json.dumps({
+                "states": [qio.matrix_to_json(state)], "sigma": qio.matrix_to_json(np.eye(2) / 2),
+                "epsilons": [0.0, 1.0], "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
+            _run(["hypothesis", "--scenario", str(scenario), "--out", str(Path(tmp, "rates.csv"))], expected, error)
         config = Path(tmp, "config.json")
         config.write_text(json.dumps({"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "trails": 100,
                                       "seed": 1.5}))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import mpmath
@@ -28,8 +30,7 @@ from qdivstat.pauli_tomography import (
     variance_v1,
 )
 from qdivstat.random_ops import haar_unitary, random_density
-from conftest import rand_state, replay_record
-
+from conftest import rand_state, replay_record, two_hypotheses
 
 
 class TestInverseQ:
@@ -285,6 +286,22 @@ class TestSimulation:
             assert rows[i]["errors"] == errors
             assert rows[i]["projection_fraction"] == projected / trials
         assert rows[1]["projection_fraction"] > 0
+
+    @pytest.mark.parametrize("stack_trials", [None, 7])
+    def test_rows_pinned(self, monkeypatch, stack_trials):
+        # sha256 of the rows of two seeded runs that reach the exact path with nonzero
+        # errors: the screen settles 60% and 0% of the two_hypotheses trials, none of
+        # the d = 4 ones; stacks of 7 trials must give the same rows
+        if stack_trials:
+            monkeypatch.setattr(pauli_tomography, "STACK_ENTRIES", stack_trials * 16)
+        runs = [(two_hypotheses(), dict(tau=0.3, n=20, trials=150, seed=17, c=0.5),
+                 "0b593822e9558f0736dd2a719fefa6a4230ed712e46dde27f2dd5c3afd9c2dda"),
+                (_random_scenario(np.random.default_rng(1), 4), dict(tau=0.2, n=200, trials=300, seed=23, c=0.3),
+                 "e1c4497c6f42e3fd5cd14ecb8382dd35e830dd2a2c5b6bc326af63ab09fa5c6f")]
+        for scenario, kwargs, digest in runs:
+            rows = simulate_error_rates(*scenario, **kwargs)
+            assert all(r["errors"] > 0 and r["screened_fraction"] < 1 for r in rows)
+            assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
 
     def test_seed_derivation_stable(self):
         # the stream of one (seed, hypothesis) repeats; its rows and hypotheses differ

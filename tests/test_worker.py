@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_state, two_hypotheses
-from qdivstat import experiments, hypothesis_testing, pauli_tomography
+from qdivstat import divergences, experiments, hypothesis_testing, pauli_tomography
 from qdivstat.experiments import ExperimentConfig, run_convergence_experiment
 from qdivstat.hypothesis_testing import simulate_error_rates
 from qdivstat.pauli_tomography import _WORKER_AHEAD, _worker
@@ -44,6 +44,18 @@ class TestWorker:
         with _worker(lambda i=i: job(i) for i in order) as take:
             assert [take() for _ in order] == order.tolist()
         assert threading.active_count() == before
+
+    def test_each_job_is_taken_after_the_one_before_has_run(self):
+        ran, taken_after = [], []
+
+        def jobs():
+            for i in range(10):
+                taken_after.append(len(ran))
+                yield lambda i=i: ran.append(i) or i
+
+        with _worker(jobs()) as take:
+            assert [take() for _ in range(10)] == list(range(10))
+        assert taken_after == list(range(10))
 
     def test_runs_at_most_the_bound_ahead(self):
         ran = []
@@ -217,6 +229,58 @@ class TestRunnersUseOneWorker:
         with pytest.raises(ValueError, match="strictly positive"):
             run_convergence_experiment(cfg)
         assert starts == []
+
+    def test_hypothesis_draws_overlap_the_state_eigensolves(self, monkeypatch):
+        # more states than the worker holds values: it must draw before the last state's
+        # eigensolve, so the caller reads each Bloch vector as it eigensolves that state
+        basis = pauli_tomography.PauliBasisSet(1)
+        sigma = np.eye(2) / 2
+        states = [pauli_tomography.reconstruct(np.array([0.0, 0.0, s3]), basis).mat
+                  for s3 in np.linspace(0.1, 0.85, _WORKER_AHEAD + 2)]
+        divs = [divergences.umegaki(rho, sigma).value for rho in states]
+        grid = hypothesis_testing.HypothesisGrid((0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0))
+        draw, eig = pauli_tomography.sample_counts, hypothesis_testing.eig_hermitian
+        drawn, solved = [], []
+
+        def recorded(*args):
+            drawn.append(args)
+            return draw(*args)
+
+        def waiting(A, **kw):
+            solved.append(A)
+            if len(solved) == len(states) + 1:  # sigma's, then each state's
+                _wait_for(lambda: drawn)
+            return eig(A, **kw)
+
+        monkeypatch.setattr(hypothesis_testing, "sample_counts", recorded)
+        monkeypatch.setattr(hypothesis_testing, "eig_hermitian", waiting)
+        rows = simulate_error_rates(states, sigma, grid, tau=0.3, n=200, trials=10, seed=3, basis=basis)
+        assert len(rows) == len(states) and len(drawn) == len(states)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda kw: dict(kw, states=[np.eye(4) / 4, kw["states"][1]]), "^state dimension does not match the basis$"),
+        (lambda kw: dict(kw, basis=pauli_tomography.PauliBasisSet(2)), "^state dimension does not match the basis$"),
+        (lambda kw: dict(kw, states=kw["states"] + [np.eye(2) / 2]), "^3 states for 2 hypotheses$"),
+        (lambda kw: dict(kw, sigma=np.eye(3) / 3), "^dimension 3 is not a power of two"),
+        (lambda kw: dict(kw, states=[kw["states"][0], np.triu(np.ones((2, 2))) / 2]), "^matrix is not Hermitian"),
+        (lambda kw: dict(kw, trials=0), "^trials must be positive$"),
+        (lambda kw: dict(kw, tau=1.0), "^tau must be in"),
+    ])
+    def test_hypothesis_input_errors_start_no_worker(self, monkeypatch, starts, change, match):
+        states, sigma, grid = two_hypotheses()
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(args)
+            return pauli_tomography.sample_counts(*args)
+
+        monkeypatch.setattr(hypothesis_testing, "sample_counts", recorded)
+        kw = change(dict(states=states, sigma=sigma, grid=grid, tau=0.3, n=20, trials=150, seed=17))
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=match):
+            simulate_error_rates(**kw)
+        assert starts == [] and drawn == []
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("change, match", [
         (lambda states, sigma, grid: ([states[1], states[0]], sigma, grid), "outside bucket"),
