@@ -24,7 +24,7 @@ basis = build_pauli_basis(1)
 rho = random_density(2, rng, min_eig=0.15).mat
 sigma = random_density(2, rng, min_eig=0.15).mat
 
-print("Bloch coefficients of rho:", np.round(bloch_coefficients(rho, basis).coeffs, 4))
+print("Bloch coefficients of rho:", np.round(bloch_coefficients(rho, basis), 4))
 
 # one measurement record and its estimate
 record = sample_record(rho, basis, n=2000, seed=5)

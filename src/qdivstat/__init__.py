@@ -13,13 +13,10 @@ from .operator_core import (
     HermitianOperator,
     SpectralDecomposition,
     eig_hermitian,
-    loewner_leq,
-    moore_penrose_inverse,
     project_to_density,
     project_to_simplex,
     schatten_norm,
     support_contained,
-    support_projector,
 )
 from .frechet import (
     DividedDifferenceTable,
@@ -31,7 +28,6 @@ from .frechet import (
 from .divergences import (
     DivergenceValue,
     Povm,
-    classical_kl,
     eigenbasis_povm,
     fidelity,
     max_divergence,
@@ -57,20 +53,17 @@ from .limit_laws import (
     vn_entropy_limit,
 )
 from .pauli_tomography import (
-    BlochVector,
     MeasurementRecord,
     PauliBasisSet,
     bloch_coefficients,
     build_pauli_basis,
     reconstruct,
-    sample_gaussian_limit,
     sample_record,
     variance_v1,
     variance_v2,
 )
 from .hypothesis_testing import (
     HypothesisGrid,
-    TestOutcome,
     decide,
     inverse_q,
     min_eigenvalue_bound,

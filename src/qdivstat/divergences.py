@@ -1,8 +1,8 @@
 """Quantum divergence functionals.
 
-Umegaki relative entropy, von Neumann entropy, classical KL, Petz-Renyi and
-sandwiched Renyi divergences, fidelity, max-divergence, and measured relative
-entropy over finite POVM families.
+Umegaki relative entropy, von Neumann entropy, Petz-Renyi and sandwiched
+Renyi divergences, fidelity, max-divergence, and measured relative entropy
+over finite POVM families.
 
 All logarithms are natural; values are in nats.  Support conventions are
 realized with masked spectral functions: +infinity is a tagged value on the
@@ -40,7 +40,6 @@ __all__ = [
     "log_with_kernel",
     "umegaki_spectral",
     "von_neumann_entropy",
-    "classical_kl",
     "check_petz_alpha",
     "check_sandwiched_alpha",
     "petz_renyi",
@@ -55,7 +54,6 @@ __all__ = [
     "eigenbasis_povm",
     "trivial_povm",
     "masked_power",
-    "masked_log_trace",
 ]
 
 MASS_TOL = 1e-9  # mass counted as none: a leak out of supp(sigma), an outcome probability, a Renyi overlap
@@ -147,12 +145,6 @@ def masked_power(A, p: float) -> np.ndarray:
     return spectral_map(A, lambda lam: lam**p, support_mask)
 
 
-def masked_log_trace(rho, B) -> float:
-    """Tr[rho log B] restricted to the support of B (0 log 0 = 0 convention)."""
-    log_b = spectral_map(B, np.log, support_mask)
-    return float(np.trace(as_matrix(rho) @ log_b).real)
-
-
 def log_with_kernel(sigma) -> np.ndarray:
     """L + iQ, with L the log of sigma on its support and Q its kernel projector.
 
@@ -172,9 +164,9 @@ def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma) -> np.
     their broadcast leading shape: D = sum lam log lam over the support of
     rho, minus Tr[rho L], with L the log of sigma on its support.  D is +inf
     where supp(rho) is not contained in supp(sigma), that is where the leak
-    Tr[rho Q] onto the kernel projector Q of sigma exceeds ``MASS_TOL``.  Kernels
-    are masked as in ``masked_log_trace``.  Every term is linear in rho or
-    reads its eigenvalues, so rho's eigenvectors are never needed.
+    Tr[rho Q] onto the kernel projector Q of sigma exceeds ``MASS_TOL``.  Every
+    term is linear in rho or reads its eigenvalues, so rho's eigenvectors are
+    never needed.
     """
     lam = rho_eigenvalues
     own = np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
@@ -193,30 +185,9 @@ def umegaki(rho, sigma) -> DivergenceValue:
 
 
 def von_neumann_entropy(rho) -> float:
-    """-Tr[rho log rho] in nats, with 0 log 0 = 0."""
-    return max(0.0, -masked_log_trace(rho, rho))
-
-
-def _check_prob_vector(P: np.ndarray, name: str) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 1:
-        raise ValueError(f"{name} must be a vector")
-    if np.any(P < -MASS_TOL):
-        raise ValueError(f"{name} has a negative entry beyond tolerance")
-    if abs(P.sum() - 1.0) > 1e-8:
-        raise ValueError(f"{name} does not sum to 1 within tolerance")
-    return np.clip(P, 0.0, None)
-
-
-def classical_kl(P, Q) -> DivergenceValue:
-    """Kullback-Leibler divergence of discrete distributions, with the support convention."""
-    P, Q = _check_prob_vector(P, "P"), _check_prob_vector(Q, "Q")
-    if P.shape != Q.shape:
-        raise ValueError("distributions have different lengths")
-    value = float(_kl_rows(P, Q))
-    if math.isinf(value):
-        return DivergenceValue.infinite("P puts mass where Q vanishes")
-    return DivergenceValue(value)
+    """-Tr[rho log rho] in nats, with 0 log 0 = 0: the log is taken on the support of rho."""
+    log_rho = spectral_map(rho, np.log, support_mask)
+    return max(0.0, -float(np.trace(as_matrix(rho) @ log_rho).real))
 
 
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -235,7 +206,7 @@ def check_petz_alpha(alpha: float) -> None:
 
 def check_sandwiched_alpha(alpha: float) -> None:
     """Raise ValueError unless alpha is a sandwiched Renyi order, in [1/2, 1) u (1, inf)."""
-    if not (0.5 <= alpha < 1 or alpha > 1):
+    if not (0.5 <= alpha < 1 or 1 < alpha < math.inf):
         raise ValueError(f"alpha {alpha} outside [1/2,1) u (1,inf)")
 
 

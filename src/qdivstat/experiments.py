@@ -186,8 +186,8 @@ class ExperimentConfig:
             raise ValueError("KS summaries need at least 100 trials")
         if self.scaling_exponent is None:
             self.scaling_exponent = 0.5 if self.kind in ALT_KINDS else 1.0
-        if self.scaling_exponent <= 0:
-            raise ValueError("scaling exponent must be positive")
+        if not 0 < self.scaling_exponent < math.inf:
+            raise ValueError(f"scaling_exponent must be positive and finite, got {self.scaling_exponent}")
         if not self.experiment_id:
             d = self.rho.shape[0]
             self.experiment_id = f"{self.kind}-d{d}-seed{self.seed}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -30,7 +30,6 @@ from .operator_core import (
 )
 from .divergences import log_with_kernel, umegaki_spectral
 from .pauli_tomography import (
-    BlochVector,
     PauliBasisSet,
     _bloch_rows,
     _worker,
@@ -44,7 +43,6 @@ from .pauli_tomography import (
 
 __all__ = [
     "HypothesisGrid",
-    "TestOutcome",
     "inverse_q",
     "threshold_c",
     "min_eigenvalue_bound",
@@ -98,7 +96,10 @@ def min_eigenvalue_bound(states) -> float:
 
 @dataclass(frozen=True)
 class HypothesisGrid:
-    """Strictly increasing thresholds eps_0 < ... < eps_m bounding m hypothesis buckets."""
+    """Strictly increasing thresholds eps_0 < ... < eps_m bounding m hypothesis buckets.
+
+    No threshold is NaN; the top one may be +inf.
+    """
 
     epsilons: tuple[float, ...]
 
@@ -108,6 +109,8 @@ class HypothesisGrid:
             raise ValueError("need at least two thresholds for one hypothesis")
         if eps[0] < 0:
             raise ValueError("thresholds must be nonnegative")
+        if any(math.isnan(e) for e in eps):
+            raise ValueError(f"thresholds must not be NaN, got {eps}")
         if any(hi <= lo for lo, hi in zip(eps, eps[1:])):
             raise ValueError("thresholds must be strictly increasing")
         object.__setattr__(self, "epsilons", eps)
@@ -125,43 +128,21 @@ class HypothesisGrid:
         return None
 
 
-@dataclass(frozen=True)
-class TestOutcome:
-    decided_index: int | None
-    statistic: float
-    shifted_intervals: tuple[tuple[float, float], ...] = field(repr=False)
+def decide(d_hat: np.ndarray, n: int, grid: HypothesisGrid, c: float) -> np.ndarray:
+    """The decided index of each statistic in ``d_hat``, -1 where no hypothesis is consistent.
 
-
-def _shifted_bounds(n: int, grid: HypothesisGrid, c: float) -> np.ndarray:
-    """The thresholds eps_i + c/sqrt(n)."""
+    A statistic in the shifted half-open interval (eps_i + s, eps_(i+1) + s],
+    s = c/sqrt(n), decides hypothesis i; half-open intervals make outcomes a
+    partition.  Statistics at or below the lowest shifted boundary map to
+    index 0 (the lowest bucket).  Index i + 1 of the left ``searchsorted`` is
+    interval i, index 0 joins it to bucket 0, and index m + 1 (above the
+    grid) is -1.
+    """
     if n < 1:
         raise ValueError("sample size must be positive")
-    return np.asarray(grid.epsilons) + c / math.sqrt(n)
-
-
-def _decided_indices(d_hat: np.ndarray, n: int, grid: HypothesisGrid, c: float) -> np.ndarray:
-    """The decided index of each statistic, -1 where no hypothesis is consistent.
-
-    Index i + 1 of the left ``searchsorted`` is the half-open interval
-    (eps_i + s, eps_(i+1) + s]; index 0 (at or below the lowest boundary)
-    joins bucket 0, and index m + 1 (above the grid) is -1.
-    """
-    bounds = _shifted_bounds(n, grid, c)
+    bounds = np.asarray(grid.epsilons) + c / math.sqrt(n)
     k = np.searchsorted(bounds, d_hat, side="left")
     return np.where(k == len(bounds), -1, np.maximum(k - 1, 0))
-
-
-def decide(d_hat: float, n: int, grid: HypothesisGrid, c: float) -> TestOutcome:
-    """Assign the statistic to its shifted half-open interval (eps_i + s, eps_(i+1) + s].
-
-    Half-open intervals make outcomes a partition.  Statistics at or below
-    the lowest shifted boundary map to index 0 (the lowest bucket); above the
-    highest boundary no hypothesis is consistent and the index is None.  This
-    is the one-statistic case of ``_decided_indices``.
-    """
-    bounds = _shifted_bounds(n, grid, c).tolist()
-    index = int(_decided_indices(d_hat, n, grid, c))
-    return TestOutcome(None if index < 0 else index, d_hat, tuple(zip(bounds, bounds[1:])))
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -174,7 +155,7 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - radius), min(1.0, center + radius)
 
 
-def _first_order_screen(R: SpectralDecomposition, bloch: BlochVector, sig_log: np.ndarray,
+def _first_order_screen(R: SpectralDecomposition, s: np.ndarray, sig_log: np.ndarray,
                         basis: PauliBasisSet):
     """(lambda_min(rho), s, g) for the first-order screen of rho's trials, or None where it does not apply.
 
@@ -187,7 +168,7 @@ def _first_order_screen(R: SpectralDecomposition, bloch: BlochVector, sig_log: n
     lam = R.eigenvalues
     if lam[0] <= 0 or abs(lam.sum() - 1.0) > _UNIT_TRACE_ATOL:
         return None
-    return float(lam[0]), bloch.coeffs, basis.coefficients(spectral_map(R, np.log) - sig_log)
+    return float(lam[0]), s, basis.coefficients(spectral_map(R, np.log) - sig_log)
 
 
 def _first_order_interval(counts: np.ndarray, n: int, screen, d0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -321,14 +302,14 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
                 counts = take()
                 if screen is not None:
                     low, high = _first_order_interval(counts, n, screen, divs[i])
-                    decided = _decided_indices(low - _DECISION_SLACK, n, grid, c)
-                    settled = decided == _decided_indices(high + _DECISION_SLACK, n, grid, c)
+                    decided = decide(low - _DECISION_SLACK, n, grid, c)
+                    settled = decided == decide(high + _DECISION_SLACK, n, grid, c)
                     errors += int(np.count_nonzero(decided[settled] != i))
                     screened += int(settled.sum())
                     counts = counts[~settled]
                 if len(counts):
                     rho_hat, lam, branch = estimate_stack(counts, n, basis)
-                    decided = _decided_indices(umegaki_spectral(rho_hat, lam, sig_log), n, grid, c)
+                    decided = decide(umegaki_spectral(rho_hat, lam, sig_log), n, grid, c)
                     errors += int(np.count_nonzero(decided != i))
                     projected += int(branch.sum())
             low, high = wilson_interval(errors, trials)

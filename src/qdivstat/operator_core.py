@@ -1,9 +1,9 @@
 """Dense complex Hermitian linear algebra.
 
-Eigendecompositions, matrix functions, Schatten norms, support logic,
-the Loewner order, and the Frobenius-nearest density-matrix projection.
-Everything downstream (derivatives, divergences, limit laws) is built
-on top of the operations in this module.
+Eigendecompositions, matrix functions, Schatten norms, support logic and
+the Frobenius-nearest density-matrix projection.  Everything downstream
+(derivatives, divergences, limit laws) is built on top of the operations in
+this module.
 
 ``eig_hermitian`` and ``eigvals_hermitian`` decompose a 2x2 matrix, or a
 stack of them, in closed form with a few vectorized array operations and no
@@ -37,11 +37,8 @@ __all__ = [
     "support_mask",
     "spectral_map",
     "schatten_norm",
-    "support_projector",
     "support_leak",
     "support_contained",
-    "moore_penrose_inverse",
-    "loewner_leq",
     "project_to_simplex",
     "density_spectrum",
     "project_to_density",
@@ -426,11 +423,6 @@ def schatten_norm(A, p: float) -> float:
     return float(np.sum(lam**p) ** (1.0 / p))
 
 
-def support_projector(A) -> HermitianOperator:
-    """Orthogonal projector onto the span of eigenvectors with lambda > SUPPORT_RTOL * max|lambda|."""
-    return HermitianOperator(spectral_map(A, np.ones_like, support_mask))
-
-
 def support_leak(A, B):
     """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B), per matrix of a stack."""
     Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam))
@@ -440,19 +432,6 @@ def support_leak(A, B):
 def support_contained(A, B, tol: float = 1e-9):
     """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A; per matrix of a stack."""
     return support_leak(A, B) <= tol
-
-
-def moore_penrose_inverse(A) -> HermitianOperator:
-    """Generalized inverse: eigenvalues with |lambda| <= SUPPORT_RTOL * max|lambda| map to 0, others to 1/lambda."""
-    return HermitianOperator(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam))))
-
-
-def loewner_leq(A, B, tol: float = 0.0) -> bool:
-    """A <= B in the Loewner order: min eigenvalue of B - A >= -tol."""
-    MA, MB = as_matrix(A), as_matrix(B)
-    if MA.shape != MB.shape:
-        raise ValueError(f"dimension mismatch: {MA.shape} vs {MB.shape}")
-    return float(eigvals_hermitian(MB - MA)[0]) >= -tol
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -57,7 +57,6 @@ __all__ = [
     "STACK_ENTRIES",
     "SEED_BLOCK_ENTRIES",
     "PauliBasisSet",
-    "BlochVector",
     "MeasurementRecord",
     "qubits_for_dim",
     "build_pauli_basis",
@@ -74,7 +73,6 @@ __all__ = [
     "linear_law_variance",
     "variance_v1",
     "variance_v2",
-    "sample_gaussian_limit",
 ]
 
 PAULI_MATRICES = (
@@ -211,32 +209,25 @@ def build_pauli_basis(n_qubits: int) -> PauliBasisSet:
     return PauliBasisSet(qubits=n_qubits)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Expansion coefficients s_j = Tr[rho gamma_j]; |s_j| <= 1 for states."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def bloch_coefficients(rho, basis: PauliBasisSet) -> BlochVector:
+def bloch_coefficients(rho, basis: PauliBasisSet) -> np.ndarray:
+    """The Bloch vector s_j = Tr[rho gamma_j] of rho, as reals; |s_j| <= 1 for states."""
     mat = as_matrix(rho)
     if mat.shape[0] != basis.dim:
         raise ValueError("state dimension does not match the basis")
-    return BlochVector(basis.coefficients(mat))
+    return basis.coefficients(mat)
 
 
-def reconstruct(s: BlochVector | np.ndarray, basis: PauliBasisSet) -> HermitianOperator:
+def _checked_bloch(s, basis: PauliBasisSet) -> np.ndarray:
+    """``s`` as a float array, which must hold one coefficient per operator of ``basis``."""
+    s = np.asarray(s, dtype=float)
+    if len(s) != basis.size:
+        raise ValueError(f"expected {basis.size} coefficients, got {len(s)}")
+    return s
+
+
+def reconstruct(s: np.ndarray, basis: PauliBasisSet) -> HermitianOperator:
     """(1/d)(I + sum_j s_j gamma_j): Hermitian, unit trace, not necessarily PSD."""
-    coeffs = s.coeffs if isinstance(s, BlochVector) else np.asarray(s, dtype=float)
-    if len(coeffs) != basis.size:
-        raise ValueError(f"expected {basis.size} coefficients, got {len(coeffs)}")
-    return HermitianOperator(_reconstruct_rows(coeffs, basis))
+    return HermitianOperator(_reconstruct_rows(_checked_bloch(s, basis), basis))
 
 
 def _reconstruct_rows(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:
@@ -279,13 +270,14 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     ``substream(seed, *path, b)``, which fills them row by row in operator
     order, so a block cut short after the last trial needed gives the same
     rows as the whole block.  ``trials`` is an ascending range.  ``rho`` may
-    be given by its ``BlochVector``, so that a caller that draws many stacks
-    of one state transforms it once; the hypothesis runner's worker does so
-    ahead of its draws.
+    be given by its Bloch vector (1-D, from ``bloch_coefficients``) instead
+    of its matrix (2-D), so that a caller that draws many stacks of one state
+    transforms it once; the hypothesis runner's worker does so ahead of its
+    draws.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
-    s = (rho if isinstance(rho, BlochVector) else bloch_coefficients(rho, basis)).coeffs
+    s = _checked_bloch(rho, basis) if np.ndim(rho) == 1 else bloch_coefficients(rho, basis)
     p_plus = np.clip((1.0 + s) / 2.0, 0.0, 1.0)
     if not trials:
         return np.empty((0, basis.size), dtype=np.int64)
@@ -413,7 +405,7 @@ def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = Fals
 
 def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:
     """4 s_j^+ s_j^- / d^2: the per-operator CLT variances of s_hat_j scaled by 1/d^2."""
-    s = bloch_coefficients(rho, basis).coeffs
+    s = bloch_coefficients(rho, basis)
     sp = (1.0 + s) / 2.0
     sm = (1.0 - s) / 2.0
     return 4.0 * sp * sm / basis.dim**2
@@ -453,10 +445,3 @@ def variance_v2(rho, sigma, basis: PauliBasisSet) -> float:
     """
     g_rho, g_sigma = _umegaki_gradient(rho, sigma)
     return linear_law_variance(basis, (rho, g_rho), (sigma, g_sigma))
-
-
-def sample_gaussian_limit(rho, basis: PauliBasisSet, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the Gaussian weak limit sum_j gamma_j Z_j of the scaled estimator error."""
-    std = np.sqrt(bernoulli_weights(rho, basis))
-    return basis.combine(rng.normal(size=basis.size) * std)
-

@@ -48,7 +48,7 @@ def replay_record(rho, basis, n, t, seed, *path):
     prefix property pinned by ``test_counts_do_not_depend_on_trial_count``.
     """
     block = SEED_BLOCK_ENTRIES // basis.dim**2
-    p_plus = np.clip((1.0 + bloch_coefficients(rho, basis).coeffs) / 2.0, 0.0, 1.0)
+    p_plus = np.clip((1.0 + bloch_coefficients(rho, basis)) / 2.0, 0.0, 1.0)
     rows = substream(seed, *path, t // block).binomial(n, p_plus, size=(t % block + 1, basis.size))
     return MeasurementRecord(n=n, plus_counts=rows[-1], seed=seed)
 

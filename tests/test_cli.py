@@ -52,6 +52,12 @@ class TestDivergenceCommand:
         rc, _ = run(capsys, ["divergence", "--kind", "petz", "--rho", rp, "--sigma", sp])
         assert rc == 2
 
+    def test_sandwiched_infinite_alpha_is_validation_error(self, states, capsys):
+        _, _, rp, sp = states
+        rc = cli_main(["divergence", "--kind", "sandwiched", "--alpha", "inf", "--rho", rp, "--sigma", sp])
+        assert rc == EXIT_VALIDATION
+        assert "alpha inf outside" in capsys.readouterr().err
+
     def test_infinite_value_serialized(self, tmp_path, capsys):
         rp, sp = tmp_path / "r.json", tmp_path / "s.json"
         qio.dump_matrix(np.diag([1.0, 0.0]), str(rp))
@@ -300,6 +306,7 @@ def _scenario(**fields):
     ("experiment", "--config", lambda rho: _config(rho, output_path=["rows.csv"]), "output_path"),
     ("hypothesis", "--scenario", lambda rho: _scenario(epsilons=2), "epsilons"),
     ("hypothesis", "--scenario", lambda rho: _scenario(n=float("inf")), "n"),
+    ("hypothesis", "--scenario", lambda rho: _scenario(epsilons=[0.0, float("nan")]), "epsilons"),
 ])
 def test_malformed_json_field_is_validation_error(states, tmp_path, capsys, command, flag, body, field):
     path = tmp_path / "input.json"
@@ -333,9 +340,12 @@ _INLINE = "experiment --kind two_sample_alt --rho {bad} --sigma {sp} --n 300 --t
     ("experiment --config {bad}", _config(_RHO, seed=1.9), "field 'seed'"),
     ("experiment --config {bad}", _config(_RHO, n_grid=[100.8]), "field 'n_grid'"),
     ("experiment --config {bad}", _config(_RHO, trials=150.9), "field 'trials'"),
+    ("experiment --config {bad}", _config(_RHO, scaling_exponent=float("nan")), "scaling_exponent"),
+    ("experiment --config {bad}", _config(_RHO, scaling_exponent=float("inf")), "scaling_exponent"),
 ], ids=["divergence-array", "tomography-array", "inline-array", "divergence-null-dim", "tomography-null-dim",
         "inline-null-dim", "divergence-null-im", "povm-object", "bundle-array", "bundle-l1", "config-trails",
-        "config-ouput_path", "config-float-seed", "config-float-n", "config-float-trials"])
+        "config-ouput_path", "config-float-seed", "config-float-n", "config-float-trials", "config-nan-exponent",
+        "config-inf-exponent"])
 def test_malformed_input_file_is_validation_error(states, tmp_path, capsys, command, content, named):
     _, _, rp, sp = states
     bad = tmp_path / "bad.json"

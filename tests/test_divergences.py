@@ -4,7 +4,6 @@ import pytest
 from qdivstat.divergences import (
     DivergenceValue,
     Povm,
-    classical_kl,
     eigenbasis_povm,
     fidelity,
     max_divergence,
@@ -20,12 +19,13 @@ from qdivstat.divergences import (
     umegaki_spectral,
     von_neumann_entropy,
 )
-from qdivstat.operator_core import eig_hermitian, eigvals_hermitian, loewner_leq, support_mask
+from qdivstat.operator_core import eig_hermitian, eigvals_hermitian, support_mask
 from qdivstat.random_ops import haar_unitary
 
 import scalar_divergences as scalar
 from conftest import rand_herm, rand_state
 from frechet_oracles import sandwiched_dual_optimizer, sandwiched_variational_objective
+from oracles import classical_kl, loewner_leq
 
 KL_75_50 = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)  # ~0.130812 nats
 
@@ -210,8 +210,9 @@ class TestSandwiched:
 
     def test_alpha_range(self, rng):
         rho = rand_state(rng, 2)
-        for bad in (0.3, 1.0):
-            with pytest.raises(ValueError):
+        # the range [1/2, 1) u (1, inf) is open at infinity
+        for bad in (0.3, 1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"alpha {bad} outside"):
                 sandwiched_renyi(rho, rho, bad)
 
 

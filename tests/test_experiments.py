@@ -37,12 +37,10 @@ from qdivstat.divergences import (
 from qdivstat.frechet import build_divided_differences, frechet1
 from qdivstat.limit_laws import qre_null_limit
 from qdivstat.pauli_tomography import (
-    BlochVector,
     bernoulli_weights,
     build_pauli_basis,
     estimate,
     qubits_for_dim,
-    sample_gaussian_limit,
     variance_v1,
     variance_v2,
 )
@@ -52,6 +50,7 @@ from qdivstat.random_ops import haar_unitary
 import directional_limits as directional
 import scalar_divergences as scalar
 from conftest import normal_cdf, pauli_operators, rand_state, replay_record, two_hypotheses
+from oracles import sample_gaussian_limit
 
 
 def per_record_rows(cfg, divergence):
@@ -301,6 +300,11 @@ class TestConfigValidation:
         null = ExperimentConfig(kind="one_sample_null", rho=rho)
         assert alt.scaling_exponent == 0.5
         assert null.scaling_exponent == 1.0
+
+    @pytest.mark.parametrize("exponent", [0.0, -0.5, math.nan, math.inf])
+    def test_exponent_must_be_positive_and_finite(self, rng, exponent):
+        with pytest.raises(ValueError, match="scaling_exponent must be positive and finite"):
+            ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), scaling_exponent=exponent)
 
 
 class TestRuns:
@@ -652,4 +656,4 @@ class TestNullLawThread:
         run_convergence_experiment(cfg)
         # every one of the 30 trial stacks per side draws from the one Bloch vector of its state
         assert len(given) == 30 * states
-        assert all(isinstance(b, BlochVector) for b in given) and len({id(b) for b in given}) == states
+        assert all(b.shape == (15,) for b in given) and len({id(b) for b in given}) == states

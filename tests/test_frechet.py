@@ -5,7 +5,7 @@ import pytest
 
 from qdivstat import frechet
 from qdivstat.frechet import ScalarFn, build_divided_differences, frechet1, frechet2
-from qdivstat.operator_core import eig_hermitian, moore_penrose_inverse
+from qdivstat.operator_core import eig_hermitian
 from qdivstat.pauli_tomography import build_pauli_basis, variance_v2
 
 from conftest import rand_herm
@@ -16,6 +16,7 @@ from frechet_oracles import (
     frechet2_log_quadrature,
     frechet_power_quadrature,
 )
+from oracles import moore_penrose_inverse
 
 
 def positive_matrix(rng, dim, spread=10.0):

@@ -11,7 +11,6 @@ from qdivstat import divergences, hypothesis_testing, pauli_tomography
 from qdivstat.divergences import log_with_kernel, umegaki, umegaki_spectral
 from qdivstat.hypothesis_testing import (
     HypothesisGrid,
-    _decided_indices,
     decide,
     inverse_q,
     min_eigenvalue_bound,
@@ -109,6 +108,22 @@ class TestEigenvalueBound:
             min_eigenvalue_bound([np.eye(2) / 2, np.diag([1.0, 0.0])])
 
 
+def decided_index(x, n, grid, c):
+    """The hypothesis that statistic x decides, from the definition of the shifted buckets.
+
+    With s = c/sqrt(n), x decides i when eps_i + s < x <= eps_(i+1) + s; at or
+    below eps_0 + s it decides 0, and above the top boundary it decides none (-1).
+    """
+    s = c / math.sqrt(n)
+    eps = grid.epsilons
+    if x <= eps[0] + s:
+        return 0
+    for i in range(len(eps) - 1):
+        if eps[i] + s < x <= eps[i + 1] + s:
+            return i
+    return -1
+
+
 class TestGridAndDecide:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -117,37 +132,43 @@ class TestGridAndDecide:
             HypothesisGrid((-0.1, 0.2))
         with pytest.raises(ValueError):
             HypothesisGrid((0.5,))
+        for eps in [(0.0, math.nan), (math.nan, 0.5), (0.0, math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="NaN"):
+                HypothesisGrid(eps)
         g = HypothesisGrid((0.0, 0.1, 0.4))
         assert g.hypothesis_count == 2
         assert g.bucket(0.05) == 0 and g.bucket(0.2) == 1 and g.bucket(0.5) is None
 
+    def test_infinite_top_threshold(self):
+        g = HypothesisGrid((0.0, 0.1, math.inf))
+        assert g.bucket(1e300) == 1 and g.bucket(math.inf) == 1
+        assert decide(np.array([0.05, 1e300]), 100, g, 0.0).tolist() == [0, 1]
+
     def test_decide_inside_interval(self):
         g = HypothesisGrid((0.0, 0.1, 0.3, 0.6))
-        out = decide(0.25, 10**6, g, 1.0)
-        assert out.decided_index == 1
+        assert decide(0.25, 10**6, g, 1.0) == decided_index(0.25, 10**6, g, 1.0) == 1
 
     def test_boundary_right_closed(self):
         g = HypothesisGrid((0.0, 0.1, 0.3))
         n, c = 100, 1.0
-        shift = c / math.sqrt(n)
-        out = decide(0.1 + shift, n, g, c)
-        assert out.decided_index == 0
+        x = 0.1 + c / math.sqrt(n)
+        assert decide(x, n, g, c) == decided_index(x, n, g, c) == 0
+        above = np.nextafter(x, np.inf)
+        assert decide(above, n, g, c) == decided_index(above, n, g, c) == 1
 
     def test_below_bottom_maps_to_zero(self):
         g = HypothesisGrid((0.2, 0.4))
-        out = decide(0.0, 100, g, 1.0)
-        assert out.decided_index == 0
+        assert decide(0.0, 100, g, 1.0) == decided_index(0.0, 100, g, 1.0) == 0
 
     def test_above_top_is_none(self):
         g = HypothesisGrid((0.0, 0.1))
-        out = decide(5.0, 100, g, 1.0)
-        assert out.decided_index is None
+        assert decide(5.0, 100, g, 1.0) == decided_index(5.0, 100, g, 1.0) == -1
 
     def test_shift_vanishes_with_n(self):
         g = HypothesisGrid((0.0, 0.1, 0.3))
         d_hat = 0.15
-        assert decide(d_hat, 10, g, 2.0).decided_index != 1
-        assert decide(d_hat, 10**8, g, 2.0).decided_index == 1
+        assert decide(d_hat, 10, g, 2.0) == decided_index(d_hat, 10, g, 2.0) != 1
+        assert decide(d_hat, 10**8, g, 2.0) == decided_index(d_hat, 10**8, g, 2.0) == 1
 
     def test_stacked_decisions_match_decide(self, rng):
         g = HypothesisGrid((0.0, 0.1, 0.3, 0.7))
@@ -155,18 +176,27 @@ class TestGridAndDecide:
         bounds = np.array(g.epsilons) + c / math.sqrt(n)
         x = np.concatenate([rng.uniform(-0.5, 1.5, size=200), bounds, np.nextafter(bounds, np.inf),
                             np.nextafter(bounds, -np.inf), [np.inf]])
-        expected = [decide(float(v), n, g, c).decided_index for v in x]
-        assert _decided_indices(x, n, g, c).tolist() == [-1 if i is None else i for i in expected]
-        assert None in expected and expected.count(0) > 2
+        expected = [decided_index(float(v), n, g, c) for v in x]
+        assert decide(x, n, g, c).tolist() == expected
+        assert -1 in expected and expected.count(0) > 2
 
     def test_partition(self, rng):
         g = HypothesisGrid((0.0, 0.1, 0.3, 0.7))
-        for x in rng.uniform(-0.5, 1.5, size=200):
-            out = decide(float(x), 50, g, 0.8)
-            hits = [i for i, (lo, hi) in enumerate(out.shifted_intervals) if lo < x <= hi]
+        n, c = 50, 0.8
+        s = c / math.sqrt(n)
+        intervals = [(lo + s, hi + s) for lo, hi in zip(g.epsilons, g.epsilons[1:])]
+        x = rng.uniform(-0.5, 1.5, size=200)
+        for v, got in zip(x, decide(x, n, g, c).tolist()):
+            hits = [i for i, (lo, hi) in enumerate(intervals) if lo < v <= hi]
             assert len(hits) <= 1
             if hits:
-                assert out.decided_index == hits[0]
+                assert got == hits[0]
+            else:
+                assert got == (0 if v <= intervals[0][0] else -1)
+
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="sample size"):
+            decide(0.1, 0, HypothesisGrid((0.0, 1.0)), 1.0)
 
 
 class TestWilson:
@@ -281,7 +311,7 @@ class TestSimulation:
             errors = projected = 0
             for t in range(trials):
                 rho_hat, branch = estimate(replay_record(rho, basis, n, t, 17, i), basis)
-                errors += decide(umegaki(rho_hat, sigma).value, n, grid, c).decided_index != i
+                errors += decided_index(umegaki(rho_hat, sigma).value, n, grid, c) != i
                 projected += branch
             assert rows[i]["errors"] == errors
             assert rows[i]["projection_fraction"] == projected / trials

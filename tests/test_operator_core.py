@@ -18,8 +18,6 @@ from qdivstat.operator_core import (
     HermitianOperator,
     eig_hermitian,
     eigvals_hermitian,
-    loewner_leq,
-    moore_penrose_inverse,
     project_to_density,
     project_to_simplex,
     schatten_norm,
@@ -27,7 +25,6 @@ from qdivstat.operator_core import (
     support_contained,
     support_leak,
     support_mask,
-    support_projector,
 )
 
 from qdivstat.random_ops import haar_unitary, random_density_spectrum
@@ -36,6 +33,7 @@ from qdivstat.pauli_tomography import build_pauli_basis, estimate_sigma_stack, e
 
 from conftest import rand_herm, rand_state
 from frechet_oracles import frechet1_log_quadrature, sandwiched_dual_optimizer
+from oracles import loewner_leq, moore_penrose_inverse, support_projector
 
 
 class TestConstruction:

@@ -19,7 +19,6 @@ from qdivstat.pauli_tomography import (
     qubits_for_dim,
     reconstruct,
     sample_counts,
-    sample_gaussian_limit,
     sample_record,
     substream,
     trial_chunks,
@@ -28,6 +27,7 @@ from qdivstat.pauli_tomography import (
 )
 from qdivstat.frechet import build_divided_differences, frechet1
 from conftest import normal_cdf, pauli_operators, rand_herm, rand_state, replay_record
+from oracles import sample_gaussian_limit
 
 
 class TestBasis:
@@ -94,7 +94,7 @@ class TestTransform:
         tol = 1e-12 * d
         H = rand_herm(rng, d)
         s = _loop_coefficients(H, B)
-        assert np.max(np.abs(bloch_coefficients(H, B).coeffs - s)) < tol
+        assert np.max(np.abs(bloch_coefficients(H, B) - s)) < tol
         assert np.max(np.abs(reconstruct(s, B).mat - _loop_combination(s, B, 1.0) / d)) < tol
 
         rho = rand_state(rng, d, 0.05 / d)
@@ -146,16 +146,16 @@ class TestTransform:
 class TestBloch:
     def test_maximally_mixed_is_zero(self):
         B = build_pauli_basis(2)
-        assert np.allclose(bloch_coefficients(np.eye(4) / 4, B).coeffs, 0.0)
+        assert np.allclose(bloch_coefficients(np.eye(4) / 4, B), 0.0)
 
     def test_computational_zero_state(self):
         B = build_pauli_basis(1)
-        assert np.allclose(bloch_coefficients(np.diag([1.0, 0.0]), B).coeffs, [0, 0, 1])
+        assert np.allclose(bloch_coefficients(np.diag([1.0, 0.0]), B), [0, 0, 1])
 
     def test_plus_state(self):
         B = build_pauli_basis(1)
         plus = np.full((2, 2), 0.5)
-        assert np.allclose(bloch_coefficients(plus, B).coeffs, [1, 0, 0])
+        assert np.allclose(bloch_coefficients(plus, B), [1, 0, 0])
 
     def test_round_trip(self, rng):
         B = build_pauli_basis(2)
@@ -212,6 +212,11 @@ class TestSampling:
         rho = rand_state(rng, d)
         want = sample_counts(rho, B, 1000, range(3, 40), 5, 1)
         assert np.array_equal(sample_counts(bloch_coefficients(rho, B), B, 1000, range(3, 40), 5, 1), want)
+
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_bloch_vector_of_wrong_length_rejected(self, size):
+        with pytest.raises(ValueError, match=f"expected 3 coefficients, got {size}"):
+            sample_counts(np.zeros(size), build_pauli_basis(1), 10, range(4), 0)
 
     def test_substream_independence(self):
         a = substream(3, 0).normal(size=4)
@@ -437,7 +442,7 @@ class TestVariances:
             return S.reassemble(np.log(S.eigenvalues))
 
         diff = logm(rho) - logm(sigma)
-        s = bloch_coefficients(rho, B).coeffs
+        s = bloch_coefficients(rho, B)
         want = sum((1 - sj**2) / 4 * np.trace(g @ diff).real ** 2
                    for sj, g in zip(s, pauli_operators(B)))
         assert variance_v1(rho, sigma, B) == pytest.approx(want, abs=1e-12)
@@ -467,7 +472,7 @@ class TestGaussianLimit:
 
         B = build_pauli_basis(1)
         rho = reconstruct(np.array([0.3, 0.1, 0.4]), B).mat
-        s = bloch_coefficients(rho, B).coeffs
+        s = bloch_coefficients(rho, B)
         n, trials = 10_000, 2000
         draws = np.empty(trials)
         for t in range(trials):
