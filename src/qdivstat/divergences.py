@@ -155,6 +155,11 @@ def log_with_kernel(sigma) -> np.ndarray:
     return spectral_map(sigma, lambda s: np.where(support_mask(s), np.log(s), 1j))
 
 
+def _sum_lam_log_lam(lam: np.ndarray) -> np.ndarray:
+    """sum lam log lam along the last axis over the support (``support_mask``), so that 0 log 0 = 0."""
+    return np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
+
+
 def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma) -> np.ndarray:
     """Tr[rho (log rho - log sigma)] from rho's matrix and eigenvalues and sigma's decomposition.
 
@@ -168,8 +173,7 @@ def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma) -> np.
     term is linear in rho or reads its eigenvalues, so rho's eigenvectors are
     never needed.
     """
-    lam = rho_eigenvalues
-    own = np.sum(lam * np.log(np.where(support_mask(lam), lam, 1.0)), axis=-1)
+    own = _sum_lam_log_lam(rho_eigenvalues)
     log_kernel = log_with_kernel(sigma) if isinstance(sigma, SpectralDecomposition) else sigma
     cross_and_leak = np.einsum("...ij,...ji->...", rho, log_kernel)
     return np.where(cross_and_leak.imag <= MASS_TOL, own - cross_and_leak.real, np.inf)
@@ -185,9 +189,8 @@ def umegaki(rho, sigma) -> DivergenceValue:
 
 
 def von_neumann_entropy(rho) -> float:
-    """-Tr[rho log rho] in nats, with 0 log 0 = 0: the log is taken on the support of rho."""
-    log_rho = spectral_map(rho, np.log, support_mask)
-    return max(0.0, -float(np.trace(as_matrix(rho) @ log_rho).real))
+    """-Tr[rho log rho] = -sum lam log lam in nats, from rho's eigenvalues, with 0 log 0 = 0 off the support."""
+    return max(0.0, -float(_sum_lam_log_lam(eigvals_hermitian(rho))))
 
 
 def _kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -20,9 +20,12 @@ divergence on the whole stack in one call, through its entry in ``_KINDS``.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
 from each n's columns of statistics and branch flags, and the CSV is written
 from its columns.  The counts of every stack are drawn on one worker thread
-(``pauli_tomography._worker``), a few stacks ahead of the estimates, and a
-null experiment's law, which depends on rho alone, is built there after the
-last draw; each stack keeps its substream, so the output is the same.
+(``pauli_tomography._worker``), a few stacks ahead of the estimates, and the
+CDF of the limit law is the worker's last job, after the last draw; each
+stack keeps its substream, so the output is the same.  ``_limit_law`` gives
+the law of a kind (its v_pred, the center of the statistic and the job that
+builds its CDF); it is the one place that tells an alternative kind from a
+null kind.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .limit_laws import (
 )
 from .pauli_tomography import (
     PauliBasisSet,
+    _integer,
     _worker,
     bernoulli_weights,
     bloch_coefficients,
@@ -178,10 +182,11 @@ class ExperimentConfig:
             check_alpha(self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.kind} takes no alpha, got {self.alpha!r}")
-        self.n_grid = tuple(int(n) for n in self.n_grid)
+        self.n_grid = tuple(_integer("n_grid entry", n) for n in self.n_grid)
         if any(n < 1 for n in self.n_grid) or any(
                 b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be ascending positive integers")
+        self.trials, self.seed = _integer("trials", self.trials), _integer("seed", self.seed)
         if self.trials < 100:
             raise ValueError("KS summaries need at least 100 trials")
         if self.scaling_exponent is None:
@@ -300,6 +305,28 @@ def weighted_chi2_cdf(weights):
     return cdf
 
 
+def _limit_law(cfg: ExperimentConfig, basis: PauliBasisSet, rho, lam_rho, sigma):
+    """The exact limit law of the run's statistic: ``(v_pred, center, job)``.
+
+    The one place that tells an alternative kind from a null kind.  An
+    alternative kind's law is N(0, v_pred) with ``v_pred`` from its gradient,
+    checked here so that a degenerate law fails before any draw, and the
+    statistic is centered at D(rho || sigma).  A null kind's law is
+    ``weighted_chi2_cdf(null_law_weights(...))``, which has no ``v_pred``, and
+    its statistic is not centered.  ``job`` builds the law's CDF with no
+    argument; the run makes it the worker's last job, so a null law, which
+    depends on rho alone, is built there after the last draw.
+    """
+    if cfg.kind in NULL_KINDS:
+        return None, 0.0, lambda: weighted_chi2_cdf(null_law_weights(cfg, basis))
+    v_pred = alt_limit_variance(cfg, basis)
+    if not v_pred > DEGENERATE_V_PRED:
+        raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
+                         f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
+    center = float(_KINDS[cfg.kind].divergence(cfg, rho, lam_rho, sigma))
+    return v_pred, center, functools.partial(_normal_cdf, v_pred)
+
+
 def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     """Run the experiment and return {"experiment_id": ..., "rows": ..., "summary": [...]}.
 
@@ -307,13 +334,13 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     read off the spectra the run computes anyway) and rho strictly positive.
     The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
-    an output path.  An alternative kind checks its law first, so a
-    degenerate ``v_pred`` fails before any draw.  Then one worker thread draws
-    every stack's counts in (n, stack, side) order, rho's before sigma's, and
-    for a null kind builds the law ``weighted_chi2_cdf(null_law_weights(...))``
-    last, while this thread estimates the stacks as they come.  An exception
-    on the worker is raised here unchanged, and the worker is joined before
-    this function returns or raises; nothing is written after an error.
+    an output path.  The limit law comes from ``_limit_law``, before the
+    worker starts.  Then one worker thread draws every stack's counts in
+    (n, stack, side) order, rho's before sigma's, and builds the law's CDF
+    as its last job, while this thread estimates the stacks as they come.
+    An exception on the worker is raised here unchanged, and the worker is
+    joined before this function returns or raises; nothing is written after
+    an error.
     """
     rho = hermitian_part(cfg.rho)
     lam_rho = eigvals_hermitian(rho, checked=True)
@@ -323,14 +350,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     sigma = eig_hermitian(cfg.sigma)
     check_density_spectrum(sigma.eigenvalues, name="sigma")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
-    if cfg.kind in ALT_KINDS:
-        v_pred = alt_limit_variance(cfg, basis)
-        if not v_pred > DEGENERATE_V_PRED:
-            raise ValueError(f"v_pred = {v_pred:.3g}: the alternative law N(0, v_pred) is degenerate, as when "
-                             f"sigma = rho; equal states take a null kind ({', '.join(NULL_KINDS)})")
-        cdf = _normal_cdf(v_pred)
-    else:
-        v_pred = None
+    v_pred, center, job = _limit_law(cfg, basis, rho, lam_rho, sigma)
     # each sampled state is transformed to its Bloch vector once, for all of its stacks
     blochs = [bloch_coefficients(cfg.rho, basis)] + ([bloch_coefficients(cfg.sigma, basis)] if cfg.two_sample else [])
 
@@ -339,14 +359,12 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
             for chunk in trial_chunks(cfg.trials, cfg.dim):
                 for side, bloch in enumerate(blochs):
                     yield functools.partial(sample_counts, bloch, basis, n, chunk, cfg.seed, n, side)
-        if v_pred is None:
-            yield lambda: weighted_chi2_cdf(null_law_weights(cfg, basis))
+        yield job
 
     statistics = np.empty((len(cfg.n_grid), cfg.trials))
     branches = np.empty(statistics.shape, dtype=bool)
     with _worker(jobs()) as take:
         divergence = _KINDS[cfg.kind].divergence
-        center = 0.0 if v_pred is None else float(divergence(cfg, rho, lam_rho, sigma))
         # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
         fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)
         for n, stats, flags in zip(cfg.n_grid, statistics, branches):
@@ -361,8 +379,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
                 stats[chunk.start:chunk.stop] = scale * (divergence(cfg, rho_hat, lam, sigma_hat) - center)
                 flags[chunk.start:chunk.stop] = branch
                 del rho_hat, lam, sigma_hat  # this stack's estimates go before the next is made
-        if v_pred is None:
-            cdf = take()
+        cdf = take()
     summary = [{"kind": cfg.kind, "n": n, "trials": cfg.trials, "mean": float(stats.mean()),
                 "var": float(stats.var(ddof=1)), "v_pred": v_pred, "ks": ks_statistic(stats, cdf)}
                for n, stats in zip(cfg.n_grid, statistics)]

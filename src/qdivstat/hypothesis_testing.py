@@ -32,6 +32,7 @@ from .divergences import log_with_kernel, umegaki_spectral
 from .pauli_tomography import (
     PauliBasisSet,
     _bloch_rows,
+    _integer,
     _worker,
     bloch_coefficients,
     build_pauli_basis,
@@ -235,6 +236,7 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     strictly positive; ``c`` to the minimal admissible threshold for level
     ``tau``.
     """
+    n, trials, seed = _integer("n", n), _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 < tau < 1:

@@ -30,6 +30,7 @@ decomposition from ``estimate_sigma_stack``.
 from __future__ import annotations
 
 import contextvars
+import numbers
 import queue
 import threading
 from collections.abc import Callable, Iterable, Iterator
@@ -343,6 +344,13 @@ def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRe
 def _bloch_rows(counts: np.ndarray, n: int) -> np.ndarray:
     """s_hat = (#plus - #minus)/n for each row of plus counts (..., d^2 - 1)."""
     return (2.0 * counts - n) / n
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer (numpy's included) other than a bool; else a ValueError naming it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def trial_chunks(trials: int, dim: int) -> Iterator[range]:

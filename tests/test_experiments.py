@@ -1,7 +1,9 @@
 import contextvars
 import csv
 import hashlib
+import json
 import math
+import re
 import sys
 import threading
 from functools import lru_cache, partial
@@ -293,6 +295,22 @@ class TestConfigValidation:
     def test_alpha_stored_as_float(self, rng):
         cfg = ExperimentConfig(kind="petz", rho=rand_state(rng, 2), sigma=rand_state(rng, 2), alpha=np.int64(2))
         assert type(cfg.alpha) is float and cfg.alpha == 2.0
+
+    @pytest.mark.parametrize("field, value, name", [("n_grid", (100.8, 1000), "n_grid entry"),
+                                                    ("n_grid", (True, 1000), "n_grid entry"),
+                                                    ("trials", 150.9, "trials"), ("seed", 1.5, "seed")])
+    def test_counts_must_be_integers(self, rng, field, value, name):
+        bad = value[0] if field == "n_grid" else value
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), **{field: value})
+
+    def test_numpy_integer_counts_stored_as_int(self, rng, tmp_path):
+        out = tmp_path / "rows.csv"
+        cfg = ExperimentConfig(kind="one_sample_null", rho=rand_state(rng, 2), n_grid=(np.int64(100),),
+                               trials=np.int32(100), seed=np.uint8(3), output_path=str(out))
+        assert [type(v) for v in (*cfg.n_grid, cfg.trials, cfg.seed)] == [int] * 3
+        run_convergence_experiment(cfg)
+        assert json.loads((tmp_path / "rows.csv.summary.json").read_text())["seed"] == 3
 
     def test_default_exponents(self, rng):
         rho, sigma = rand_state(rng, 2), rand_state(rng, 2)
@@ -632,12 +650,19 @@ class TestNullLawThread:
             assert np.array_equal(got["rows"], want["rows"]) and got["summary"] == want["summary"]
         assert results[len(cfgs):] == serial[len(cfgs):] and serial[-2] != serial[-1]
 
-    @pytest.mark.parametrize("kind", NULL_KINDS)
+    @pytest.mark.parametrize("kind", (*NULL_KINDS, "two_sample_alt", "petz", "measured"))
     def test_ks_equals_inline_law(self, rng, kind):
-        cfg = self.config(rng, kind)
+        alt = {"sigma": rand_state(rng, 2, 0.1), "alpha": 1.5 if kind == "petz" else None} if kind in ALT_KINDS else {}
+        cfg = self.config(rng, kind, **alt)
         res = run_convergence_experiment(cfg)
-        cdf = weighted_chi2_cdf(null_law_weights(cfg, build_pauli_basis(1)))
+        basis = build_pauli_basis(1)
+        if kind in ALT_KINDS:
+            v_pred = alt_limit_variance(cfg, basis)
+            cdf = experiments._normal_cdf(v_pred)
+        else:
+            v_pred, cdf = None, weighted_chi2_cdf(null_law_weights(cfg, basis))
         stats = res["rows"].statistic.reshape(len(cfg.n_grid), cfg.trials)
+        assert [s["v_pred"] for s in res["summary"]] == [v_pred] * len(cfg.n_grid)
         assert [s["ks"] for s in res["summary"]] == [ks_statistic(row, cdf) for row in stats]
 
     @pytest.mark.parametrize("kind, states", [("one_sample_null", 1), ("two_sample_alt", 2)])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -257,6 +258,20 @@ class TestSimulation:
         states, sigma, grid, basis = self._scenario(rng)
         with pytest.raises(ValueError):
             simulate_error_rates(states, sigma, grid, tau=0.2, n=100, trials=0, seed=1)
+
+    @pytest.mark.parametrize("arg, value", [("n", 100.8), ("n", True), ("trials", 150.9), ("seed", 1.5)])
+    def test_counts_must_be_integers(self, rng, arg, value):
+        states, sigma, grid, basis = self._scenario(rng)
+        counts = dict(n=100, trials=10, seed=1) | {arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {re.escape(repr(value))}$"):
+            simulate_error_rates(states, sigma, grid, tau=0.2, basis=basis, **counts)
+
+    def test_numpy_integer_counts(self, rng):
+        states, sigma, grid, basis = self._scenario(rng)
+        want = simulate_error_rates(states, sigma, grid, tau=0.3, n=200, trials=40, seed=5, basis=basis)
+        got = simulate_error_rates(states, sigma, grid, tau=0.3, n=np.int64(200), trials=np.int32(40),
+                                   seed=np.uint8(5), basis=basis)
+        assert got == want and all(type(r["copies_used"]) is int and type(r["trials"]) is int for r in got)
 
     def test_deterministic(self, rng):
         states, sigma, grid, basis = self._scenario(rng)
