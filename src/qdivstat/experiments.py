@@ -64,6 +64,7 @@ from .limit_laws import (
 from .pauli_tomography import (
     PauliBasisSet,
     _integer,
+    _seed,
     _worker,
     bernoulli_weights,
     bloch_coefficients,
@@ -186,7 +187,7 @@ class ExperimentConfig:
         if any(n < 1 for n in self.n_grid) or any(
                 b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be ascending positive integers")
-        self.trials, self.seed = _integer("trials", self.trials), _integer("seed", self.seed)
+        self.trials, self.seed = _integer("trials", self.trials), _seed(self.seed)
         if self.trials < 100:
             raise ValueError("KS summaries need at least 100 trials")
         if self.scaling_exponent is None:

@@ -33,6 +33,7 @@ from .pauli_tomography import (
     PauliBasisSet,
     _bloch_rows,
     _integer,
+    _seed,
     _worker,
     bloch_coefficients,
     build_pauli_basis,
@@ -156,24 +157,23 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - radius), min(1.0, center + radius)
 
 
-def _first_order_screen(R: SpectralDecomposition, s: np.ndarray, sig_log: np.ndarray,
-                        basis: PauliBasisSet):
-    """(lambda_min(rho), s, g) for the first-order screen of rho's trials, or None where it does not apply.
+def _first_order_screen(R: SpectralDecomposition, sig_log: np.ndarray, basis: PauliBasisSet):
+    """(lambda_min(rho), g) for the first-order screen of rho's trials, or None where it does not apply.
 
-    R is rho's decomposition, s its Bloch vector and
-    g = coefficients(log rho - log sigma); ``sig_log`` must be log sigma
-    (sigma of full support).  The screen needs rho strictly positive, so
-    that log rho exists, and of unit trace to 1e-12, so that
-    rho_hat - rho = (1/d) sum_j x_j gamma_j.
+    R is rho's decomposition and g = coefficients(log rho - log sigma);
+    ``sig_log`` must be log sigma (sigma of full support).  The screen needs
+    rho strictly positive, so that log rho exists, and of unit trace to
+    1e-12, so that rho_hat - rho = (1/d) sum_j x_j gamma_j.
     """
     lam = R.eigenvalues
     if lam[0] <= 0 or abs(lam.sum() - 1.0) > _UNIT_TRACE_ATOL:
         return None
-    return float(lam[0]), s, basis.coefficients(spectral_map(R, np.log) - sig_log)
+    return float(lam[0]), basis.coefficients(spectral_map(R, np.log) - sig_log)
 
 
-def _first_order_interval(counts: np.ndarray, n: int, screen, d0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rigorous bounds on D_hat = D(rho_hat || sigma) for each record, from its counts alone.
+def _first_order_interval(counts: np.ndarray, n: int, s: np.ndarray, screen,
+                          d0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rigorous bounds on D_hat = D(rho_hat || sigma) for each record, from its counts and rho's Bloch vector s.
 
     With x = s_hat - s and delta = rho_hat - rho = (1/d) sum_j x_j gamma_j,
     D_hat lies in [D0 + ell, D0 + ell + ||delta||_F^2 / (2 mu)] when mu > 0:
@@ -183,7 +183,7 @@ def _first_order_interval(counts: np.ndarray, n: int, screen, d0: float) -> tupl
     Dlog_X <= 1/lambda_min(X) with Tr delta = 0).  Where mu <= 0 the bounds
     are -inf and +inf.
     """
-    lam_min, s, g = screen
+    lam_min, g = screen
     d = math.isqrt(len(s) + 1)
     x = _bloch_rows(counts, n)
     x -= s
@@ -209,12 +209,12 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     check, its bucket check, ``b`` and the screen's log rho.  The records of
     hypothesis i are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2 trials
     (16 at d = 64), one substream of (seed, i, block) each; a default stack
-    is one block.  One worker thread first transforms each state to its
-    Bloch vector s, then draws the stacks in (hypothesis, stack) order; it
-    starts before the eigensolves of sigma and the states, which overlap it,
-    and each vector is read from it as its state is eigensolved.  An
-    exception on the worker is raised here unchanged, and the worker is
-    joined before this function returns or raises.
+    is one block.  One worker thread draws the stacks in (hypothesis, stack)
+    order, making each state's Bloch vector s just before its first stack
+    and returning it with each stack's counts; it starts before the
+    eigensolves of sigma and the states, which overlap it.  An exception on
+    the worker is raised here unchanged, and the worker is joined before
+    this function returns or raises.
 
     Most trials are decided from their counts alone.  With x = s_hat - s the
     error of the Bloch vector, g = coefficients(log rho - log sigma) and
@@ -231,55 +231,47 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
 
     Every state and sigma must be a density operator (unit trace and PSD,
     to 1e-10) and every state must sit strictly inside its hypothesis bucket
-    (both validated up front); sigma is known.  ``b`` defaults to the
+    (both validated up front; Hermiticity, the dimensions and the counts
+    before the worker starts); sigma is known.  ``b`` defaults to the
     smallest eigenvalue over the states and sigma, which must all be
     strictly positive; ``c`` to the minimal admissible threshold for level
     ``tau``.
     """
-    n, trials, seed = _integer("n", n), _integer("trials", trials), _integer("seed", seed)
+    n, trials, seed = _integer("n", n), _integer("trials", trials), _seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 < tau < 1:
         raise ValueError("tau must be in (0, 1)")
     states = [hermitian_part(as_matrix(s)) for s in states]
-    sig = as_matrix(sigma)
+    sig = hermitian_part(as_matrix(sigma))
     if len(states) != grid.hypothesis_count:
         raise ValueError(f"{len(states)} states for {grid.hypothesis_count} hypotheses")
-    d = sig.shape[0]
     if basis is None:
-        basis = build_pauli_basis(qubits_for_dim(d))
-    # bloch_coefficients' own check, made here so that it fails before the
-    # worker starts and before any eigensolve
-    if any(rho.shape[0] != basis.dim for rho in states):
+        basis = build_pauli_basis(qubits_for_dim(sig.shape[0]))
+    d = basis.dim
+    # bloch_coefficients' own check, and its counterpart for sigma, made here
+    # so that they fail before the worker starts and before any eigensolve
+    if any(rho.shape[0] != d for rho in states):
         raise ValueError("state dimension does not match the basis")
+    if sig.shape[0] != d:
+        raise ValueError("sigma dimension does not match the basis")
     chunks = list(trial_chunks(trials, d))
 
+    def draw(s, chunk, i):
+        return sample_counts(s, basis, n, chunk, seed, i), s
+
     def jobs():
-        # Iterated on the worker, and resumed only after the job it yielded
-        # last has run, so the draws read the vectors the transforms stored.
-        blochs = []
-
-        def transform(rho):
-            blochs.append(bloch_coefficients(rho, basis))
-            return blochs[-1]
-
-        for rho in states:
-            yield functools.partial(transform, rho)
-        for i, bloch in enumerate(blochs):
+        # iterated on the worker, so each state's Bloch vector is made there, just before its draws
+        for i, rho in enumerate(states):
+            s = bloch_coefficients(rho, basis)
             for chunk in chunks:
-                yield functools.partial(sample_counts, bloch, basis, n, chunk, seed, i)
+                yield functools.partial(draw, s, chunk, i)
 
     with _worker(jobs()) as take:
-        sig_eig = eig_hermitian(sig)
+        sig_eig = eig_hermitian(sig, checked=True)
         check_density_spectrum(sig_eig.eigenvalues, name="sigma")
         sig_log = log_with_kernel(sig_eig)
-        # Each vector is read as its state is eigensolved, not where the screen
-        # needs it: read later, the first _WORKER_AHEAD vectors would hold
-        # every slot of the worker, and no draw could overlap the eigensolves.
-        decomps, blochs = [], []
-        for rho in states:
-            decomps.append(eig_hermitian(rho, checked=True))
-            blochs.append(take())
+        decomps = [eig_hermitian(rho, checked=True) for rho in states]
         for i, R in enumerate(decomps):
             check_density_spectrum(R.eigenvalues, name=f"state {i}")
         divs = [float(umegaki_spectral(rho, R.eigenvalues, sig_log)) for rho, R in zip(states, decomps)]
@@ -297,13 +289,13 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         sigma_full = bool(support_mask(sig_eig.eigenvalues).all())
 
         rows = []
-        for i, (R, bloch) in enumerate(zip(decomps, blochs)):
-            screen = _first_order_screen(R, bloch, sig_log, basis) if sigma_full else None
+        for i, R in enumerate(decomps):
+            screen = _first_order_screen(R, sig_log, basis) if sigma_full else None
             errors = screened = projected = 0
             for _ in chunks:
-                counts = take()
+                counts, s = take()
                 if screen is not None:
-                    low, high = _first_order_interval(counts, n, screen, divs[i])
+                    low, high = _first_order_interval(counts, n, s, screen, divs[i])
                     decided = decide(low - _DECISION_SLACK, n, grid, c)
                     settled = decided == decide(high + _DECISION_SLACK, n, grid, c)
                     errors += int(np.count_nonzero(decided[settled] != i))

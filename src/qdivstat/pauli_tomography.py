@@ -12,8 +12,9 @@ from one generator: 16384 trials per block at d = 2, 16 at d = 64.  The
 runners draw their stacks on one worker thread (``_worker``), a few stacks
 ahead of the caller, which estimates them meanwhile: ``binomial`` and the
 eigensolves release the interpreter lock, so the two overlap.  The
-hypothesis runner's worker first transforms each state to its Bloch vector
-and then draws, so the caller's eigensolves start at once.
+hypothesis runner's worker makes each state's Bloch vector just before that
+state's draws and returns it with their counts, so the caller's eigensolves
+start at once.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -273,8 +274,7 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
     rows as the whole block.  ``trials`` is an ascending range.  ``rho`` may
     be given by its Bloch vector (1-D, from ``bloch_coefficients``) instead
     of its matrix (2-D), so that a caller that draws many stacks of one state
-    transforms it once; the hypothesis runner's worker does so ahead of its
-    draws.
+    transforms it once.
     """
     if n < 1:
         raise ValueError("need at least one shot per operator")
@@ -298,8 +298,7 @@ def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], objec
     or re-raises, unchanged, the exception that job raised; the thread runs
     no job after that one.  The thread runs in a copy of the caller's context
     (context variables; ``np.errstate`` in numpy 2), iterates ``jobs`` itself,
-    taking each job only after the one before it has run, so a generator of
-    jobs may pass one job's value on to later jobs, and holds at most
+    taking each job only after the one before it has run, and holds at most
     ``_WORKER_AHEAD`` values the caller has not read.  It waits for its
     first slot until ``Thread.start`` has returned, so the caller is not
     held up while the new thread holds the interpreter lock.
@@ -338,6 +337,7 @@ def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], objec
 
 def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:
     """Simulate one record: trial 0 of ``sample_counts`` under ``seed``."""
+    seed = _seed(seed)
     return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, range(1), seed)[0], seed=seed)
 
 
@@ -351,6 +351,14 @@ def _integer(name: str, value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """``value`` as a seed: a non-negative int, else a ValueError naming the seed."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def trial_chunks(trials: int, dim: int) -> Iterator[range]:

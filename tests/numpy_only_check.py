@@ -1,8 +1,9 @@
 """Check that the library runs on numpy alone: no scipy module is imported.
 
 Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
-(``two_sample_alt`` and ``one_sample_null``, d = 2) and one small
-``qdivstat hypothesis`` through ``qdivstat.cli.main``, and feeds it one
+(``two_sample_alt`` and ``one_sample_null``, d = 2) and two small
+``qdivstat hypothesis`` runs (one state, and six, more than the worker's
+slots) through ``qdivstat.cli.main``, and feeds it one
 malformed config (an unknown key and a float seed) and one scenario whose
 state has a negative eigenvalue, which the runner finds after its worker has
 started; both must exit 2.  After each command only the main thread may be
@@ -60,10 +61,16 @@ def main() -> int:
         _run(["experiment", "--kind", "one_sample_null", "--rho", str(rp), "--n", "300", "--trials", "100",
               "--seed", "1"])
         scenario = Path(tmp, "scenario.json")
-        for state, expected, error in ((rho, 0, ""), (np.diag([1.2, -0.2]), 2, "state 0 has negative eigenvalue")):
+        # more hypotheses than the worker holds values: diag(1 + z, 1 - z) / 2, each inside its bucket
+        many = [np.diag([1 + z, 1 - z]) / 2 for z in np.linspace(0.1, 0.85, 6)]
+        divs = [qdivstat.umegaki(state, np.eye(2) / 2).value for state in many]
+        for states, epsilons, expected, error in (
+                ([rho], [0.0, 1.0], 0, ""),
+                (many, [0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0], 0, ""),
+                ([np.diag([1.2, -0.2])], [0.0, 1.0], 2, "state 0 has negative eigenvalue")):
             scenario.write_text(json.dumps({
-                "states": [qio.matrix_to_json(state)], "sigma": qio.matrix_to_json(np.eye(2) / 2),
-                "epsilons": [0.0, 1.0], "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
+                "states": [qio.matrix_to_json(state) for state in states],
+                "sigma": qio.matrix_to_json(np.eye(2) / 2), "epsilons": epsilons, "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
             _run(["hypothesis", "--scenario", str(scenario), "--out", str(Path(tmp, "rates.csv"))], expected, error)
         config = Path(tmp, "config.json")
         config.write_text(json.dumps({"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "trails": 100,

@@ -357,6 +357,23 @@ def test_malformed_input_file_is_validation_error(states, tmp_path, capsys, comm
     assert f"{bad}: " in err and named in err
 
 
+@pytest.mark.parametrize("command", [
+    "tomography --state {rp} --n 200 --seed -1",
+    "experiment --kind one_sample_null --rho {rp} --n 300 --trials 120 --seed -1",
+    "experiment --config {config} --seed -1",
+    "hypothesis --scenario {scenario} --out {out} --seed -1",
+], ids=["tomography", "inline", "config", "hypothesis"])
+def test_negative_seed_is_validation_error(states, tmp_path, capsys, command):
+    _, _, rp, _ = states
+    config, scenario = tmp_path / "cfg.json", tmp_path / "scenario.json"
+    config.write_text(json.dumps(_config(_RHO)))
+    scenario.write_text(json.dumps(_scenario()))
+    rc = cli_main(command.format(rp=rp, config=config, scenario=scenario, out=tmp_path / "x.csv").split())
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "seed must be non-negative, got -1" in err and "Traceback" not in err
+
+
 class TestHypothesisCommand:
     def test_scenario_run(self, tmp_path, capsys):
         sigma = np.eye(2) / 2

@@ -21,6 +21,7 @@ from qdivstat.hypothesis_testing import (
 )
 from qdivstat.operator_core import eig_hermitian
 from qdivstat.pauli_tomography import (
+    _WORKER_AHEAD,
     bloch_coefficients,
     build_pauli_basis,
     estimate,
@@ -29,7 +30,7 @@ from qdivstat.pauli_tomography import (
     sample_counts,
     variance_v1,
 )
-from qdivstat.random_ops import haar_unitary, random_density
+from qdivstat.random_ops import haar_unitary, random_density, random_density_spectrum
 from conftest import rand_state, replay_record, two_hypotheses
 
 
@@ -399,10 +400,10 @@ class TestFirstOrderScreen:
             sig_log = log_with_kernel(sigma)
             lam = np.linalg.eigvalsh(rho)
             d0 = float(umegaki_spectral(rho, lam, sig_log))
-            screen = hypothesis_testing._first_order_screen(eig_hermitian(rho), bloch_coefficients(rho, basis),
-                                                            sig_log, basis)
+            screen = hypothesis_testing._first_order_screen(eig_hermitian(rho), sig_log, basis)
             counts = sample_counts(rho, basis, n, range(400), 3, n)
-            low, high = hypothesis_testing._first_order_interval(counts, n, screen, d0)
+            s = bloch_coefficients(rho, basis)
+            low, high = hypothesis_testing._first_order_interval(counts, n, s, screen, d0)
             rho_hat, lam_hat, projected = estimate_stack(counts, n, basis)
             d_hat = umegaki_spectral(rho_hat, lam_hat, sig_log)
             finite = np.isfinite(high)
@@ -445,6 +446,24 @@ class TestFirstOrderScreen:
         assert 0 < rows[0]["screened_fraction"] < 1
         assert 0 < rows[0]["errors"] < rows[0]["trials"]
         assert _without_screened(rows) == _without_screened(_exact_rows(monkeypatch, states, sigma, grid, **kwargs))
+
+    def test_six_qubits_more_hypotheses_than_worker_slots(self, monkeypatch):
+        # six states at d = 64 in three stacks each, more than the worker holds: at n = 1e5 the
+        # screen settles no trial and most err, at 1e7 it settles every trial of all states but the last
+        rng, d = np.random.default_rng(64), 64
+        sigma = np.eye(d) / d
+        states = [random_density_spectrum(np.linspace(1 - a, 1 + a, d) / d, rng).mat
+                  for a in np.linspace(0.3, 0.9, 6)]
+        divs = [umegaki(rho, sigma).value for rho in states]
+        grid = HypothesisGrid((0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0))
+        assert len(states) > _WORKER_AHEAD
+        for n, screened, erring in ((10**5, 0, True), (10**7, 5, False)):
+            kwargs = dict(tau=0.2, n=n, trials=40, seed=6, c=0.0)
+            rows = simulate_error_rates(states, sigma, grid, **kwargs)
+            assert sum(r["screened_fraction"] for r in rows) == screened
+            assert any(r["errors"] for r in rows) == erring
+            reference = _exact_rows(monkeypatch, states, sigma, grid, **kwargs)
+            assert _without_screened(rows) == _without_screened(reference)
 
     @pytest.mark.parametrize("state, sigma", [
         (np.diag([0.9, 0.1, 0.0, 0.0]), np.eye(4) / 4),

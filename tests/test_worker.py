@@ -228,14 +228,18 @@ class TestRunnersUseOneWorker:
         cfg = ExperimentConfig(kind="one_sample_null", rho=np.diag([1.0, 0.0]), n_grid=(100,), trials=100)
         with pytest.raises(ValueError, match="strictly positive"):
             run_convergence_experiment(cfg)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            ExperimentConfig(kind="one_sample_null", rho=rho, n_grid=(100,), trials=100, seed=-1)
         assert starts == []
 
-    def test_hypothesis_draws_overlap_the_state_eigensolves(self, monkeypatch):
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_hypothesis_draws_overlap_the_state_eigensolves(self, monkeypatch, d):
         # more states than the worker holds values: it must draw before the last state's
-        # eigensolve, so the caller reads each Bloch vector as it eigensolves that state
-        basis = pauli_tomography.PauliBasisSet(1)
-        sigma = np.eye(2) / 2
-        states = [pauli_tomography.reconstruct(np.array([0.0, 0.0, s3]), basis).mat
+        # eigensolve, for the caller reads nothing from it until every state is eigensolved
+        basis = pauli_tomography.build_pauli_basis(d.bit_length() - 1)
+        sigma = np.eye(d) / d
+        # the one-qubit states of Bloch vector (0, 0, s3), tensored with I / (d / 2)
+        states = [np.kron(np.diag([1 + s3, 1 - s3]) / 2, np.eye(d // 2) / (d // 2))
                   for s3 in np.linspace(0.1, 0.85, _WORKER_AHEAD + 2)]
         divs = [divergences.umegaki(rho, sigma).value for rho in states]
         grid = hypothesis_testing.HypothesisGrid((0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0))
@@ -263,6 +267,10 @@ class TestRunnersUseOneWorker:
         (lambda kw: dict(kw, states=kw["states"] + [np.eye(2) / 2]), "^3 states for 2 hypotheses$"),
         (lambda kw: dict(kw, sigma=np.eye(3) / 3), "^dimension 3 is not a power of two"),
         (lambda kw: dict(kw, states=[kw["states"][0], np.triu(np.ones((2, 2))) / 2]), "^matrix is not Hermitian"),
+        (lambda kw: dict(kw, sigma=np.triu(np.ones((2, 2))) / 2), r"^matrix is not Hermitian \(asymmetry"),
+        (lambda kw: dict(kw, sigma=np.eye(4) / 4, basis=pauli_tomography.PauliBasisSet(1)),
+         "^sigma dimension does not match the basis$"),
+        (lambda kw: dict(kw, seed=-1), "^seed must be non-negative, got -1$"),
         (lambda kw: dict(kw, trials=0), "^trials must be positive$"),
         (lambda kw: dict(kw, tau=1.0), "^tau must be in"),
     ])
