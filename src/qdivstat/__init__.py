@@ -40,7 +40,6 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .limit_laws import (
-    LimitDirection,
     SupportViolation,
     fidelity_limit,
     maxdiv_limit,

@@ -235,13 +235,19 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     before the worker starts); sigma is known.  ``b`` defaults to the
     smallest eigenvalue over the states and sigma, which must all be
     strictly positive; ``c`` to the minimal admissible threshold for level
-    ``tau``.
+    ``tau``.  A ``c`` given must be finite (tau > 1/2 gives a negative one),
+    and a ``b`` given must lie in (0, 1); both are checked before the worker
+    starts.
     """
     n, trials, seed = _integer("n", n), _integer("trials", trials), _seed(seed)
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 < tau < 1:
         raise ValueError("tau must be in (0, 1)")
+    if c is not None and not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    if b is not None and not 0 < b < 1:
+        raise ValueError(f"b must be in (0, 1), got {b}")
     states = [hermitian_part(as_matrix(s)) for s in states]
     sig = hermitian_part(as_matrix(sigma))
     if len(states) != grid.hypothesis_count:

@@ -12,9 +12,13 @@ experiment runner reads the Gaussian law's variance off the same gradient.
 The gradients move each Frechet derivative onto the fixed operator it is
 traced against, by self-adjointness: Tr[X D[f(A)](H)] = Tr[H D[f(A)](X)].
 They work on supp(sigma), in sigma's eigenbasis, with one eigendecomposition
-per distinct matrix, and lift the result back to the full space.  The
-functionals check their directions against the same decompositions, so
-checking costs no further eigensolve.
+per distinct matrix, and lift the result back to the full space.
+
+Every functional takes its directions through ``_dir_mat``, which checks
+that each is a traceless Hermitian matrix of the state's dimension and, where
+the functional names a base state, that it lies in the base's support.  The
+null functionals and the entropy check against the decomposition of rho that
+they use anyway; ``qre_alt_limit`` eigensolves rho once more for its L1 check.
 
 The two-sample null functional for the relative entropy is implemented as
 
@@ -31,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from .operator_core import (
-    HermitianOperator,
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
@@ -49,7 +52,6 @@ from .frechet import (
 )
 
 __all__ = [
-    "LimitDirection",
     "SupportViolation",
     "qre_alt_gradient",
     "qre_alt_limit",
@@ -81,60 +83,48 @@ class SupportViolation(ValueError):
     """A support precondition of a limit functional failed."""
 
 
-class LimitDirection:
-    """A realization of a weak limit of scaled estimator fluctuations.
-
-    Traceless Hermitian (limits of differences of unit-trace operators);
-    optionally checked to be supported inside the support of a base state.
-    """
-
-    __slots__ = ("op",)
-
-    def __init__(self, mat, *, base=None):
-        op = HermitianOperator(as_matrix(mat)) if not isinstance(mat, HermitianOperator) else mat
-        tr = abs(op.trace())
-        scale = max(1.0, float(np.max(np.abs(op.mat))))
-        if tr > TRACELESS_ATOL * scale:
-            raise ValueError(f"limit direction has trace {tr:.3e}; expected traceless")
-        if base is not None and not _direction_in_support(op.mat, base):
-            raise SupportViolation("direction has mass outside the support of its base state")
-        self.op = op
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    def __repr__(self) -> str:
-        return f"LimitDirection(dim={self.op.dim})"
-
-
-def _dir_mat(L, dim: int) -> np.ndarray:
-    if L is None:
-        return np.zeros((dim, dim), dtype=complex)
-    M = L.mat if isinstance(L, LimitDirection) else as_matrix(L)
-    if M.shape[0] != dim:
-        raise ValueError("direction dimension mismatch")
-    return M
-
-
-def _direction_in_support(L: np.ndarray, base) -> bool:
-    square = L @ L
-    return support_leak(square, base) <= LEAK_TOL * max(float(np.trace(square).real), 1.0)
-
-
 def _retr(x) -> float:
     return float(np.trace(x).real)
 
 
-def _compress(S: SpectralDecomposition, *mats):
-    """The decomposed matrix and ``mats`` restricted to the support of its decomposition ``S``.
+def _dir_mat(L, dim: int, name: str, base=None, leak: str = "") -> np.ndarray:
+    """The checked matrix of the limit direction ``L``, called ``name`` in errors; None is the zero direction.
 
-    In the support eigenvectors the restricted matrix is diagonal, so it is
-    returned as a decomposition that takes no second eigensolve.
+    A direction is a dim x dim Hermitian matrix whose trace is at most
+    TRACELESS_ATOL times max(1, its largest entry modulus).  Given a ``base``
+    (a matrix or its decomposition), its mass Tr[Q L^2 Q] outside supp(base)
+    must also be at most LEAK_TOL times max(1, Tr L^2), else
+    SupportViolation(``leak``) is raised.
+    """
+    if L is None:
+        return np.zeros((dim, dim), dtype=complex)
+    M = as_matrix(L)
+    if M.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {M.shape}, not ({dim}, {dim})")
+    try:
+        M = hermitian_part(M)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    tr = abs(_retr(M))
+    if tr > TRACELESS_ATOL * max(1.0, float(np.max(np.abs(M)))):
+        raise ValueError(f"{name} has trace {tr:.3e}; expected traceless")
+    if base is not None:
+        square = M @ M
+        if support_leak(square, base) > LEAK_TOL * max(_retr(square), 1.0):
+            raise SupportViolation(leak)
+    return M
+
+
+def _compress(S: SpectralDecomposition, *mats):
+    """(V, S_c, V^dagger M V for each of ``mats``): the restriction to the support of the decomposition ``S``.
+
+    V holds the support eigenvectors of ``S``.  In them the decomposed matrix
+    is diagonal, so its restriction S_c is a decomposition that takes no
+    second eigensolve.
     """
     keep = support_mask(S.eigenvalues)
     V = S.eigenvectors[:, keep]
-    return [SpectralDecomposition(S.eigenvalues[keep], np.eye(V.shape[1]))] + [V.conj().T @ M @ V for M in mats]
+    return [V, SpectralDecomposition(S.eigenvalues[keep], np.eye(V.shape[1]))] + [V.conj().T @ M @ V for M in mats]
 
 
 def _require_positive(name: str, lam: np.ndarray) -> None:
@@ -144,19 +134,16 @@ def _require_positive(name: str, lam: np.ndarray) -> None:
 
 
 def _support_frame(rho, sigma):
-    """(V, rho_c, eig(rho_c), eig(sigma_c)): V spans supp(sigma) with sigma's eigenvectors, rho_c = V^dagger rho V.
+    """(V, rho_c, eig(rho_c), eig(sigma_c)): ``_compress`` of sigma's decomposition and rho, and eig(rho_c).
 
-    ``sigma`` is a matrix or its decomposition.  sigma_c is diagonal, so its
-    decomposition takes no second eigensolve.
+    ``sigma`` is a matrix or its decomposition, and rho must be supported inside it.
     """
     R = as_matrix(rho)
     S = sigma if isinstance(sigma, SpectralDecomposition) else eig_hermitian(sigma)
     if not support_contained(R, S, LEAK_TOL):
         raise SupportViolation("rho is not supported inside sigma")
-    keep = support_mask(S.eigenvalues)
-    V = S.eigenvectors[:, keep]
-    R = V.conj().T @ R @ V
-    return V, R, eig_hermitian(R), SpectralDecomposition(S.eigenvalues[keep], np.eye(len(R)))
+    V, sigma_eig, R = _compress(S, R)
+    return V, R, eig_hermitian(R), sigma_eig
 
 
 def _lift(V: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -164,37 +151,23 @@ def _lift(V: np.ndarray, *ops: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(V @ X @ V.conj().T for X in ops)
 
 
-def _lift_spectrum(S: SpectralDecomposition, V: np.ndarray, rho_eig: SpectralDecomposition) -> SpectralDecomposition:
-    """rho's decomposition on the full space, from that of its compression onto supp(sigma) = span V.
-
-    rho is supported inside sigma, so ker(sigma), read off sigma's
-    decomposition ``S``, is part of its kernel.  The eigenvalues are not sorted.
-    """
-    kernel = S.eigenvectors[:, ~support_mask(S.eigenvalues)]
-    return SpectralDecomposition(np.concatenate((np.zeros(kernel.shape[1]), rho_eig.eigenvalues)),
-                                 np.concatenate((kernel, V @ rho_eig.eigenvectors), axis=1))
-
-
-def _pair(gradient, L1, L2) -> float:
-    """Tr[L1 G_rho] + Tr[L2 G_sigma]; a direction of None is zero."""
+def _pair(gradient, L1, L2, rho=None, sigma=None) -> float:
+    """Tr[L1 G_rho] + Tr[L2 G_sigma]; given ``rho`` and ``sigma``, L1 must lie in supp(rho) and L2 in supp(sigma)."""
     g_rho, g_sigma = gradient
     d = g_rho.shape[0]
-    return _retr(_dir_mat(L1, d) @ g_rho) + _retr(_dir_mat(L2, d) @ g_sigma)
+    return (_retr(_dir_mat(L1, d, "L1", rho, "L1 has mass outside the support of rho") @ g_rho)
+            + _retr(_dir_mat(L2, d, "L2", sigma, "L2 has mass outside the support of sigma") @ g_sigma))
 
 
 # ---------------------------------------------------------------------------
 # Quantum relative entropy and entropy
 # ---------------------------------------------------------------------------
 
-def _qre_gradient(V, R, rho_eig, sigma_eig) -> tuple[np.ndarray, np.ndarray]:
-    """The relative-entropy gradient in a support frame of ``_support_frame``."""
-    log_ratio = spectral_map(rho_eig, np.log, support_mask) - spectral_map(sigma_eig, np.log)
-    return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
-
-
 def qre_alt_gradient(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
-    return _qre_gradient(*_support_frame(rho, sigma))
+    V, R, rho_eig, sigma_eig = _support_frame(rho, sigma)
+    log_ratio = spectral_map(rho_eig, np.log, support_mask) - spectral_map(sigma_eig, np.log)
+    return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
 
 
 def qre_alt_limit(rho, sigma, L1, L2=None) -> float:
@@ -202,28 +175,18 @@ def qre_alt_limit(rho, sigma, L1, L2=None) -> float:
 
     The one-sample variant is obtained with L2 = 0 (or None).
     """
-    R = as_matrix(rho)
-    d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
     S = eig_hermitian(sigma)
-    V, R_c, rho_eig, sigma_eig = _support_frame(R, S)
-    gradient = _qre_gradient(V, R_c, rho_eig, sigma_eig)
-    if not _direction_in_support(M2, S):
-        raise SupportViolation("L2 has mass outside the support of sigma")
-    if not _direction_in_support(M1, _lift_spectrum(S, V, rho_eig)):
-        raise SupportViolation("L1 has mass outside the support of rho")
-    return _pair(gradient, M1, M2)
+    return _pair(qre_alt_gradient(rho, S), L1, L2, rho, S)
 
 
 def qre_null_limit(rho, L1, L2=None) -> float:
     """Null-case limit (1/2) Tr[(L1-L2) D[log rho](L1-L2)]; nonnegative."""
     R = as_matrix(rho)
     d = R.shape[0]
-    delta = _dir_mat(L1, d) - _dir_mat(L2, d)
     S = eig_hermitian(R)
-    if not _direction_in_support(delta, S):
-        raise SupportViolation("directions have mass outside the support of rho")
-    rho_eig, delta = _compress(S, delta)
+    delta = _dir_mat(_dir_mat(L1, d, "L1") - _dir_mat(L2, d, "L2"), d, "L1 - L2", S,
+                     "directions have mass outside the support of rho")
+    _, rho_eig, delta = _compress(S, delta)
     table = build_divided_differences(rho_eig, "log")
     return 0.5 * _retr(delta @ frechet1(table, delta).mat)
 
@@ -231,11 +194,8 @@ def qre_null_limit(rho, L1, L2=None) -> float:
 def vn_entropy_limit(rho, L) -> float:
     """Entropy limit -Tr[L log rho]."""
     R = as_matrix(rho)
-    M = _dir_mat(L, R.shape[0])
     S = eig_hermitian(R)
-    if not _direction_in_support(M, S):
-        raise SupportViolation("L has mass outside the support of rho")
-    rho_eig, M = _compress(S, M)
+    _, rho_eig, M = _compress(S, _dir_mat(L, R.shape[0], "L", S, "L has mass outside the support of rho"))
     return -_retr(M @ spectral_map(rho_eig, np.log, support_mask))
 
 
@@ -269,12 +229,9 @@ def petz_null_limit(rho, alpha: float, L1, L2=None) -> float:
     check_petz_alpha(alpha)
     R = as_matrix(rho)
     d = R.shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
     S = eig_hermitian(R)
-    for M, name in ((M1, "L1"), (M2, "L2")):
-        if not _direction_in_support(M, S):
-            raise SupportViolation(f"{name} has mass outside the support of rho")
-    rho_eig, M1, M2 = _compress(S, M1, M2)
+    _, rho_eig, M1, M2 = _compress(S, *(_dir_mat(L, d, name, S, f"{name} has mass outside the support of rho")
+                                        for L, name in ((L1, "L1"), (L2, "L2"))))
     ab = 1 - alpha
     if alpha == 2:
         R = np.diag(rho_eig.eigenvalues)
@@ -400,7 +357,7 @@ def measured_alt_limit(rho, sigma, m_star, L1, L2=None) -> float:
     with outcome cells dropped when rho, L1 and L2 all put zero mass there.
     """
     d = as_matrix(rho).shape[0]
-    M1, M2 = _dir_mat(L1, d), _dir_mat(L2, d)
+    M1, M2 = _dir_mat(L1, d, "L1"), _dir_mat(L2, d, "L2")
     pr, ps, a, b = povm_apply(m_star, np.stack([as_matrix(rho), as_matrix(sigma), M1, M2]))
     if np.any((ps <= OUTCOME_TOL) & (np.maximum(pr, np.maximum(abs(a), abs(b))) > OUTCOME_TOL)):
         raise SupportViolation("outcome distribution of sigma vanishes where rho or a direction does not")

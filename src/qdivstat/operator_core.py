@@ -55,22 +55,21 @@ class HermitianOperator:
     The constructor symmetrizes ``(A + A^dagger)/2`` after checking that the
     asymmetry is below an absolute tolerance of 1e-12; repeated products
     accumulate tiny asymmetries, so symmetrizing here keeps every later
-    eigendecomposition honest.
+    eigendecomposition honest.  An operator passed in is taken as it is.
     """
 
     __slots__ = ("mat", "dim")
 
-    def __init__(self, mat: np.ndarray):
-        A = np.asarray(mat, dtype=complex)
+    def __init__(self, mat):
+        A = _hermitian_array(mat, checked=False)
         if A.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        A = hermitian_part(A)
         A.setflags(write=False)
         self.mat = A
         self.dim = A.shape[0]
 
     def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -101,18 +100,12 @@ def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray
 
 
 def as_matrix(op) -> np.ndarray:
-    """Unwrap HermitianOperator / DensityOperator / SpectralDecomposition / ndarray to an ndarray."""
+    """Unwrap HermitianOperator (DensityOperator included) / SpectralDecomposition / ndarray to an ndarray."""
     if isinstance(op, SpectralDecomposition):
         return op.reassemble()
-    if isinstance(op, DensityOperator):
-        return op.op.mat
     if isinstance(op, HermitianOperator):
         return op.mat
     return np.asarray(op, dtype=complex)
-
-
-def _hermitian(op) -> HermitianOperator:
-    return op if isinstance(op, HermitianOperator) else HermitianOperator(as_matrix(op))
 
 
 class SpectralDecomposition:
@@ -186,34 +179,22 @@ def check_density_spectrum(lam: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has negative eigenvalue {lo}")
 
 
-class DensityOperator:
+class DensityOperator(HermitianOperator):
     """HermitianOperator refined with PSD and unit-trace invariants."""
 
-    __slots__ = ("op",)
+    __slots__ = ()
 
     def __init__(self, mat):
-        op = _hermitian(mat)
-        check_density_spectrum(eigvals_hermitian(op))
-        self.op = op
+        super().__init__(mat)
+        check_density_spectrum(eigvals_hermitian(self))
 
     @classmethod
     def from_spectrum(cls, mat, eigenvalues: np.ndarray) -> "DensityOperator":
         """The density operator of ``mat`` whose ascending eigenvalues are known: checked without another eigensolve."""
         check_density_spectrum(eigenvalues)
         rho = cls.__new__(cls)
-        rho.op = _hermitian(mat)
+        HermitianOperator.__init__(rho, mat)
         return rho
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
 
 
 class EigensolverError(RuntimeError):
@@ -238,8 +219,8 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
 
 def _hermitian_array(A, checked: bool) -> np.ndarray:
     """The matrix (or stack) of ``A``, checked Hermitian unless ``checked`` says it already is."""
-    if isinstance(A, (HermitianOperator, DensityOperator)):
-        return as_matrix(A)
+    if isinstance(A, HermitianOperator):
+        return A.mat
     return np.asarray(A) if checked else hermitian_part(as_matrix(A))
 
 
@@ -472,7 +453,7 @@ def project_to_density(A) -> DensityOperator:
     simplex, reassemble with the same eigenvectors. An input that already
     satisfies the density invariants is returned unchanged (re-tagged).
     """
-    op = _hermitian(A)
+    op = HermitianOperator(A)
     S = eig_hermitian(op)
     lam, moved = density_spectrum(S.eigenvalues, DENSITY_ATOL)
     return DensityOperator.from_spectrum(S.reassemble(lam) if moved else op, lam)

@@ -242,8 +242,8 @@ def _reconstruct_rows(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, path); the splittable-RNG contract."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(path)))
+    """Independent generator for (seed, path); the splittable-RNG contract.  ``seed`` must be a non-negative int."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=_seed(seed), spawn_key=tuple(path)))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
 slots) through ``qdivstat.cli.main``, and feeds it one
 malformed config (an unknown key and a float seed) and one scenario whose
 state has a negative eigenvalue, which the runner finds after its worker has
-started; both must exit 2.  After each command only the main thread may be
+started; both must exit 2.  It evaluates one ``qdivstat limit eval`` bundle
+(``qre_null``), which must exit 0, and the same bundle with a non-Hermitian
+``L1``, which must exit 2.  After each command only the main thread may be
 alive: the runners join their worker thread.  It then fails if any module
 whose name starts with ``scipy`` is in ``sys.modules``.  It needs no test
 dependency, so it also runs in an environment where only the package and
@@ -76,6 +78,12 @@ def main() -> int:
         config.write_text(json.dumps({"kind": "one_sample_null", "rho": qio.matrix_to_json(rho), "trails": 100,
                                       "seed": 1.5}))
         _run(["experiment", "--config", str(config)], expected=2)
+        bundle = Path(tmp, "bundle.json")
+        for L1, expected, error in ((np.diag([0.1, -0.1]), 0, ""),
+                                    (np.array([[0.0, 1.0], [0.0, 0.0]]), 2, "L1: matrix is not Hermitian")):
+            bundle.write_text(json.dumps({"functional": "qre_null", "rho": qio.matrix_to_json(rho),
+                                          "L1": qio.matrix_to_json(L1)}))
+            _run(["limit", "eval", str(bundle)], expected, error)
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
     if loaded:
         print(f"scipy modules imported: {', '.join(loaded)}", file=sys.stderr)

@@ -131,6 +131,22 @@ class TestLimitCommand:
         assert "Traceback" not in err
         assert f"field {field!r}" in err
 
+    @pytest.mark.parametrize("L1, named", [
+        ([[0.0, 1.0], [0.0, 0.0]], "L1: matrix is not Hermitian"),
+        ([[1.0, 0.0], [0.0, 0.0]], "L1 has trace 1.000e+00; expected traceless"),
+        ([[0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]], "L1 has shape (3, 3), not (2, 2)"),
+    ], ids=["non-hermitian", "trace-one", "wrong-dimension"])
+    @pytest.mark.parametrize("functional", ["qre_alt", "petz_alt"])
+    def test_bad_direction_is_validation_error(self, tmp_path, capsys, functional, L1, named):
+        bundle = {"functional": functional, "rho": qio.matrix_to_json(np.diag([0.75, 0.25])),
+                  "sigma": qio.matrix_to_json(np.eye(2) / 2), "alpha": 1.5, "L1": qio.matrix_to_json(np.array(L1))}
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        rc = cli_main(["limit", "eval", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION and out == ""
+        assert "Traceback" not in err and named in err
+
     def test_unknown_functional(self, rng, tmp_path, capsys):
         path = tmp_path / "bundle.json"
         with open(path, "w") as fh:

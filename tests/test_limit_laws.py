@@ -12,8 +12,8 @@ from qdivstat.divergences import (
     trivial_povm,
     umegaki,
 )
+from qdivstat import io as qio
 from qdivstat.limit_laws import (
-    LimitDirection,
     SupportViolation,
     fidelity_limit,
     maxdiv_gradient,
@@ -52,15 +52,54 @@ def diag_instance(rng, d=3):
 
 class TestTypes:
     def test_direction_must_be_traceless(self):
-        with pytest.raises(ValueError):
-            LimitDirection(np.diag([1.0, 0.0]))
-        LimitDirection(np.diag([0.5, -0.5]))
+        rho = np.eye(2) / 2
+        with pytest.raises(ValueError, match="^L1 has trace 1.000e\\+00; expected traceless$"):
+            qre_null_limit(rho, np.diag([1.0, 0.0]))
+        assert qre_null_limit(rho, np.diag([0.5, -0.5])) == pytest.approx(0.5)
 
     def test_direction_support_check(self):
         base = np.diag([1.0, 0.0])
-        LimitDirection(np.diag([0.0, 0.0]), base=base)
-        with pytest.raises(SupportViolation):
-            LimitDirection(np.diag([0.5, -0.5]), base=base)
+        assert vn_entropy_limit(base, np.diag([0.0, 0.0])) == 0.0
+        with pytest.raises(SupportViolation, match="^L has mass outside the support of rho$"):
+            vn_entropy_limit(base, np.diag([0.5, -0.5]))
+
+
+_FIELDS = {"rho": np.diag([0.7, 0.3]), "sigma": np.diag([0.4, 0.6]), "alpha": 1.5}
+
+
+def _evaluate(name, L1, L2):
+    """The functional ``name`` at the rho, sigma and alpha of ``_FIELDS`` and the directions (L1, L2).
+
+    ``name`` is a functional a ``limit eval`` bundle can name, or measured_alt,
+    which takes the eigenbasis POVM of diag(1, 2).
+    """
+    if name == "measured_alt":
+        return measured_alt_limit(_FIELDS["rho"], _FIELDS["sigma"], eigenbasis_povm(np.diag([1.0, 2.0])), L1, L2)
+    function, keys = qio._LIMIT_FUNCTIONALS[name]
+    return function(*(dict(_FIELDS, L1=L1, L2=L2)[key] for key in keys))
+
+
+_BAD_DIRECTIONS = {
+    "non-hermitian": (np.array([[0.0, 1.0], [0.0, 0.0]]), r"matrix is not Hermitian \(asymmetry 1.000e\+00\)"),
+    "trace-one": (np.diag([1.0, 0.0]), "has trace 1.000e\\+00; expected traceless"),
+    "wrong-dimension": (np.diag([0.5, -0.5, 0.0]), r"has shape \(3, 3\), not \(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_DIRECTIONS)
+@pytest.mark.parametrize("name", [*qio._LIMIT_FUNCTIONALS, "measured_alt"])
+def test_every_functional_rejects_a_bad_direction(name, bad):
+    L, message = _BAD_DIRECTIONS[bad]
+    good = np.diag([0.1, -0.1])
+    assert np.isfinite(_evaluate(name, good, good))
+    # vn_entropy_limit takes one direction, L, which a bundle calls L1
+    first = "L" if name == "vn_entropy" else "L1"
+    for L2 in (None, good):
+        with pytest.raises(ValueError, match=f"^{first}:? {message}$"):
+            _evaluate(name, L, L2)
+    if name != "vn_entropy":
+        with pytest.raises(ValueError, match=f"^L2:? {message}$"):
+            _evaluate(name, good, L)
 
 
 class TestQreAlt:
@@ -81,13 +120,6 @@ class TestQreAlt:
         L2 = rand_direction(rng, 2)
         got = qre_alt_limit(rho, rho, None, L2)
         assert got == pytest.approx(0.0, abs=1e-10)
-
-    def test_accepts_limit_direction_wrapper(self, rng):
-        rho, sigma = rand_state(rng, 2), rand_state(rng, 2)
-        L1 = rand_direction(rng, 2)
-        a = qre_alt_limit(rho, sigma, LimitDirection(L1), None)
-        b = qre_alt_limit(rho, sigma, L1, None)
-        assert a == b
 
     def test_linearity(self, rng):
         rho, sigma = rand_state(rng, 3), rand_state(rng, 3)
@@ -421,10 +453,12 @@ class TestGradients:
             assert g_rho.shape == g_sigma.shape == (4, 4)
 
     def test_functionals_decompose_each_matrix_once(self, rng, monkeypatch):
-        # the direction checks reuse the decompositions of rho and sigma
+        # the direction checks reuse the decompositions of rho and sigma; qre_alt's
+        # gradient decomposes rho compressed to supp(sigma), so its L1 check decomposes rho
         rho, sigma = rand_state(rng, 4), rand_state(rng, 4)
         L1, L2 = rand_direction(rng, 4), rand_direction(rng, 4)
-        cases = [("qre_alt", partial(qre_alt_limit, rho, sigma, L1, L2), 2),
+        cases = [("qre_alt", partial(qre_alt_limit, rho, sigma, L1, L2), 3),
+                 ("qre_alt-L2", partial(qre_alt_limit, rho, sigma, None, L2), 2),
                  ("qre_null", partial(qre_null_limit, rho, L1, L2), 1),
                  ("vn_entropy", partial(vn_entropy_limit, rho, L1), 1)]
         cases += [(f"petz_null-{a}", partial(petz_null_limit, rho, a, L1, L2), 1) for a in (0.4, 1.5, 2.0)]

@@ -16,8 +16,10 @@ from qdivstat.operator_core import (
     DensityOperator,
     EigensolverError,
     HermitianOperator,
+    as_matrix,
     eig_hermitian,
     eigvals_hermitian,
+    hermitian_part,
     project_to_density,
     project_to_simplex,
     schatten_norm,
@@ -64,6 +66,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityOperator.from_spectrum(np.diag([1.5, -0.5]), np.array([-0.5, 1.5]))
         DensityOperator.from_spectrum(np.diag([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    def test_density_operator_is_a_hermitian_operator(self, rng):
+        # its matrix is that of HermitianOperator, bit for bit, and an operator passed in is taken as it is
+        A = rand_state(rng, 4)
+        op = HermitianOperator(A)
+        for rho in (DensityOperator(A), DensityOperator.from_spectrum(A, eigvals_hermitian(A))):
+            assert isinstance(rho, HermitianOperator) and rho.dim == 4
+            assert np.array_equal(rho.mat, op.mat) and np.array_equal(as_matrix(rho), op.mat)
+            assert not rho.mat.flags.writeable
+        assert DensityOperator(op).mat is op.mat and HermitianOperator(DensityOperator(op)).mat is op.mat
+        assert np.array_equal(hermitian_part(op.mat), op.mat)
+        assert repr(DensityOperator(op)) == "DensityOperator(dim=4)"
 
 
 class TestEig:

@@ -218,6 +218,15 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"expected 3 coefficients, got {size}"):
             sample_counts(np.zeros(size), build_pauli_basis(1), 10, range(4), 0)
 
+    @pytest.mark.parametrize("draw", [lambda seed: substream(seed, 0),
+                                      lambda seed: sample_counts(np.eye(2) / 2, build_pauli_basis(1), 10, range(1), seed)],
+                             ids=["substream", "sample_counts"])
+    def test_negative_seed_is_named(self, draw):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            draw(-1)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+            draw(1.5)
+
     def test_substream_independence(self):
         a = substream(3, 0).normal(size=4)
         b = substream(3, 1).normal(size=4)

@@ -273,6 +273,10 @@ class TestRunnersUseOneWorker:
         (lambda kw: dict(kw, seed=-1), "^seed must be non-negative, got -1$"),
         (lambda kw: dict(kw, trials=0), "^trials must be positive$"),
         (lambda kw: dict(kw, tau=1.0), "^tau must be in"),
+        (lambda kw: dict(kw, c=float("nan")), "^c must be finite, got nan$"),
+        (lambda kw: dict(kw, c=float("inf")), "^c must be finite, got inf$"),
+        (lambda kw: dict(kw, c=1.0, b=5.0), r"^b must be in \(0, 1\), got 5.0$"),
+        (lambda kw: dict(kw, b=0.0), r"^b must be in \(0, 1\), got 0.0$"),
     ])
     def test_hypothesis_input_errors_start_no_worker(self, monkeypatch, starts, change, match):
         states, sigma, grid = two_hypotheses()
