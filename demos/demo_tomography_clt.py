@@ -13,11 +13,10 @@ from qdivstat import (
     build_pauli_basis,
     random_density,
     run_convergence_experiment,
-    sample_record,
     variance_v1,
     variance_v2,
 )
-from qdivstat.pauli_tomography import estimate
+from qdivstat.pauli_tomography import estimate_stack, sample_counts
 
 rng = np.random.default_rng(31)
 basis = build_pauli_basis(1)
@@ -26,12 +25,12 @@ sigma = random_density(2, rng, min_eig=0.15).mat
 
 print("Bloch coefficients of rho:", np.round(bloch_coefficients(rho, basis), 4))
 
-# one measurement record and its estimate
-record = sample_record(rho, basis, n=2000, seed=5)
-rho_hat = estimate(record, basis)[0]
-print("plus counts per Pauli:", record.plus_counts)
+# one measurement record, a one-row stack of plus counts, and its estimate
+counts = sample_counts(rho, basis, 2000, range(1), 5)
+rho_hat = estimate_stack(counts, 2000, basis)[0][0]
+print("plus counts per Pauli:", counts[0])
 print("trace distance of the estimate:",
-      0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_hat.mat - rho))))
+      0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_hat - rho))))
 
 v1 = variance_v1(rho, sigma, basis)
 v2 = variance_v2(rho, sigma, basis)

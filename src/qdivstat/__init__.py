@@ -52,12 +52,10 @@ from .limit_laws import (
     vn_entropy_limit,
 )
 from .pauli_tomography import (
-    MeasurementRecord,
     PauliBasisSet,
     bloch_coefficients,
     build_pauli_basis,
     reconstruct,
-    sample_record,
     variance_v1,
     variance_v2,
 )

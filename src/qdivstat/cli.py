@@ -18,8 +18,8 @@ from . import divergences as dv
 from . import io as qio
 from .experiments import run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
-from .operator_core import EigensolverError
-from .pauli_tomography import build_pauli_basis, estimate, qubits_for_dim, sample_record
+from .operator_core import EigensolverError, check_density_spectrum, eigvals_hermitian, hermitian_part
+from .pauli_tomography import build_pauli_basis, estimate_sigma_stack, estimate_stack, qubits_for_dim, sample_counts
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -103,14 +103,20 @@ def _run_limit(args) -> int:
 
 
 def _run_tomography(args) -> int:
+    # the one record is row 0 of a one-row stack, estimated as the runners estimate theirs
     state = qio.read_json(args.state, qio.matrix_from_json)
     basis = build_pauli_basis(qubits_for_dim(state.shape[0]))
-    record = sample_record(state, basis, args.n, args.seed)
-    est = estimate(record, basis, floor=args.sigma_estimator)[0]
+    check_density_spectrum(eigvals_hermitian(state), name="state")
+    counts = sample_counts(state, basis, args.n, range(1), args.seed)
+    if args.sigma_estimator:
+        est = estimate_sigma_stack(counts, args.n, basis)[0].reassemble()[0]
+    else:
+        est = estimate_stack(counts, args.n, basis)[0][0]
+    est = hermitian_part(est)  # a projected row's reassembly is Hermitian only to rounding
     if args.out:
-        qio.dump_matrix(est.mat, args.out)
-    print(json.dumps({"record": qio.record_to_json(record),
-                      "estimate": qio.matrix_to_json(est.mat)}))
+        qio.dump_matrix(est, args.out)
+    print(json.dumps({"record": {"n": args.n, "seed": args.seed, "plus_counts": counts[0].tolist()},
+                      "estimate": qio.matrix_to_json(est)}))
     return EXIT_OK
 
 

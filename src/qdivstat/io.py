@@ -1,7 +1,7 @@
 """JSON/CSV exchange formats shared by the CLI and the test fixtures.
 
 Matrices travel as {"dim": d, "re": [[...]], "im": [[...]]}; POVMs as lists
-of such objects; measurement records as {"n": ..., "seed": ..., "plus_counts": [...]}.
+of such objects.
 The CLI reads each input file with ``read_json(path, parse)``, where ``parse`` is one
 of the schemas ``matrix_from_json``, ``povm_from_json``, ``bundle_from_json``
 (a limit functional), ``config_from_json`` or ``scenario_from_json``.
@@ -19,7 +19,6 @@ import numpy as np
 from . import limit_laws as ll
 from .operator_core import as_matrix
 from .divergences import Povm
-from .pauli_tomography import MeasurementRecord
 from .hypothesis_testing import HypothesisGrid
 from .experiments import ExperimentConfig
 
@@ -29,7 +28,6 @@ __all__ = [
     "matrix_from_json",
     "dump_matrix",
     "povm_from_json",
-    "record_to_json",
     "bundle_from_json",
     "scenario_from_json",
     "config_from_json",
@@ -70,10 +68,6 @@ def povm_from_json(objs: list[dict]) -> Povm:
     if not isinstance(objs, list):
         raise TypeError(f"a POVM is a JSON array of matrices, got {type(objs).__name__}")
     return Povm([matrix_from_json(o) for o in objs])
-
-
-def record_to_json(rec: MeasurementRecord) -> dict:
-    return {"n": rec.n, "seed": rec.seed, "plus_counts": rec.plus_counts.tolist()}
 
 
 def read_json(path: str, parse):

@@ -92,9 +92,8 @@ def _dir_mat(L, dim: int, name: str, base=None, leak: str = "") -> np.ndarray:
 
     A direction is a dim x dim Hermitian matrix whose trace is at most
     TRACELESS_ATOL times max(1, its largest entry modulus).  Given a ``base``
-    (a matrix or its decomposition), its mass Tr[Q L^2 Q] outside supp(base)
-    must also be at most LEAK_TOL times max(1, Tr L^2), else
-    SupportViolation(``leak``) is raised.
+    (a matrix or its decomposition), it must also lie in supp(base)
+    (``_require_support``).
     """
     if L is None:
         return np.zeros((dim, dim), dtype=complex)
@@ -109,10 +108,19 @@ def _dir_mat(L, dim: int, name: str, base=None, leak: str = "") -> np.ndarray:
     if tr > TRACELESS_ATOL * max(1.0, float(np.max(np.abs(M)))):
         raise ValueError(f"{name} has trace {tr:.3e}; expected traceless")
     if base is not None:
-        square = M @ M
-        if support_leak(square, base) > LEAK_TOL * max(_retr(square), 1.0):
-            raise SupportViolation(leak)
+        _require_support(M, base, leak)
     return M
+
+
+def _require_support(M: np.ndarray, base, leak: str) -> None:
+    """Raise SupportViolation(``leak``) unless ``M`` lies in supp(base).
+
+    ``M`` lies there when its mass Tr[Q M^2 Q] outside supp(base) is at most
+    LEAK_TOL times max(1, Tr M^2).
+    """
+    square = M @ M
+    if support_leak(square, base) > LEAK_TOL * max(_retr(square), 1.0):
+        raise SupportViolation(leak)
 
 
 def _compress(S: SpectralDecomposition, *mats):
@@ -184,8 +192,10 @@ def qre_null_limit(rho, L1, L2=None) -> float:
     R = as_matrix(rho)
     d = R.shape[0]
     S = eig_hermitian(R)
-    delta = _dir_mat(_dir_mat(L1, d, "L1") - _dir_mat(L2, d, "L2"), d, "L1 - L2", S,
-                     "directions have mass outside the support of rho")
+    # the functional reads only L1 - L2, so the difference must lie in supp(rho);
+    # its trace is not checked again, since each direction's already was
+    delta = _dir_mat(L1, d, "L1") - _dir_mat(L2, d, "L2")
+    _require_support(delta, S, "directions have mass outside the support of rho")
     _, rho_eig, delta = _compress(S, delta)
     table = build_divided_differences(rho_eig, "log")
     return 0.5 * _retr(delta @ frechet1(table, delta).mat)

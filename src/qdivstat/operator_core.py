@@ -71,9 +71,6 @@ class HermitianOperator:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
 
 def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray:
     """(A + A^dagger)/2 for a matrix or a stack (..., d, d), each checked Hermitian.

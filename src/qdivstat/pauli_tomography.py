@@ -42,7 +42,6 @@ import numpy as np
 
 from .operator_core import (
     _HERMITICITY_ATOL,
-    DensityOperator,
     HermitianOperator,
     SpectralDecomposition,
     as_matrix,
@@ -59,18 +58,15 @@ __all__ = [
     "STACK_ENTRIES",
     "SEED_BLOCK_ENTRIES",
     "PauliBasisSet",
-    "MeasurementRecord",
     "qubits_for_dim",
     "build_pauli_basis",
     "bloch_coefficients",
     "reconstruct",
     "substream",
     "sample_counts",
-    "sample_record",
     "trial_chunks",
     "estimate_stack",
     "estimate_sigma_stack",
-    "estimate",
     "bernoulli_weights",
     "linear_law_variance",
     "variance_v1",
@@ -246,21 +242,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=_seed(seed), spawn_key=tuple(path)))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Counts of +1 outcomes: plus_counts[j] out of n shots on gamma_j."""
-
-    n: int
-    plus_counts: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.plus_counts, dtype=np.int64)
-        if np.any(counts < 0) or np.any(counts > self.n):
-            raise ValueError("counts must lie in [0, n]")
-        object.__setattr__(self, "plus_counts", counts)
-
-
 def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
                   *path: int) -> np.ndarray:
     """Plus counts of the records of ``trials``, shape (len(trials), d^2 - 1).
@@ -335,12 +316,6 @@ def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], objec
         thread.join()
 
 
-def sample_record(rho, basis: PauliBasisSet, n: int, seed: int) -> MeasurementRecord:
-    """Simulate one record: trial 0 of ``sample_counts`` under ``seed``."""
-    seed = _seed(seed)
-    return MeasurementRecord(n=n, plus_counts=sample_counts(rho, basis, n, range(1), seed)[0], seed=seed)
-
-
 def _bloch_rows(counts: np.ndarray, n: int) -> np.ndarray:
     """s_hat = (#plus - #minus)/n for each row of plus counts (..., d^2 - 1)."""
     return (2.0 * counts - n) / n
@@ -399,24 +374,6 @@ def estimate_sigma_stack(counts: np.ndarray, n: int, basis: PauliBasisSet) -> tu
     lam = 1.0 / (n * S.dim) + (1.0 - 1.0 / n) * lam
     check_density_spectrum(lam)
     return S.with_eigenvalues(lam), projected
-
-
-def estimate(record: MeasurementRecord, basis: PauliBasisSet, floor: bool = False) -> tuple[DensityOperator, bool]:
-    """Tomographic estimate of a record and whether it took the projection branch.
-
-    The raw reconstruction is kept if PSD, else replaced by the nearest
-    density operator.  ``floor`` gives the second-argument estimator, mixed
-    with I/(nd) so that it is strictly positive.  This is the one-row case
-    of ``estimate_stack`` and ``estimate_sigma_stack``.
-    """
-    counts = record.plus_counts[None]
-    if floor:
-        S, projected = estimate_sigma_stack(counts, record.n, basis)
-        mat, lam = S.reassemble()[0], S.eigenvalues[0]
-    else:
-        mats, lams, projected = estimate_stack(counts, record.n, basis)
-        mat, lam = mats[0], lams[0]
-    return DensityOperator.from_spectrum(mat, lam), bool(projected[0])
 
 
 def bernoulli_weights(rho, basis: PauliBasisSet) -> np.ndarray:

@@ -10,7 +10,6 @@ from qdivstat.hypothesis_testing import HypothesisGrid
 from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
     SEED_BLOCK_ENTRIES,
-    MeasurementRecord,
     PauliBasisSet,
     bloch_coefficients,
     reconstruct,
@@ -42,15 +41,16 @@ def normal_cdf(var):
 
 
 def replay_record(rho, basis, n, t, seed, *path):
-    """Record of trial t alone: the last of rows 0 .. t % B drawn from the substream of block t // B.
+    """Plus counts of trial t alone, as a one-row stack for ``estimate_stack`` or ``estimate_sigma_stack``.
 
-    B = SEED_BLOCK_ENTRIES / d^2.  Drawing only up to row t relies on the
+    The row is the last of rows 0 .. t % B drawn from the substream of block
+    t // B, with B = SEED_BLOCK_ENTRIES / d^2.  Drawing only up to row t relies on the
     prefix property pinned by ``test_counts_do_not_depend_on_trial_count``.
     """
     block = SEED_BLOCK_ENTRIES // basis.dim**2
     p_plus = np.clip((1.0 + bloch_coefficients(rho, basis)) / 2.0, 0.0, 1.0)
     rows = substream(seed, *path, t // block).binomial(n, p_plus, size=(t % block + 1, basis.size))
-    return MeasurementRecord(n=n, plus_counts=rows[-1], seed=seed)
+    return rows[-1:]
 
 
 class _KroneckerProducts(Sequence):

@@ -8,7 +8,9 @@ malformed config (an unknown key and a float seed) and one scenario whose
 state has a negative eigenvalue, which the runner finds after its worker has
 started; both must exit 2.  It evaluates one ``qdivstat limit eval`` bundle
 (``qre_null``), which must exit 0, and the same bundle with a non-Hermitian
-``L1``, which must exit 2.  After each command only the main thread may be
+``L1``, which must exit 2; and one ``qdivstat tomography`` run, which must
+exit 0, and one of a trace-2 state, which must exit 2 with a message naming
+the state.  After each command only the main thread may be
 alive: the runners join their worker thread.  It then fails if any module
 whose name starts with ``scipy`` is in ``sys.modules``.  It needs no test
 dependency, so it also runs in an environment where only the package and
@@ -46,8 +48,10 @@ def _run(argv: list[str], expected: int = 0, error: str = "") -> None:
         code = 0
     except SystemExit as exc:
         code = exc.code or 0
-    if code != expected or error not in stderr.getvalue():
+    if code != expected:
         raise RuntimeError(f"qdivstat {argv[0]} exited with {code}, not {expected}: {stderr.getvalue()}")
+    if error not in stderr.getvalue():
+        raise RuntimeError(f"qdivstat {argv[0]} wrote no {error!r} to standard error: {stderr.getvalue()}")
     if threading.enumerate() != [threading.main_thread()]:
         raise RuntimeError(f"qdivstat {argv[0]} left threads alive: {threading.enumerate()}")
 
@@ -84,6 +88,10 @@ def main() -> int:
             bundle.write_text(json.dumps({"functional": "qre_null", "rho": qio.matrix_to_json(rho),
                                           "L1": qio.matrix_to_json(L1)}))
             _run(["limit", "eval", str(bundle)], expected, error)
+        state = Path(tmp, "state.json")
+        for matrix, expected, error in ((rho, 0, ""), (np.diag([2.0, 0.0]), 2, "state has trace off 1")):
+            qio.dump_matrix(matrix, str(state))
+            _run(["tomography", "--state", str(state), "--n", "300", "--seed", "1"], expected, error)
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
     if loaded:
         print(f"scipy modules imported: {', '.join(loaded)}", file=sys.stderr)

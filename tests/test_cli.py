@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from qdivstat import io as qio
 from qdivstat.cli import EXIT_NUMERIC, EXIT_VALIDATION, cli_main
 from qdivstat.divergences import eigenbasis_povm, petz_renyi, umegaki
 from qdivstat.limit_laws import qre_null_limit
+from qdivstat.pauli_tomography import build_pauli_basis, estimate_stack, sample_counts
 
 from conftest import rand_direction, rand_state
 
@@ -157,13 +159,67 @@ class TestLimitCommand:
 
 class TestTomographyCommand:
     def test_deterministic_output(self, states, capsys):
-        _, _, rp, _ = states
+        rho, _, rp, _ = states
         rc1, out1 = run(capsys, ["tomography", "--state", rp, "--n", "200", "--seed", "4"])
         rc2, out2 = run(capsys, ["tomography", "--state", rp, "--n", "200", "--seed", "4"])
         assert rc1 == rc2 == 0
         assert out1 == out2
         payload = json.loads(out1)
-        assert payload["record"]["n"] == 200
+        counts = sample_counts(rho, build_pauli_basis(1), 200, range(1), 4)[0]
+        assert payload["record"] == {"n": 200, "seed": 4, "plus_counts": counts.tolist()}
+
+    # sha256 of the stdout and of the --out file of one run per (state, estimator):
+    # a mixed state at n = 200 keeps its raw reconstruction, a pure one at n = 20
+    # takes the projection branch
+    DIGESTS = {
+        (2, "mixed", False): ("847cb1e6fdaf8a3951be90ba0f7b0b06843314ac4839f56f60af1846cc5cd0b1",
+                              "4163d7aa57fde08a4909bf7111356eab50bb06a312e92de82bdd4d79d30915e0"),
+        (2, "mixed", True): ("c5e3205b6b7a61200336627e3fbaf5893ebf0ab2ccbd86456b7ebc09d5d768d9",
+                              "7f42df5212f0a8ac23d90783d85386337569eafde6ac8e777310dfe2e8bde4c3"),
+        (2, "pure", False): ("08485e8683b549977cdd5632976c69453908aef78725ac4cf0515bf31e9cb0af",
+                              "b4a1a110a2523b353fdca498ba9a9896eaf4f798e9650f6b07b92135a66ceaf1"),
+        (2, "pure", True): ("815404ac41ef399ed316fb07c510ba430f1d80b8e71e3fc92d7718a1a01af767",
+                              "e926fa95350aff17798be95fd324f12ddacacb16980c4512c090f64550a19cb6"),
+        (4, "mixed", False): ("2373da5e589e0b50e242e74587fe080b1938f6cb7911bc6b1f1327dcd84e5ba2",
+                              "418c30076be7c4497e838a2fd1fee2e45bcb49206a3a5af2c8bbb13aee03b80a"),
+        (4, "mixed", True): ("618ec55b4f6a1bee9dccfed4e1cbb2e0554939b80bf8799f69ae9c2b8f59aae0",
+                              "69ba4173b43e304d41611d82b6f8aaed9bdad45dec0df9eb7de1d5187554bf98"),
+        (4, "pure", False): ("8d1bdc078983a6aca0c08af2d97e8da93ab68588aa0c8f83f26b3e6592ead809",
+                              "1483968f92c0aa32c31c2d7995c27a822abf3a2a6ae5d4f7d422396ec2bb1e82"),
+        (4, "pure", True): ("62d6315ccebb00b64c74a92b956dead9eaae1de28ff9abd5122ccaa1322da5ba",
+                              "ba7cbbdbadef36e770906cf25ff87f8969e79c16d2b24eabeeb58765b87172fe"),
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS), ids=lambda c: f"d{c[0]}-{c[1]}-{'sigma' if c[2] else 'rho'}")
+    def test_output_bytes_pinned(self, tmp_path, capsys, case):
+        dim, kind, sigma_estimator = case
+        rng = np.random.default_rng(dim)
+        if kind == "mixed":
+            state, n = rand_state(rng, dim, 0.1), 200
+        else:
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            state, n = np.outer(v, v.conj()) / np.vdot(v, v).real, 20
+        basis = build_pauli_basis(dim.bit_length() - 1)
+        projected = estimate_stack(sample_counts(state, basis, n, range(1), 7), n, basis)[2][0]
+        assert projected == (kind == "pure")
+        path, out = tmp_path / "state.json", tmp_path / "estimate.json"
+        qio.dump_matrix(state, str(path))
+        argv = ["tomography", "--state", str(path), "--n", str(n), "--seed", "7", "--out", str(out)]
+        rc, stdout = run(capsys, argv + ["--sigma-estimator"] * sigma_estimator)
+        assert rc == 0
+        digests = (hashlib.sha256(stdout.encode()).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+        assert digests == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("state,named", [(np.diag([2.0, 0.0]), "state has trace off 1"),
+                                             (np.diag([1.2, -0.2]), "state has negative eigenvalue")],
+                             ids=["trace-2", "negative-eigenvalue"])
+    def test_state_not_a_density_operator_is_validation_error(self, tmp_path, capsys, state, named):
+        path = tmp_path / "state.json"
+        qio.dump_matrix(state, str(path))
+        rc = cli_main(["tomography", "--state", str(path), "--n", "200", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VALIDATION and captured.out == ""
+        assert named in captured.err
 
     def test_dimension_not_power_of_two(self, tmp_path, capsys):
         path = tmp_path / "qutrit.json"

@@ -37,11 +37,13 @@ from qdivstat.divergences import (
     umegaki,
 )
 from qdivstat.frechet import build_divided_differences, frechet1
+from qdivstat.operator_core import hermitian_part
 from qdivstat.limit_laws import qre_null_limit
 from qdivstat.pauli_tomography import (
     bernoulli_weights,
     build_pauli_basis,
-    estimate,
+    estimate_sigma_stack,
+    estimate_stack,
     qubits_for_dim,
     variance_v1,
     variance_v2,
@@ -62,13 +64,12 @@ def per_record_rows(cfg, divergence):
     rows = []
     for n in cfg.n_grid:
         for t in range(cfg.trials):
-            rho_hat, branch = estimate(replay_record(cfg.rho, basis, n, t, cfg.seed, n, 0), basis)
-            sigma_hat = cfg.sigma
+            mats, _, projected = estimate_stack(replay_record(cfg.rho, basis, n, t, cfg.seed, n, 0), n, basis)
+            rho_hat, branch, sigma_hat = hermitian_part(mats[0]), bool(projected[0]), cfg.sigma
             if cfg.two_sample:
-                rec = replay_record(cfg.sigma, basis, n, t, cfg.seed, n, 1)
-                est, branch_s = estimate(rec, basis, floor=True)
-                sigma_hat, branch = est.mat, branch or branch_s
-            rows.append((n, t, n**cfg.scaling_exponent * (divergence(rho_hat.mat, sigma_hat) - center), branch))
+                S, projected = estimate_sigma_stack(replay_record(cfg.sigma, basis, n, t, cfg.seed, n, 1), n, basis)
+                sigma_hat, branch = hermitian_part(S.reassemble()[0]), branch or bool(projected[0])
+            rows.append((n, t, n**cfg.scaling_exponent * (divergence(rho_hat, sigma_hat) - center), branch))
     return rows
 
 

@@ -24,7 +24,6 @@ from qdivstat.pauli_tomography import (
     _WORKER_AHEAD,
     bloch_coefficients,
     build_pauli_basis,
-    estimate,
     estimate_stack,
     reconstruct,
     sample_counts,
@@ -326,9 +325,9 @@ class TestSimulation:
         for i, rho in enumerate(states):
             errors = projected = 0
             for t in range(trials):
-                rho_hat, branch = estimate(replay_record(rho, basis, n, t, 17, i), basis)
-                errors += decided_index(umegaki(rho_hat, sigma).value, n, grid, c) != i
-                projected += branch
+                mats, _, branch = estimate_stack(replay_record(rho, basis, n, t, 17, i), n, basis)
+                errors += decided_index(umegaki(mats[0], sigma).value, n, grid, c) != i
+                projected += branch[0]
             assert rows[i]["errors"] == errors
             assert rows[i]["projection_fraction"] == projected / trials
         assert rows[1]["projection_fraction"] > 0

@@ -6,7 +6,6 @@ import pytest
 from qdivstat import io as qio
 from qdivstat.divergences import eigenbasis_povm
 from qdivstat.experiments import ExperimentConfig
-from qdivstat.pauli_tomography import build_pauli_basis, sample_record
 
 from conftest import rand_state
 
@@ -45,19 +44,13 @@ class TestMatrixFormat:
             qio.matrix_from_json(obj)
 
 
-class TestPovmAndRecordFormats:
+class TestPovmFormat:
     def test_povm_round_trip(self, rng):
         M = eigenbasis_povm(rand_state(rng, 3))
         back = qio.povm_from_json(json.loads(json.dumps([qio.matrix_to_json(E.mat) for E in M.elements])))
         assert back.outcome_count == M.outcome_count
         for a, b in zip(M.elements, back.elements):
             assert np.allclose(a.mat, b.mat)
-
-    def test_record_round_trip(self, rng):
-        rec = sample_record(rand_state(rng, 2), build_pauli_basis(1), 64, seed=5)
-        back = json.loads(json.dumps(qio.record_to_json(rec)))
-        assert back == {"n": 64, "seed": 5, "plus_counts": rec.plus_counts.tolist()}
-        assert np.array_equal(np.asarray(back["plus_counts"], dtype=np.int64), rec.plus_counts)
 
 
 class TestScenarioAndConfig:

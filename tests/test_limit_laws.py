@@ -14,6 +14,7 @@ from qdivstat.divergences import (
 )
 from qdivstat import io as qio
 from qdivstat.limit_laws import (
+    TRACELESS_ATOL,
     SupportViolation,
     fidelity_limit,
     maxdiv_gradient,
@@ -56,6 +57,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="^L1 has trace 1.000e\\+00; expected traceless$"):
             qre_null_limit(rho, np.diag([1.0, 0.0]))
         assert qre_null_limit(rho, np.diag([0.5, -0.5])) == pytest.approx(0.5)
+
+    def test_null_pair_of_near_traceless_directions(self):
+        # each trace is just inside TRACELESS_ATOL, so each direction is valid; their
+        # difference has twice that trace, which only the support check reads
+        rho, tr = np.eye(2) / 2, 0.9 * TRACELESS_ATOL
+        L1, L2 = np.diag([0.5, -0.5]) + tr / 2 * np.eye(2), np.diag([-0.5, 0.5]) - tr / 2 * np.eye(2)
+        # at rho = I/2, D[log rho] is multiplication by 2, so the value is Tr[(L1 - L2)^2]
+        assert qre_null_limit(rho, L1, L2) == pytest.approx(2.0)
+        with pytest.raises(SupportViolation, match="^directions have mass outside the support of rho$"):
+            qre_null_limit(np.diag([1.0, 0.0]), L1, L2)
 
     def test_direction_support_check(self):
         base = np.diag([1.0, 0.0])

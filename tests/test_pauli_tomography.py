@@ -10,16 +10,14 @@ from qdivstat.pauli_tomography import (
     PAULI_MATRICES,
     SEED_BLOCK_ENTRIES,
     STACK_ENTRIES,
-    MeasurementRecord,
     bernoulli_weights,
     bloch_coefficients,
     build_pauli_basis,
-    estimate,
+    estimate_sigma_stack,
     estimate_stack,
     qubits_for_dim,
     reconstruct,
     sample_counts,
-    sample_record,
     substream,
     trial_chunks,
     variance_v1,
@@ -176,17 +174,17 @@ class TestBloch:
 class TestSampling:
     def test_degenerate_bernoulli(self):
         B = build_pauli_basis(1)
-        rec = sample_record(np.diag([1.0, 0.0]), B, 50, seed=1)
-        assert rec.plus_counts[2] == 50  # s_3 = 1: always +1
+        counts = sample_counts(np.diag([1.0, 0.0]), B, 50, range(1), 1)[0]
+        assert counts[2] == 50  # s_3 = 1: always +1
 
     def test_deterministic_given_seed(self, rng):
         B = build_pauli_basis(1)
         rho = rand_state(rng, 2)
-        a = sample_record(rho, B, 500, seed=9)
-        b = sample_record(rho, B, 500, seed=9)
-        assert np.array_equal(a.plus_counts, b.plus_counts)
-        c = sample_record(rho, B, 500, seed=10)
-        assert not np.array_equal(a.plus_counts, c.plus_counts)
+        a = sample_counts(rho, B, 500, range(1), 9)
+        b = sample_counts(rho, B, 500, range(1), 9)
+        assert np.array_equal(a, b)
+        c = sample_counts(rho, B, 500, range(1), 10)
+        assert not np.array_equal(a, c)
 
     def test_unbiased_mean_within_binomial_ci(self):
         # mean of s_hat over many trials within 4 sigma for the mixed state
@@ -195,16 +193,14 @@ class TestSampling:
         trials, n = 10_000, 16
         totals = np.zeros(3)
         for t in range(trials):
-            totals += (2 * sample_record(pi, B, n, seed=t).plus_counts - n) / n
+            totals += (2 * sample_counts(pi, B, n, range(1), t)[0] - n) / n
         mean = totals / trials
         sigma = 1.0 / np.sqrt(n * trials)  # var(s_hat) = (1 - s^2)/n = 1/n here
         assert np.max(np.abs(mean)) < 4 * sigma
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(n=5, plus_counts=np.array([6, 0, 0]), seed=0)
-        with pytest.raises(ValueError):
-            sample_record(np.eye(2) / 2, build_pauli_basis(1), 0, seed=0)
+        with pytest.raises(ValueError, match="at least one shot"):
+            sample_counts(np.eye(2) / 2, build_pauli_basis(1), 0, range(1), 0)
 
     @pytest.mark.parametrize("d", [2, 8])
     def test_counts_from_bloch_vector(self, rng, d):
@@ -287,7 +283,7 @@ class TestSeedStream:
         trials = range(block - 2, block + 2)
         counts = sample_counts(rho, basis, 1000, trials, 2024, 5, 1)
         for row, t in zip(counts, trials):
-            assert np.array_equal(row, replay_record(rho, basis, 1000, t, 2024, 5, 1).plus_counts)
+            assert np.array_equal(row, replay_record(rho, basis, 1000, t, 2024, 5, 1)[0])
 
     @pytest.mark.parametrize("d", [2, 4, 64])
     def test_one_generator_per_default_stack(self, monkeypatch, d):
@@ -312,24 +308,20 @@ class TestEstimators:
         B = build_pauli_basis(1)
         s = np.array([0.4, 0.0, 0.2])
         rho = reconstruct(s, B).mat
-        rec = MeasurementRecord(n=10, plus_counts=np.array([7, 5, 6]), seed=0)
-        assert np.allclose((2 * rec.plus_counts - rec.n) / rec.n, s)
-        est = estimate(rec, B)[0]
-        assert np.max(np.abs(est.mat - rho)) < 1e-12
-        assert estimate(rec, B)[1] is False
+        counts = np.array([[7, 5, 6]])
+        assert np.allclose((2 * counts[0] - 10) / 10, s)
+        mats, _, projected = estimate_stack(counts, 10, B)
+        assert np.max(np.abs(mats[0] - rho)) < 1e-12
+        assert not projected[0]
 
     def test_projection_branch_yields_state(self):
         B = build_pauli_basis(1)
-        rec = MeasurementRecord(n=10, plus_counts=np.array([10, 10, 10]), seed=0)
         # s_hat = (1,1,1) is outside the Bloch ball
-        assert estimate(rec, B)[1]
-        est = estimate(rec, B)[0]
-        lam = np.linalg.eigvalsh(est.mat)
+        mats, _, projected = estimate_stack(np.array([[10, 10, 10]]), 10, B)
+        assert projected[0]
+        lam = np.linalg.eigvalsh(mats[0])
         assert lam[0] >= -1e-12
-        assert np.trace(est.mat).real == pytest.approx(1.0)
-        est2, projected = estimate(rec, B)
-        assert projected is True
-        assert np.array_equal(est2.mat, est.mat)
+        assert np.trace(mats[0]).real == pytest.approx(1.0)
 
     def test_consistency_rate(self, rng):
         # median trace-norm error shrinks like n^(-1/2)
@@ -339,8 +331,8 @@ class TestEstimators:
         for n in (1000, 4000):
             errs = []
             for t in range(100):
-                est = estimate(sample_record(rho, B, n, seed=1000 * n + t), B)[0]
-                errs.append(np.sum(np.abs(np.linalg.eigvalsh(est.mat - rho))))
+                est = estimate_stack(sample_counts(rho, B, n, range(1), 1000 * n + t), n, B)[0][0]
+                errs.append(np.sum(np.abs(np.linalg.eigvalsh(est - rho))))
             meds.append(np.median(errs))
         ratio = meds[0] / meds[1]
         assert 1.5 <= ratio <= 2.7  # ideal sqrt(4) = 2
@@ -349,26 +341,24 @@ class TestEstimators:
         B = build_pauli_basis(1)
         s = np.array([0.4, 0.0, 0.2])
         sigma = reconstruct(s, B).mat
-        rec = MeasurementRecord(n=10, plus_counts=np.array([7, 5, 6]), seed=0)
-        est = estimate(rec, B, floor=True)[0]
+        est = estimate_sigma_stack(np.array([[7, 5, 6]]), 10, B)[0].reassemble()[0]
         want = np.eye(2) / 20 + 0.9 * sigma
-        assert np.max(np.abs(est.mat - want)) < 1e-12
+        assert np.max(np.abs(est - want)) < 1e-12
 
     def test_sigma_estimator_floor(self, rng):
         B = build_pauli_basis(1)
         for seed in range(20):
-            rec = sample_record(np.diag([1.0, 0.0]), B, 7, seed=seed)
-            est = estimate(rec, B, floor=True)[0]
-            assert np.linalg.eigvalsh(est.mat)[0] >= 1 / (7 * 2) - 1e-12
+            S = estimate_sigma_stack(sample_counts(np.diag([1.0, 0.0]), B, 7, range(1), seed), 7, B)[0]
+            assert np.linalg.eigvalsh(S.reassemble()[0])[0] >= 1 / (7 * 2) - 1e-12
 
     def test_relative_entropy_always_finite(self, rng):
         # the sigma floor keeps D(rho_hat || sigma_hat) finite for every seed
         B = build_pauli_basis(1)
         pure = np.diag([1.0, 0.0])
         for seed in range(30):
-            rho_hat = estimate(sample_record(pure, B, 5, seed=seed), B)[0]
-            sig_hat = estimate(sample_record(pure, B, 5, seed=seed + 10**6), B, floor=True)[0]
-            val = umegaki(rho_hat.mat, sig_hat.mat)
+            rho_hat = estimate_stack(sample_counts(pure, B, 5, range(1), seed), 5, B)[0][0]
+            sig_hat = estimate_sigma_stack(sample_counts(pure, B, 5, range(1), seed + 10**6), 5, B)[0].reassemble()[0]
+            val = umegaki(rho_hat, sig_hat)
             assert val.support_ok and np.isfinite(val.value)
 
     def test_projection_rarity_decreases_with_n(self, rng):
@@ -376,7 +366,7 @@ class TestEstimators:
         rho = reconstruct(np.array([0.6, 0.0, 0.6]), B).mat  # min eig ~ 0.076
         fracs = []
         for n in (60, 240, 960):
-            hits = sum(estimate(sample_record(rho, B, n, seed=77 * n + t), B)[1]
+            hits = sum(estimate_stack(sample_counts(rho, B, n, range(1), 77 * n + t), n, B)[2][0]
                        for t in range(400))
             fracs.append(hits / 400)
         assert fracs[0] > 0  # the projection branch is actually exercised
@@ -485,8 +475,8 @@ class TestGaussianLimit:
         n, trials = 10_000, 2000
         draws = np.empty(trials)
         for t in range(trials):
-            rec = sample_record(rho, B, n, seed=50_000 + t)
-            draws[t] = np.sqrt(n) * ((2 * rec.plus_counts[0] - n) / n - s[0])
+            counts = sample_counts(rho, B, n, range(1), 50_000 + t)[0]
+            draws[t] = np.sqrt(n) * ((2 * counts[0] - n) / n - s[0])
         var = (1 - s[0] ** 2)  # 4 s+ s- with s+ = (1+s)/2
         ks = ks_statistic(draws, normal_cdf(var))
         assert ks < 0.0363  # KS critical value at level 0.01 for 2000 samples
