@@ -16,7 +16,6 @@ from .operator_core import (
     project_to_density,
     project_to_simplex,
     schatten_norm,
-    support_contained,
 )
 from .frechet import (
     DividedDifferenceTable,

@@ -18,7 +18,8 @@ from . import divergences as dv
 from . import io as qio
 from .experiments import run_convergence_experiment
 from .hypothesis_testing import simulate_error_rates
-from .operator_core import EigensolverError, check_density_spectrum, eigvals_hermitian, hermitian_part
+from .operator_core import (EigensolverError, _named_hermitian_part, check_density_spectrum, eigvals_hermitian,
+                            hermitian_part)
 from .pauli_tomography import build_pauli_basis, estimate_sigma_stack, estimate_stack, qubits_for_dim, sample_counts
 
 EXIT_OK = 0
@@ -106,7 +107,7 @@ def _run_tomography(args) -> int:
     # the one record is row 0 of a one-row stack, estimated as the runners estimate theirs
     state = qio.read_json(args.state, qio.matrix_from_json)
     basis = build_pauli_basis(qubits_for_dim(state.shape[0]))
-    check_density_spectrum(eigvals_hermitian(state), name="state")
+    check_density_spectrum(eigvals_hermitian(_named_hermitian_part(state, "state"), checked=True), name="state")
     counts = sample_counts(state, basis, args.n, range(1), args.seed)
     if args.sigma_estimator:
         est = estimate_sigma_stack(counts, args.n, basis)[0].reassemble()[0]

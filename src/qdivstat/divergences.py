@@ -28,7 +28,6 @@ from .operator_core import (
     eigvals_hermitian,
     hermitian_part,
     spectral_map,
-    support_contained,
     support_leak,
     support_mask,
 )
@@ -76,10 +75,6 @@ class DivergenceValue:
     @classmethod
     def infinite(cls, diagnostics: str | None = None) -> "DivergenceValue":
         return cls(value=math.inf, support_ok=False, diagnostics=diagnostics)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.support_ok
 
     def __float__(self) -> float:
         return self.value
@@ -225,7 +220,7 @@ def _renyi_value(value, rho, sigma, alpha: float) -> DivergenceValue:
     """One row of ``_renyi_rows`` as a DivergenceValue, naming why it is infinite."""
     if math.isfinite(value):
         return DivergenceValue(float(value))
-    leaks = alpha > 1 and not support_contained(rho, sigma, MASS_TOL)
+    leaks = alpha > 1 and support_leak(rho, sigma) > MASS_TOL
     return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)" if leaks
                                     else "rho and sigma are orthogonal")
 
@@ -287,7 +282,7 @@ def fidelity(rho, sigma) -> float:
 
 def max_divergence(rho, sigma) -> DivergenceValue:
     """inf{lambda : rho <= e^lambda sigma} = log lambda_max(sigma^(-1/2) rho sigma^(-1/2))."""
-    if not support_contained(rho, sigma, MASS_TOL):
+    if support_leak(rho, sigma) > MASS_TOL:
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     inv_root = masked_power(sigma, -0.5)
     lam_max = float(eigvals_hermitian(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf),

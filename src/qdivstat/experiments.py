@@ -19,13 +19,13 @@ of sigma as spectra, from one stacked eigensolve.  Every kind evaluates its
 divergence on the whole stack in one call, through its entry in ``_KINDS``.  The
 rows come back as one record array with the fields of ``ROW_DTYPE``, filled
 from each n's columns of statistics and branch flags, and the CSV is written
-from its columns.  The counts of every stack are drawn on one worker thread
-(``pauli_tomography._worker``), a few stacks ahead of the estimates, and the
-CDF of the limit law is the worker's last job, after the last draw; each
-stack keeps its substream, so the output is the same.  ``_limit_law`` gives
-the law of a kind (its v_pred, the center of the statistic and the job that
-builds its CDF); it is the one place that tells an alternative kind from a
-null kind.
+from its columns.  One worker thread (``pauli_tomography._worker``) advances
+a generator of values a few stacks ahead of the estimates: it makes the
+Bloch vectors of rho (and sigma), yields every stack's counts and, last, the
+CDF of the limit law; each stack keeps its substream, so the output is the
+same.  ``_limit_law`` gives the law of a kind (its v_pred, the center of the
+statistic and the function that builds its CDF); it is the one place that
+tells an alternative kind from a null kind.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import as_matrix, check_density_spectrum, eig_hermitian, eigvals_hermitian, hermitian_part
+from .operator_core import _named_hermitian_part, as_matrix, check_density_spectrum, eig_hermitian, eigvals_hermitian
 from .divergences import (
     Povm,
     check_petz_alpha,
@@ -135,6 +135,9 @@ CDF_DEGREE, CDF_NODES = 96, 41
 # (1e-32 to 1e-28 at d <= 8), and it grows as |rho - sigma|^2, so 1e-20 means |rho - sigma| ~ 1e-10.
 DEGENERATE_V_PRED = 1e-20
 
+# Largest entrywise difference of a null experiment's sigma from rho: a sigma given to a null kind must equal rho.
+_NULL_SIGMA_ATOL = 1e-12
+
 # One record of ``result["rows"]`` per (n, trial).
 ROW_DTYPE = np.dtype([("n", np.int64), ("trial_index", np.int64), ("statistic", np.float64),
                       ("branch_taken", np.bool_)])
@@ -165,7 +168,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.rho = as_matrix(self.rho)
         if self.kind in NULL_KINDS:
-            if self.sigma is not None and np.max(np.abs(as_matrix(self.sigma) - self.rho)) > 1e-12:
+            if self.sigma is not None and np.max(np.abs(as_matrix(self.sigma) - self.rho)) > _NULL_SIGMA_ATOL:
                 raise ValueError("null experiments require sigma equal to rho")
             self.sigma = self.rho
         else:
@@ -173,7 +176,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.kind} requires a sigma state")
             self.sigma = as_matrix(self.sigma)
         if self.kind == "measured" and not self.povm_family:
-            self.povm_family = [eigenbasis_povm(self.rho), eigenbasis_povm(self.sigma),
+            self.povm_family = [eigenbasis_povm(_named_hermitian_part(self.rho, "rho")),
+                                eigenbasis_povm(_named_hermitian_part(self.sigma, "sigma")),
                                 eigenbasis_povm(self.rho - self.sigma)]
         check_alpha = _KINDS[self.kind].check_alpha
         if check_alpha:
@@ -307,16 +311,17 @@ def weighted_chi2_cdf(weights):
 
 
 def _limit_law(cfg: ExperimentConfig, basis: PauliBasisSet, rho, lam_rho, sigma):
-    """The exact limit law of the run's statistic: ``(v_pred, center, job)``.
+    """The exact limit law of the run's statistic: ``(v_pred, center, build_cdf)``.
 
     The one place that tells an alternative kind from a null kind.  An
     alternative kind's law is N(0, v_pred) with ``v_pred`` from its gradient,
     checked here so that a degenerate law fails before any draw, and the
     statistic is centered at D(rho || sigma).  A null kind's law is
     ``weighted_chi2_cdf(null_law_weights(...))``, which has no ``v_pred``, and
-    its statistic is not centered.  ``job`` builds the law's CDF with no
-    argument; the run makes it the worker's last job, so a null law, which
-    depends on rho alone, is built there after the last draw.
+    its statistic is not centered.  ``build_cdf`` builds the law's CDF with
+    no argument; the run's generator calls it for its last value, so a null
+    law, which depends on rho alone, is built on the worker after the last
+    draw.
     """
     if cfg.kind in NULL_KINDS:
         return None, 0.0, lambda: weighted_chi2_cdf(null_law_weights(cfg, basis))
@@ -336,35 +341,37 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> dict:
     The rows are a ``numpy.recarray`` of ``ROW_DTYPE`` in (n, trial) order.
     Writes the CSV rows (and a summary JSON next to it) when the config has
     an output path.  The limit law comes from ``_limit_law``, before the
-    worker starts.  Then one worker thread draws every stack's counts in
-    (n, stack, side) order, rho's before sigma's, and builds the law's CDF
-    as its last job, while this thread estimates the stacks as they come.
+    worker starts.  Then one worker thread runs a generator that makes the
+    Bloch vectors of rho (and sigma), yields every stack's counts in
+    (n, stack, side) order, rho's before sigma's, and ends with the law's
+    CDF, while this thread estimates the stacks as they come.
     An exception on the worker is raised here unchanged, and the worker is
     joined before this function returns or raises; nothing is written after
     an error.
     """
-    rho = hermitian_part(cfg.rho)
+    rho = _named_hermitian_part(cfg.rho, "rho")
     lam_rho = eigvals_hermitian(rho, checked=True)
     check_density_spectrum(lam_rho, name="rho")
     if lam_rho[0] <= 0:
         raise ValueError("experiments require strictly positive states")
-    sigma = eig_hermitian(cfg.sigma)
+    sigma = eig_hermitian(_named_hermitian_part(cfg.sigma, "sigma"), checked=True)
     check_density_spectrum(sigma.eigenvalues, name="sigma")
     basis = build_pauli_basis(qubits_for_dim(cfg.dim))
-    v_pred, center, job = _limit_law(cfg, basis, rho, lam_rho, sigma)
-    # each sampled state is transformed to its Bloch vector once, for all of its stacks
-    blochs = [bloch_coefficients(cfg.rho, basis)] + ([bloch_coefficients(cfg.sigma, basis)] if cfg.two_sample else [])
+    v_pred, center, build_cdf = _limit_law(cfg, basis, rho, lam_rho, sigma)
 
-    def jobs():
+    def draws():
+        # each sampled state is transformed to its Bloch vector once, for all of its stacks
+        sampled = [cfg.rho, cfg.sigma] if cfg.two_sample else [cfg.rho]
+        blochs = [bloch_coefficients(state, basis) for state in sampled]
         for n in cfg.n_grid:
             for chunk in trial_chunks(cfg.trials, cfg.dim):
                 for side, bloch in enumerate(blochs):
-                    yield functools.partial(sample_counts, bloch, basis, n, chunk, cfg.seed, n, side)
-        yield job
+                    yield sample_counts(bloch, basis, n, chunk, cfg.seed, n, side)
+        yield build_cdf()
 
     statistics = np.empty((len(cfg.n_grid), cfg.trials))
     branches = np.empty(statistics.shape, dtype=bool)
-    with _worker(jobs()) as take:
+    with _worker(draws()) as take:
         divergence = _KINDS[cfg.kind].divergence
         # the one-sample kinds are relative entropies: a fixed sigma enters as L + iQ, built once
         fixed_sigma = None if cfg.two_sample else log_with_kernel(sigma)

@@ -10,7 +10,6 @@ eigensolve only the trials whose bucket it leaves in doubt.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -20,11 +19,10 @@ import numpy as np
 from .operator_core import (
     SUPPORT_RTOL,
     SpectralDecomposition,
-    as_matrix,
+    _named_hermitian_part,
     check_density_spectrum,
     eig_hermitian,
     eigvals_hermitian,
-    hermitian_part,
     spectral_map,
     support_mask,
 )
@@ -209,9 +207,9 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
     check, its bucket check, ``b`` and the screen's log rho.  The records of
     hypothesis i are drawn in blocks of ``SEED_BLOCK_ENTRIES`` / d^2 trials
     (16 at d = 64), one substream of (seed, i, block) each; a default stack
-    is one block.  One worker thread draws the stacks in (hypothesis, stack)
-    order, making each state's Bloch vector s just before its first stack
-    and returning it with each stack's counts; it starts before the
+    is one block.  One worker thread runs a generator that yields the counts
+    of every (hypothesis, stack) with the state's Bloch vector s, which it
+    makes just before the state's first stack; it starts before the
     eigensolves of sigma and the states, which overlap it.  An exception on
     the worker is raised here unchanged, and the worker is joined before
     this function returns or raises.
@@ -248,8 +246,8 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         raise ValueError(f"c must be finite, got {c}")
     if b is not None and not 0 < b < 1:
         raise ValueError(f"b must be in (0, 1), got {b}")
-    states = [hermitian_part(as_matrix(s)) for s in states]
-    sig = hermitian_part(as_matrix(sigma))
+    states = [_named_hermitian_part(s, f"state {i}") for i, s in enumerate(states)]
+    sig = _named_hermitian_part(sigma, "sigma")
     if len(states) != grid.hypothesis_count:
         raise ValueError(f"{len(states)} states for {grid.hypothesis_count} hypotheses")
     if basis is None:
@@ -263,17 +261,14 @@ def simulate_error_rates(states, sigma, grid: HypothesisGrid, tau: float, n: int
         raise ValueError("sigma dimension does not match the basis")
     chunks = list(trial_chunks(trials, d))
 
-    def draw(s, chunk, i):
-        return sample_counts(s, basis, n, chunk, seed, i), s
-
-    def jobs():
-        # iterated on the worker, so each state's Bloch vector is made there, just before its draws
+    def draws():
+        # run on the worker, so each state's Bloch vector is made there, just before its draws
         for i, rho in enumerate(states):
             s = bloch_coefficients(rho, basis)
             for chunk in chunks:
-                yield functools.partial(draw, s, chunk, i)
+                yield sample_counts(s, basis, n, chunk, seed, i), s
 
-    with _worker(jobs()) as take:
+    with _worker(draws()) as take:
         sig_eig = eig_hermitian(sig, checked=True)
         check_density_spectrum(sig_eig.eigenvalues, name="sigma")
         sig_log = log_with_kernel(sig_eig)

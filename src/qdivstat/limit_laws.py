@@ -36,11 +36,11 @@ import numpy as np
 
 from .operator_core import (
     SpectralDecomposition,
+    _named_hermitian_part,
     as_matrix,
     eig_hermitian,
     hermitian_part,
     spectral_map,
-    support_contained,
     support_leak,
     support_mask,
 )
@@ -100,10 +100,7 @@ def _dir_mat(L, dim: int, name: str, base=None, leak: str = "") -> np.ndarray:
     M = as_matrix(L)
     if M.shape != (dim, dim):
         raise ValueError(f"{name} has shape {M.shape}, not ({dim}, {dim})")
-    try:
-        M = hermitian_part(M)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    M = _named_hermitian_part(M, name)
     tr = abs(_retr(M))
     if tr > TRACELESS_ATOL * max(1.0, float(np.max(np.abs(M)))):
         raise ValueError(f"{name} has trace {tr:.3e}; expected traceless")
@@ -148,7 +145,7 @@ def _support_frame(rho, sigma):
     """
     R = as_matrix(rho)
     S = sigma if isinstance(sigma, SpectralDecomposition) else eig_hermitian(sigma)
-    if not support_contained(R, S, LEAK_TOL):
+    if support_leak(R, S) > LEAK_TOL:
         raise SupportViolation("rho is not supported inside sigma")
     V, sigma_eig, R = _compress(S, R)
     return V, R, eig_hermitian(R), sigma_eig

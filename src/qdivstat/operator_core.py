@@ -38,7 +38,6 @@ __all__ = [
     "spectral_map",
     "schatten_norm",
     "support_leak",
-    "support_contained",
     "project_to_simplex",
     "density_spectrum",
     "project_to_density",
@@ -94,6 +93,14 @@ def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray
     if not ok.all():
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym[~ok].max():.3e})")
     return (A + AH) / 2
+
+
+def _named_hermitian_part(A, name: str) -> np.ndarray:
+    """``hermitian_part`` of the matrix of ``A``; an error it raises has ``name`` and a colon before its message."""
+    try:
+        return hermitian_part(as_matrix(A))
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def as_matrix(op) -> np.ndarray:
@@ -405,11 +412,6 @@ def support_leak(A, B):
     """Tr[Q A Q] for Q the projector onto the kernel of B: the mass of A outside supp(B), per matrix of a stack."""
     Q = spectral_map(B, np.ones_like, lambda lam: ~support_mask(lam))
     return np.trace(Q @ as_matrix(A) @ Q, axis1=-2, axis2=-1).real
-
-
-def support_contained(A, B, tol: float = 1e-9):
-    """True iff supp(A) is contained in supp(B), i.e. the kernel of B carries no mass of A; per matrix of a stack."""
-    return support_leak(A, B) <= tol
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

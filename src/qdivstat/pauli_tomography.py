@@ -9,12 +9,12 @@ state, so they run in any order or in parallel, and a trial's counts depend
 neither on how many trials are drawn nor on how they are stacked.  A block
 holds as many matrix entries as a default stack, so each stack of a run draws
 from one generator: 16384 trials per block at d = 2, 16 at d = 64.  The
-runners draw their stacks on one worker thread (``_worker``), a few stacks
-ahead of the caller, which estimates them meanwhile: ``binomial`` and the
-eigensolves release the interpreter lock, so the two overlap.  The
-hypothesis runner's worker makes each state's Bloch vector just before that
-state's draws and returns it with their counts, so the caller's eigensolves
-start at once.
+runners draw their stacks on one worker thread (``_worker``), which advances
+a generator of values a few stacks ahead of the caller, which estimates them
+meanwhile: ``binomial`` and the eigensolves release the interpreter lock, so
+the two overlap.  Each runner's generator also makes the Bloch vector of
+every state it samples, before that state's first draw, so the caller's
+eigensolves start at once.
 
 The basis is never stored.  Coefficients Tr[A gamma_j] and combinations
 sum_j c_j gamma_j are computed by the tensorized Pauli transform (Hantzko,
@@ -34,7 +34,7 @@ import contextvars
 import numbers
 import queue
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -96,7 +96,7 @@ STACK_ENTRIES = 2**16
 SEED_BLOCK_ENTRIES = 2**16
 
 # Most values a worker thread (``_worker``) holds that its caller has not read:
-# it runs at most this many jobs ahead.
+# it makes at most this many ahead.
 _WORKER_AHEAD = 4
 
 # Most negative eigenvalue of a raw reconstruction still taken as PSD.
@@ -272,29 +272,28 @@ def sample_counts(rho, basis: PauliBasisSet, n: int, trials: range, seed: int,
 
 
 @contextmanager
-def _worker(jobs: Iterable[Callable[[], object]]) -> Iterator[Callable[[], object]]:
-    """Run ``jobs``, zero-argument callables, in order on one thread; the ``with`` target reads their values.
+def _worker(values: Iterator[object]) -> Iterator[Callable[[], object]]:
+    """Advance the iterator ``values`` on one thread; the ``with`` target reads what it yields.
 
-    Each call of the target returns the value of the next job, in job order,
-    or re-raises, unchanged, the exception that job raised; the thread runs
-    no job after that one.  The thread runs in a copy of the caller's context
-    (context variables; ``np.errstate`` in numpy 2), iterates ``jobs`` itself,
-    taking each job only after the one before it has run, and holds at most
-    ``_WORKER_AHEAD`` values the caller has not read.  It waits for its
-    first slot until ``Thread.start`` has returned, so the caller is not
-    held up while the new thread holds the interpreter lock.
-    However the ``with`` block is left, the thread stops after its current
-    job and is joined.
+    Each call of the target returns the next value, in order, or re-raises,
+    as the same object, what ``next`` raised (``StopIteration`` past the
+    end); the thread stops after that.  The thread runs in a copy of the
+    caller's context (context variables; ``np.errstate`` in numpy 2) and
+    advances ``values`` only while it holds fewer than ``_WORKER_AHEAD``
+    values the caller has not read.  It waits for its first slot until
+    ``Thread.start`` has returned, so the caller is not held up while the
+    new thread holds the interpreter lock.  However the ``with`` block is
+    left, the thread stops after the value it is making and is joined.
     """
     slots, done, stop = threading.Semaphore(0), queue.SimpleQueue(), threading.Event()
 
     def work():
         try:
-            for job in jobs:
+            while True:
                 slots.acquire()
                 if stop.is_set():
                     return
-                done.put((job(), None))
+                done.put((next(values), None))
         except BaseException as exc:  # raised where the caller reads the next value
             done.put((None, exc))
 

@@ -4,13 +4,15 @@ Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
 (``two_sample_alt`` and ``one_sample_null``, d = 2) and two small
 ``qdivstat hypothesis`` runs (one state, and six, more than the worker's
 slots) through ``qdivstat.cli.main``, and feeds it one
-malformed config (an unknown key and a float seed) and one scenario whose
+malformed config (an unknown key and a float seed), one scenario whose
 state has a negative eigenvalue, which the runner finds after its worker has
-started; both must exit 2.  It evaluates one ``qdivstat limit eval`` bundle
-(``qre_null``), which must exit 0, and the same bundle with a non-Hermitian
-``L1``, which must exit 2; and one ``qdivstat tomography`` run, which must
-exit 0, and one of a trace-2 state, which must exit 2 with a message naming
-the state.  After each command only the main thread may be
+started, and one whose state 0 is not Hermitian, which it finds before; all
+must exit 2, the scenarios with a message naming the state.  It evaluates
+one ``qdivstat limit eval`` bundle (``qre_null``), which must exit 0, and
+the same bundle with a non-Hermitian ``L1``, which must exit 2; and one
+``qdivstat tomography`` run, which must exit 0, and one each of a trace-2
+and a non-Hermitian state, which must exit 2 with a message naming the
+state.  After each command only the main thread may be
 alive: the runners join their worker thread.  It then fails if any module
 whose name starts with ``scipy`` is in ``sys.modules``.  It needs no test
 dependency, so it also runs in an environment where only the package and
@@ -58,6 +60,7 @@ def _run(argv: list[str], expected: int = 0, error: str = "") -> None:
 
 def main() -> int:
     rho, sigma = np.diag([0.7, 0.3]), np.diag([0.4, 0.6])
+    non_hermitian = np.array([[0.5, 0.3], [0.0, 0.5]])
     with tempfile.TemporaryDirectory() as tmp:
         rp, sp = Path(tmp, "rho.json"), Path(tmp, "sigma.json")
         qio.dump_matrix(rho, str(rp))
@@ -73,7 +76,8 @@ def main() -> int:
         for states, epsilons, expected, error in (
                 ([rho], [0.0, 1.0], 0, ""),
                 (many, [0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0], 0, ""),
-                ([np.diag([1.2, -0.2])], [0.0, 1.0], 2, "state 0 has negative eigenvalue")):
+                ([np.diag([1.2, -0.2])], [0.0, 1.0], 2, "state 0 has negative eigenvalue"),
+                ([non_hermitian], [0.0, 1.0], 2, "state 0: matrix is not Hermitian")):
             scenario.write_text(json.dumps({
                 "states": [qio.matrix_to_json(state) for state in states],
                 "sigma": qio.matrix_to_json(np.eye(2) / 2), "epsilons": epsilons, "tau": 0.05, "n": 300, "trials": 20, "seed": 2}))
@@ -89,7 +93,8 @@ def main() -> int:
                                           "L1": qio.matrix_to_json(L1)}))
             _run(["limit", "eval", str(bundle)], expected, error)
         state = Path(tmp, "state.json")
-        for matrix, expected, error in ((rho, 0, ""), (np.diag([2.0, 0.0]), 2, "state has trace off 1")):
+        for matrix, expected, error in ((rho, 0, ""), (np.diag([2.0, 0.0]), 2, "state has trace off 1"),
+                                        (non_hermitian, 2, "state: matrix is not Hermitian")):
             qio.dump_matrix(matrix, str(state))
             _run(["tomography", "--state", str(state), "--n", "300", "--seed", "1"], expected, error)
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))

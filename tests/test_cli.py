@@ -13,6 +13,9 @@ from qdivstat.pauli_tomography import build_pauli_basis, estimate_stack, sample_
 
 from conftest import rand_direction, rand_state
 
+# A unit-trace matrix that is not Hermitian (asymmetry 0.3).
+NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]])
+
 
 @pytest.fixture
 def states(rng, tmp_path):
@@ -211,15 +214,16 @@ class TestTomographyCommand:
         assert digests == self.DIGESTS[case]
 
     @pytest.mark.parametrize("state,named", [(np.diag([2.0, 0.0]), "state has trace off 1"),
-                                             (np.diag([1.2, -0.2]), "state has negative eigenvalue")],
-                             ids=["trace-2", "negative-eigenvalue"])
+                                             (np.diag([1.2, -0.2]), "state has negative eigenvalue"),
+                                             (NON_HERMITIAN, "state: matrix is not Hermitian")],
+                             ids=["trace-2", "negative-eigenvalue", "non-hermitian"])
     def test_state_not_a_density_operator_is_validation_error(self, tmp_path, capsys, state, named):
         path = tmp_path / "state.json"
         qio.dump_matrix(state, str(path))
         rc = cli_main(["tomography", "--state", str(path), "--n", "200", "--seed", "4"])
         captured = capsys.readouterr()
         assert rc == EXIT_VALIDATION and captured.out == ""
-        assert named in captured.err
+        assert captured.err.startswith(f"error: {named}")
 
     def test_dimension_not_power_of_two(self, tmp_path, capsys):
         path = tmp_path / "qutrit.json"
@@ -318,6 +322,18 @@ class TestExperimentCommand:
                        "--n", "300", "--trials", "120", "--seed", "7"])
         assert rc == EXIT_VALIDATION
         assert f"{role} has trace off 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["two_sample_alt", "measured"])
+    @pytest.mark.parametrize("role", ["rho", "sigma"])
+    def test_non_hermitian_state_is_validation_error(self, states, tmp_path, capsys, role, kind):
+        _, _, rp, sp = states
+        bad = tmp_path / "bad.json"
+        qio.dump_matrix(NON_HERMITIAN, str(bad))
+        paths = {"rho": rp, "sigma": sp, role: str(bad)}
+        rc = cli_main(["experiment", "--kind", kind, "--rho", paths["rho"], "--sigma", paths["sigma"],
+                       "--n", "300", "--trials", "120", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {role}: matrix is not Hermitian")
 
     def test_missing_seed_is_validation_error(self, states, capsys):
         _, _, rp, sp = states
@@ -479,6 +495,18 @@ class TestHypothesisCommand:
         rc = cli_main(["hypothesis", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_VALIDATION
         assert "state 0 has trace off 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["state 0", "sigma"])
+    def test_non_hermitian_state_is_validation_error(self, tmp_path, capsys, role):
+        bad = qio.matrix_to_json(NON_HERMITIAN)
+        scenario = {"states": [bad if role == "state 0" else qio.matrix_to_json(np.diag([0.7, 0.3]))],
+                    "sigma": bad if role == "sigma" else qio.matrix_to_json(np.eye(2) / 2),
+                    "epsilons": [0.0, 1.0], "tau": 0.3, "n": 300, "trials": 60, "seed": 2}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        rc = cli_main(["hypothesis", "--scenario", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {role}: matrix is not Hermitian")
 
     def test_bad_scenario_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

@@ -65,7 +65,6 @@ class TestUmegaki:
         val = umegaki(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert not val.support_ok
         assert val.value == np.inf
-        assert not val.is_finite
 
     def test_spectral_stack_matches_pairs(self, rng):
         sigma = np.diag([0.7, 0.3, 0.0])

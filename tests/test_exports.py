@@ -39,7 +39,7 @@ REMOVED = ["QuadratureRule", "frechet1_log_quadrature", "frechet2_log_quadrature
            "record_from_json", "povm_to_json", "load_matrix", "read_rows_csv",
            "support_projector", "moore_penrose_inverse", "loewner_leq", "classical_kl", "sample_gaussian_limit",
            "masked_log_trace", "BlochVector", "TestOutcome", "LimitDirection",
-           "MeasurementRecord", "sample_record", "estimate", "record_to_json"]
+           "MeasurementRecord", "sample_record", "estimate", "record_to_json", "support_contained"]
 
 
 def test_removed_names_stay_out_of_the_package():
@@ -52,7 +52,7 @@ def test_removed_names_stay_out_of_the_package():
 # Tolerance keywords: every threshold is a module constant.  These keep theirs,
 # because callers pass more than one value.
 TOLERANCE_KEYWORDS = {"tol", "rel_tol", "atol", "trace_atol", "eig_atol", "support_tol", "confidence_z"}
-KEPT_KEYWORDS = {("hermitian_part", "atol"), ("support_contained", "tol"), ("density_spectrum", "eig_atol")}
+KEPT_KEYWORDS = {("hermitian_part", "atol"), ("density_spectrum", "eig_atol")}
 
 
 def _parameters(obj):

@@ -1,10 +1,11 @@
 """The worker thread of the Monte Carlo runners.
 
-``pauli_tomography._worker`` runs a call's draws (and a null experiment's law)
-in order on one thread, a bounded number of values ahead of the caller.  These
-tests pin its contract alone and through both runners: one worker per call,
-values in order, an exception handed over as the same object, and no thread
-left running after a success or any error.
+``pauli_tomography._worker`` advances a generator of a call's draws (and of a
+null experiment's law) on one thread, a bounded number of values ahead of the
+caller.  These tests pin its contract alone and through both runners: one
+worker per call, values in order, an exception handed over as the same
+object, and no thread left running after a success or any error.  In the
+names of the ``TestWorker`` tests, a job is the making of one value.
 """
 
 import threading
@@ -36,77 +37,81 @@ class TestWorker:
     def test_values_come_in_job_order(self):
         order = np.random.default_rng(5).permutation(40)
 
-        def job(i):
-            time.sleep(1e-5 * (i % 3))  # uneven job lengths
-            return i
+        def values():
+            for i in order:
+                time.sleep(1e-5 * (i % 3))  # uneven times to make a value
+                yield i
 
         before = threading.active_count()
-        with _worker(lambda i=i: job(i) for i in order) as take:
+        with _worker(values()) as take:
             assert [take() for _ in order] == order.tolist()
+            with pytest.raises(StopIteration):
+                take()
         assert threading.active_count() == before
 
-    def test_each_job_is_taken_after_the_one_before_has_run(self):
-        ran, taken_after = [], []
-
-        def jobs():
-            for i in range(10):
-                taken_after.append(len(ran))
-                yield lambda i=i: ran.append(i) or i
-
-        with _worker(jobs()) as take:
-            assert [take() for _ in range(10)] == list(range(10))
-        assert taken_after == list(range(10))
-
     def test_runs_at_most_the_bound_ahead(self):
-        ran = []
-        with _worker(lambda i=i: ran.append(i) or i for i in range(20)) as take:
-            _wait_for(lambda: len(ran) == _WORKER_AHEAD)
+        made = []
+
+        def values():
+            for i in range(20):
+                made.append(i)
+                yield i
+
+        with _worker(values()) as take:
+            _wait_for(lambda: len(made) == _WORKER_AHEAD)
             time.sleep(0.05)
-            assert ran == list(range(_WORKER_AHEAD))  # no job runs while every slot holds an unread value
+            assert made == list(range(_WORKER_AHEAD))  # not advanced while every slot holds an unread value
             assert take() == 0
-            _wait_for(lambda: len(ran) == _WORKER_AHEAD + 1)
-        assert ran == list(range(_WORKER_AHEAD + 1))
+            _wait_for(lambda: len(made) == _WORKER_AHEAD + 1)
+        assert made == list(range(_WORKER_AHEAD + 1))
 
     def test_leaving_early_stops_after_the_current_job(self):
         started, release = threading.Event(), threading.Event()
-        ran = []
+        made = []
 
-        def slow():
+        def values():
             started.set()
             release.wait(TIMEOUT_S)
-            ran.append("slow")
+            made.append("slow")
+            yield "slow"
+            while True:
+                made.append("later")
+                yield "later"
 
-        jobs = [slow] + [lambda: ran.append("later")] * 10
         before = threading.active_count()
         with pytest.raises(KeyError):
-            with _worker(jobs):
+            with _worker(values()):
                 started.wait(TIMEOUT_S)
                 threading.Timer(0.1, release.set).start()  # by then the caller is joining the worker
                 raise KeyError("the caller failed")
-        assert ran == ["slow"]  # the current job finished, and no later one started
+        assert made == ["slow"]  # the value being made was finished, and no later one started
         _wait_for(lambda: threading.active_count() == before)  # the Timer's thread ends after release
 
     def test_job_error_is_raised_once_and_unchanged(self):
-        error = ArithmeticError("job 2 failed")
-        ran = []
+        error = ArithmeticError("value 2 failed")
+        made = []
 
-        def job(i):
-            ran.append(i)
+        def value(i):
+            made.append(i)
             if i == 2:
                 raise error
             return i
 
         before = threading.active_count()
-        with _worker(lambda i=i: job(i) for i in range(10)) as take:
+        # a map, unlike a generator, would go on to value 3 if it were advanced after the error
+        with _worker(map(value, range(10))) as take:
             assert [take(), take()] == [0, 1]
             with pytest.raises(ArithmeticError) as info:
                 take()
         assert info.value is error
-        assert ran == [0, 1, 2]  # no job after the failing one
+        assert made == [0, 1, 2]
         assert threading.active_count() == before
 
     def test_caller_context_reaches_the_jobs(self):
-        with np.errstate(over="raise"), _worker([lambda: (np.geterr()["over"], threading.get_ident())]) as take:
+        def values():
+            yield np.geterr()["over"], threading.get_ident()
+
+        with np.errstate(over="raise"), _worker(values()) as take:
             over, ident = take()
         assert ident != threading.get_ident()
         if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # numpy 2 keeps np.errstate in a context variable
@@ -151,7 +156,8 @@ class TestRunnersUseOneWorker:
     @pytest.mark.parametrize("run", RUNS)
     def test_one_worker_per_call(self, monkeypatch, small_stacks, starts, run):
         module, draw, weights = DRAWING_MODULE[run], pauli_tomography.sample_counts, experiments.null_law_weights
-        drawn_on, law_on = [], []
+        transform = pauli_tomography.bloch_coefficients
+        drawn_on, law_on, transformed_on = [], [], []
 
         def recorded(*args):
             drawn_on.append(threading.get_ident())
@@ -161,15 +167,21 @@ class TestRunnersUseOneWorker:
             law_on.append(threading.get_ident())
             return weights(cfg, basis)
 
+        def bloch(rho, basis):
+            transformed_on.append(threading.get_ident())
+            return transform(rho, basis)
+
         monkeypatch.setattr(module, "sample_counts", recorded)
+        monkeypatch.setattr(module, "bloch_coefficients", bloch)
         monkeypatch.setattr(experiments, "null_law_weights", law)
         before = threading.active_count()
         RUNS[run]()
         assert threading.active_count() == before
         assert starts == ["qdivstat-worker"]
-        assert len(drawn_on) > _WORKER_AHEAD and set(drawn_on) | set(law_on) == {drawn_on[0]}
+        assert len(drawn_on) > _WORKER_AHEAD and set(drawn_on) | set(law_on) | set(transformed_on) == {drawn_on[0]}
         assert drawn_on[0] != threading.get_ident()
         assert len(law_on) == (run == "one_sample_null")
+        assert len(transformed_on) == (1 if run == "one_sample_null" else 2)  # each sampled state once
 
     @pytest.mark.parametrize("run", RUNS)
     def test_draw_error_reaches_the_caller_unchanged(self, monkeypatch, small_stacks, tmp_path, run):
@@ -266,8 +278,11 @@ class TestRunnersUseOneWorker:
         (lambda kw: dict(kw, basis=pauli_tomography.PauliBasisSet(2)), "^state dimension does not match the basis$"),
         (lambda kw: dict(kw, states=kw["states"] + [np.eye(2) / 2]), "^3 states for 2 hypotheses$"),
         (lambda kw: dict(kw, sigma=np.eye(3) / 3), "^dimension 3 is not a power of two"),
-        (lambda kw: dict(kw, states=[kw["states"][0], np.triu(np.ones((2, 2))) / 2]), "^matrix is not Hermitian"),
-        (lambda kw: dict(kw, sigma=np.triu(np.ones((2, 2))) / 2), r"^matrix is not Hermitian \(asymmetry"),
+        # The message now names the input; the ids stay those the cases had before it did.
+        pytest.param(lambda kw: dict(kw, states=[kw["states"][0], np.triu(np.ones((2, 2))) / 2]),
+                     "^state 1: matrix is not Hermitian", id="<lambda>-^matrix is not Hermitian"),
+        pytest.param(lambda kw: dict(kw, sigma=np.triu(np.ones((2, 2))) / 2),
+                     r"^sigma: matrix is not Hermitian \(asymmetry", id=r"<lambda>-^matrix is not Hermitian \(asymmetry"),
         (lambda kw: dict(kw, sigma=np.eye(4) / 4, basis=pauli_tomography.PauliBasisSet(1)),
          "^sigma dimension does not match the basis$"),
         (lambda kw: dict(kw, seed=-1), "^seed must be non-negative, got -1$"),
