@@ -20,8 +20,8 @@ from qdivstat import (
 )
 
 rng = np.random.default_rng(7)
-rho = random_density(2, rng, min_eig=0.1).mat
-sigma = random_density(2, rng, min_eig=0.1).mat
+rho = random_density(2, rng, min_eig=0.1)
+sigma = random_density(2, rng, min_eig=0.1)
 
 print("rho =\n", np.round(rho, 4))
 print("sigma =\n", np.round(sigma, 4))

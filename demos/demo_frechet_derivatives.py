@@ -22,10 +22,10 @@ rng = np.random.default_rng(11)
 d = 4
 
 # a positive matrix with moderate conditioning
-U = eig_hermitian(random_hermitian(d, rng).mat).eigenvectors
+U = eig_hermitian(random_hermitian(d, rng)).eigenvectors
 lam = np.array([0.05, 0.3, 0.9, 1.0])
 A = (U * lam) @ U.conj().T
-H = random_hermitian(d, rng).mat
+H = random_hermitian(d, rng)
 H = H / np.linalg.norm(H, 2)
 
 
@@ -37,19 +37,19 @@ print("spectrum of A:", np.round(lam, 3))
 
 h = 1e-5
 table = build_divided_differences(A, "log")
-dd = frechet1(table, H).mat
+dd = frechet1(table, H)
 print("\nD[log A](H): max |divided difference - central difference| =",
       f"{np.max(np.abs(dd - central_difference(ScalarFn.log(), h))):.3e}")
 
 # the second derivative is the central difference of the first
-fwd = frechet1(build_divided_differences(A + h * H, "log"), H).mat
-bwd = frechet1(build_divided_differences(A - h * H, "log"), H).mat
-gap2 = np.max(np.abs(frechet2(table, H, H).mat - (fwd - bwd) / (2 * h)))
+fwd = frechet1(build_divided_differences(A + h * H, "log"), H)
+bwd = frechet1(build_divided_differences(A - h * H, "log"), H)
+gap2 = np.max(np.abs(frechet2(table, H, H) - (fwd - bwd) / (2 * h)))
 print(f"D2[log A](H,H): max gap = {gap2:.3e}")
 
 for alpha in (0.5, 1.5, -0.5):
     fn = ScalarFn.power(alpha)
-    gap = np.max(np.abs(frechet1(build_divided_differences(A, fn), H).mat - central_difference(fn, h)))
+    gap = np.max(np.abs(frechet1(build_divided_differences(A, fn), H) - central_difference(fn, h)))
     print(f"D[A^{alpha}](H): max gap = {gap:.3e}")
 
 print("\ncentral finite differences converge at second order:")

@@ -24,10 +24,10 @@ from qdivstat import (
 )
 
 rng = np.random.default_rng(23)
-rho = random_density(2, rng, min_eig=0.15).mat
-sigma = random_density(2, rng, min_eig=0.15).mat
-L1 = random_traceless(2, rng, 0.3).mat
-L2 = random_traceless(2, rng, 0.3).mat
+rho = random_density(2, rng, min_eig=0.15)
+sigma = random_density(2, rng, min_eig=0.15)
+L1 = random_traceless(2, rng, 0.3)
+L2 = random_traceless(2, rng, 0.3)
 
 print("alternative case: first-order response of each divergence")
 rows = [

@@ -20,8 +20,8 @@ from qdivstat.pauli_tomography import estimate_stack, sample_counts
 
 rng = np.random.default_rng(31)
 basis = build_pauli_basis(1)
-rho = random_density(2, rng, min_eig=0.15).mat
-sigma = random_density(2, rng, min_eig=0.15).mat
+rho = random_density(2, rng, min_eig=0.15)
+sigma = random_density(2, rng, min_eig=0.15)
 
 print("Bloch coefficients of rho:", np.round(bloch_coefficients(rho, basis), 4))
 

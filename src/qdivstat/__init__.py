@@ -9,8 +9,6 @@ convergence experiments on top.
 """
 
 from .operator_core import (
-    DensityOperator,
-    HermitianOperator,
     SpectralDecomposition,
     eig_hermitian,
     project_to_density,

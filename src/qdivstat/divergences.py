@@ -21,7 +21,8 @@ import numpy as np
 
 from .operator_core import (
     SUPPORT_RTOL,
-    HermitianOperator,
+    _named_hermitian_part,
+    _same_shape,
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
@@ -84,25 +85,25 @@ class DivergenceValue:
 
 
 class Povm:
-    """A positive operator-valued measure: PSD elements summing to the identity."""
+    """A positive operator-valued measure: PSD elements summing to the identity, one read-only (k, d, d) array."""
 
     __slots__ = ("elements",)
 
     def __init__(self, elements):
-        ops = [HermitianOperator(as_matrix(E)) for E in elements]
-        if not ops:
+        mats = [as_matrix(E) for E in elements]
+        if not mats:
             raise ValueError("a POVM needs at least one element")
-        d = ops[0].dim
-        total = np.zeros((d, d), dtype=complex)
-        for E in ops:
-            if E.dim != d:
-                raise ValueError("POVM elements have mixed dimensions")
-            if float(eigvals_hermitian(E)[0]) < -POVM_ATOL:
-                raise ValueError("POVM element is not PSD")
-            total += E.mat
-        if np.max(np.abs(total - np.eye(d))) > POVM_ATOL:
+        if any(M.shape != mats[0].shape for M in mats):
+            raise ValueError("POVM elements have mixed dimensions")
+        E = hermitian_part(np.stack(mats))
+        if E.ndim != 3:
+            raise ValueError(f"expected a square matrix, got shape {mats[0].shape}")
+        if eigvals_hermitian(E, checked=True)[:, 0].min() < -POVM_ATOL:
+            raise ValueError("POVM element is not PSD")
+        if np.max(np.abs(E.sum(axis=0) - np.eye(E.shape[-1]))) > POVM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        self.elements = tuple(ops)
+        E.setflags(write=False)
+        self.elements = E
 
     @property
     def outcome_count(self) -> int:
@@ -110,7 +111,7 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.elements.shape[-1]
 
     def __repr__(self) -> str:
         return f"Povm(outcomes={self.outcome_count}, dim={self.dim})"
@@ -132,7 +133,7 @@ def povm_apply(M: Povm, A) -> np.ndarray:
     mat = as_matrix(A)
     if mat.shape[-1] != M.dim:
         raise ValueError(f"operator dim {mat.shape[-1]} does not match POVM dim {M.dim}")
-    return np.einsum("kij,...ji->...k", np.stack([E.mat for E in M.elements]), mat).real
+    return np.einsum("kij,...ji->...k", M.elements, mat).real
 
 
 def masked_power(A, p: float) -> np.ndarray:
@@ -174,10 +175,17 @@ def umegaki_spectral(rho: np.ndarray, rho_eigenvalues: np.ndarray, sigma) -> np.
     return np.where(cross_and_leak.imag <= MASS_TOL, own - cross_and_leak.real, np.inf)
 
 
+def _named_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """``_named_hermitian_part`` of rho and of sigma, which must have one shape (``_same_shape``)."""
+    rho, sigma = _named_hermitian_part(rho, "rho"), _named_hermitian_part(sigma, "sigma")
+    _same_shape(rho, sigma)
+    return rho, sigma
+
+
 def umegaki(rho, sigma) -> DivergenceValue:
     """Quantum relative entropy Tr[rho (log rho - log sigma)], +inf without support containment."""
-    mat = hermitian_part(as_matrix(rho))
-    value = float(umegaki_spectral(mat, eigvals_hermitian(mat, checked=True), eig_hermitian(sigma)))
+    rho, sigma = _named_pair(rho, sigma)
+    value = float(umegaki_spectral(rho, eigvals_hermitian(rho, checked=True), eig_hermitian(sigma, checked=True)))
     if math.isinf(value):
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     return DivergenceValue(value)
@@ -234,6 +242,7 @@ def petz_renyi_rows(rho, sigma, alpha: float) -> np.ndarray:
 
 def petz_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     """Petz-Renyi divergence (alpha - 1)^-1 log Tr[rho^alpha sigma^(1-alpha)]."""
+    rho, sigma = _named_pair(rho, sigma)
     return _renyi_value(petz_renyi_rows(rho, sigma, alpha), rho, sigma, alpha)
 
 
@@ -272,20 +281,23 @@ def sandwiched_renyi_rows(rho, sigma, alpha: float) -> np.ndarray:
 
 def sandwiched_renyi(rho, sigma, alpha: float) -> DivergenceValue:
     """Sandwiched Renyi divergence alpha/(alpha-1) log ||rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2)||_alpha."""
+    rho, sigma = _named_pair(rho, sigma)
     return _renyi_value(sandwiched_renyi_rows(rho, sigma, alpha), rho, sigma, alpha)
 
 
 def fidelity(rho, sigma) -> float:
     """F(rho, sigma) = ||sqrt(rho) sqrt(sigma)||_1^2 = exp(-D_1/2), in [0, 1], with D_1/2 the sandwiched divergence."""
+    rho, sigma = _named_pair(rho, sigma)
     return min(math.exp(-float(sandwiched_renyi_rows(rho, sigma, 0.5))), 1.0)
 
 
 def max_divergence(rho, sigma) -> DivergenceValue:
     """inf{lambda : rho <= e^lambda sigma} = log lambda_max(sigma^(-1/2) rho sigma^(-1/2))."""
+    rho, sigma = _named_pair(rho, sigma)
     if support_leak(rho, sigma) > MASS_TOL:
         return DivergenceValue.infinite("supp(rho) not contained in supp(sigma)")
     inv_root = masked_power(sigma, -0.5)
-    lam_max = float(eigvals_hermitian(hermitian_part(inv_root @ as_matrix(rho) @ inv_root, atol=np.inf),
+    lam_max = float(eigvals_hermitian(hermitian_part(inv_root @ rho @ inv_root, atol=np.inf),
                                       checked=True)[-1])
     return DivergenceValue(math.log(lam_max))
 
@@ -321,6 +333,7 @@ def measured_relative_entropy(rho, sigma, family) -> tuple[DivergenceValue, int]
     family members within 1e-9 of the maximum are listed in the diagnostics
     so non-unique maximizers are detectable.
     """
+    rho, sigma = _named_pair(rho, sigma)
     kl, near = _measured_kl(rho, sigma, family)
     ties = np.flatnonzero(near).tolist()
     if math.isinf(kl[ties[0]]):

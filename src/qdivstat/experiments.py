@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_core import _named_hermitian_part, as_matrix, check_density_spectrum, eig_hermitian, eigvals_hermitian
+from .operator_core import (_named_hermitian_part, _same_shape, as_matrix, check_density_spectrum, eig_hermitian,
+                            eigvals_hermitian)
 from .divergences import (
     Povm,
     check_petz_alpha,
@@ -167,14 +168,15 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         self.rho = as_matrix(self.rho)
+        if self.sigma is not None:
+            self.sigma = as_matrix(self.sigma)
+            _same_shape(self.rho, self.sigma)
         if self.kind in NULL_KINDS:
-            if self.sigma is not None and np.max(np.abs(as_matrix(self.sigma) - self.rho)) > _NULL_SIGMA_ATOL:
+            if self.sigma is not None and np.max(np.abs(self.sigma - self.rho)) > _NULL_SIGMA_ATOL:
                 raise ValueError("null experiments require sigma equal to rho")
             self.sigma = self.rho
-        else:
-            if self.sigma is None:
-                raise ValueError(f"{self.kind} requires a sigma state")
-            self.sigma = as_matrix(self.sigma)
+        elif self.sigma is None:
+            raise ValueError(f"{self.kind} requires a sigma state")
         if self.kind == "measured" and not self.povm_family:
             self.povm_family = [eigenbasis_povm(_named_hermitian_part(self.rho, "rho")),
                                 eigenbasis_povm(_named_hermitian_part(self.sigma, "sigma")),

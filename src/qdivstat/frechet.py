@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import (
-    HermitianOperator,
     SpectralDecomposition,
     as_matrix,
     eig_hermitian,
+    hermitian_part,
 )
 
 __all__ = [
@@ -168,22 +168,22 @@ def build_divided_differences(A, fn) -> DividedDifferenceTable:
     return DividedDifferenceTable(base_fn=fn, eigen=S, first=first)
 
 
-def frechet1(T: DividedDifferenceTable, H) -> HermitianOperator:
-    """D[f(A)](H): Hadamard product of the first table with H in the eigenbasis."""
+def frechet1(T: DividedDifferenceTable, H) -> np.ndarray:
+    """D[f(A)](H): the first table's Hadamard product with H in the eigenbasis, through ``hermitian_part``."""
     M = as_matrix(H)
-    if M.shape[0] != T.dim:
-        raise ValueError(f"direction has dim {M.shape[0]}, base point {T.dim}")
-    return HermitianOperator(T.derivative(M))
+    if M.shape != (T.dim, T.dim):
+        raise ValueError(f"direction has shape {M.shape}, base point dim {T.dim}")
+    return hermitian_part(T.derivative(M))
 
 
-def frechet2(T: DividedDifferenceTable, H1, H2) -> HermitianOperator:
-    """D^2[f(A)](H1, H2), symmetric bilinear in the directions."""
+def frechet2(T: DividedDifferenceTable, H1, H2) -> np.ndarray:
+    """D^2[f(A)](H1, H2), symmetric bilinear in the directions, through ``hermitian_part``."""
     M1, M2 = as_matrix(H1), as_matrix(H2)
-    if M1.shape[0] != T.dim or M2.shape[0] != T.dim:
+    if M1.shape != (T.dim, T.dim) or M2.shape != (T.dim, T.dim):
         raise ValueError("direction dimension does not match the base point")
     U = T.eigen.eigenvectors
     A = U.conj().T @ M1 @ U
     B = U.conj().T @ M2 @ U
     core = np.einsum("ikj,ik,kj->ij", T.second, A, B)
     core += np.einsum("ikj,ik,kj->ij", T.second, B, A)
-    return HermitianOperator(U @ core @ U.conj().T)
+    return hermitian_part(U @ core @ U.conj().T)

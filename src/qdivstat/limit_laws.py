@@ -172,7 +172,7 @@ def qre_alt_gradient(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     """(log rho - log sigma, -Dlog_sigma(rho)), with the log of rho taken on its support."""
     V, R, rho_eig, sigma_eig = _support_frame(rho, sigma)
     log_ratio = spectral_map(rho_eig, np.log, support_mask) - spectral_map(sigma_eig, np.log)
-    return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R).mat)
+    return _lift(V, log_ratio, -frechet1(build_divided_differences(sigma_eig, "log"), R))
 
 
 def qre_alt_limit(rho, sigma, L1, L2=None) -> float:
@@ -195,7 +195,7 @@ def qre_null_limit(rho, L1, L2=None) -> float:
     _require_support(delta, S, "directions have mass outside the support of rho")
     _, rho_eig, delta = _compress(S, delta)
     table = build_divided_differences(rho_eig, "log")
-    return 0.5 * _retr(delta @ frechet1(table, delta).mat)
+    return 0.5 * _retr(delta @ frechet1(table, delta))
 
 
 def vn_entropy_limit(rho, L) -> float:
@@ -218,8 +218,8 @@ def petz_alt_gradient(rho, sigma, alpha: float) -> tuple[np.ndarray, np.ndarray]
     r_pow = spectral_map(rho_eig, lambda lam: lam**alpha)
     s_pow = spectral_map(sigma_eig, lambda lam: lam ** (1 - alpha))
     den = (alpha - 1) * _retr(r_pow @ s_pow)
-    g_rho = frechet1(build_divided_differences(rho_eig, alpha), s_pow).mat
-    g_sigma = frechet1(build_divided_differences(sigma_eig, 1 - alpha), r_pow).mat
+    g_rho = frechet1(build_divided_differences(rho_eig, alpha), s_pow)
+    g_sigma = frechet1(build_divided_differences(sigma_eig, 1 - alpha), r_pow)
     return _lift(V, g_rho / den, g_sigma / den)
 
 
@@ -246,11 +246,11 @@ def petz_null_limit(rho, alpha: float, L1, L2=None) -> float:
         d2_a = 2 * (M1 @ M1)
     else:
         t_a = build_divided_differences(rho_eig, alpha)
-        d1_a = frechet1(t_a, M1).mat
-        d2_a = frechet2(t_a, M1, M1).mat
+        d1_a = frechet1(t_a, M1)
+        d2_a = frechet2(t_a, M1, M1)
     t_b = build_divided_differences(rho_eig, ab)
-    d1_b = frechet1(t_b, M2).mat
-    d2_b = frechet2(t_b, M2, M2).mat
+    d1_b = frechet1(t_b, M2)
+    d2_b = frechet2(t_b, M2, M2)
     num = (_retr(spectral_map(rho_eig, lambda lam: lam**ab) @ d2_a)
            + _retr(spectral_map(rho_eig, lambda lam: lam**alpha) @ d2_b) + 2 * _retr(d1_a @ d1_b))
     return num / (2 * (alpha - 1))
@@ -273,8 +273,8 @@ def _sandwich_gradient(rho, sigma, q: float, weight) -> tuple[np.ndarray, np.nda
     s_q = spectral_map(sigma_eig, lambda lam: lam**q)
     c, X = weight(eig_hermitian(hermitian_part(root @ s_q @ root, atol=np.inf), checked=True))
     Y = s_q @ root @ X
-    g_rho = frechet1(build_divided_differences(rho_eig, 0.5), Y + Y.conj().T).mat
-    g_sigma = frechet1(build_divided_differences(sigma_eig, q), root @ X @ root).mat
+    g_rho = frechet1(build_divided_differences(rho_eig, 0.5), Y + Y.conj().T)
+    g_sigma = frechet1(build_divided_differences(sigma_eig, q), root @ X @ root)
     return _lift(V, c * g_rho, c * g_sigma)
 
 
@@ -352,9 +352,8 @@ def measured_alt_gradient(rho, sigma, m_star) -> tuple[np.ndarray, np.ndarray]:
         raise SupportViolation("outcome distribution of sigma vanishes where rho does not")
     live = p > OUTCOME_TOL
     ratio = np.where(live, p, 0.0) / np.where(live, q, 1.0)
-    elements = np.stack([E.mat for E in m_star.elements])
-    return (np.tensordot(np.log(np.where(live, ratio, 1.0)), elements, axes=1),
-            -np.tensordot(ratio, elements, axes=1))
+    return (np.tensordot(np.log(np.where(live, ratio, 1.0)), m_star.elements, axes=1),
+            -np.tensordot(ratio, m_star.elements, axes=1))
 
 
 def measured_alt_limit(rho, sigma, m_star, L1, L2=None) -> float:

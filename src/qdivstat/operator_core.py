@@ -25,9 +25,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "HermitianOperator",
     "SpectralDecomposition",
-    "DensityOperator",
     "check_density_spectrum",
     "SUPPORT_RTOL",
     "as_matrix",
@@ -46,29 +44,6 @@ __all__ = [
 SUPPORT_RTOL = 1e-10  # relative cutoff separating support from kernel eigenvalues
 DENSITY_ATOL = 1e-10  # how far a density operator's trace may be off 1, and its eigenvalues below 0
 _HERMITICITY_ATOL = 1e-12  # largest asymmetry of a Hermitian matrix, relative to max(1, its largest entry)
-
-
-class HermitianOperator:
-    """A d x d complex Hermitian matrix.
-
-    The constructor symmetrizes ``(A + A^dagger)/2`` after checking that the
-    asymmetry is below an absolute tolerance of 1e-12; repeated products
-    accumulate tiny asymmetries, so symmetrizing here keeps every later
-    eigendecomposition honest.  An operator passed in is taken as it is.
-    """
-
-    __slots__ = ("mat", "dim")
-
-    def __init__(self, mat):
-        A = _hermitian_array(mat, checked=False)
-        if A.ndim != 2:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        A.setflags(write=False)
-        self.mat = A
-        self.dim = A.shape[0]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
 
 
 def hermitian_part(A: np.ndarray, atol: float = _HERMITICITY_ATOL) -> np.ndarray:
@@ -103,12 +78,16 @@ def _named_hermitian_part(A, name: str) -> np.ndarray:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _same_shape(rho: np.ndarray, sigma: np.ndarray) -> None:
+    """Raise unless the arrays ``rho`` and ``sigma`` have one shape; the message names both."""
+    if sigma.shape != rho.shape:
+        raise ValueError(f"sigma has shape {sigma.shape}, but rho has shape {rho.shape}")
+
+
 def as_matrix(op) -> np.ndarray:
-    """Unwrap HermitianOperator (DensityOperator included) / SpectralDecomposition / ndarray to an ndarray."""
+    """The complex array of ``op``: a SpectralDecomposition is reassembled, anything else goes through np.asarray."""
     if isinstance(op, SpectralDecomposition):
         return op.reassemble()
-    if isinstance(op, HermitianOperator):
-        return op.mat
     return np.asarray(op, dtype=complex)
 
 
@@ -183,24 +162,6 @@ def check_density_spectrum(lam: np.ndarray, name: str = "matrix") -> None:
         raise ValueError(f"{name} has negative eigenvalue {lo}")
 
 
-class DensityOperator(HermitianOperator):
-    """HermitianOperator refined with PSD and unit-trace invariants."""
-
-    __slots__ = ()
-
-    def __init__(self, mat):
-        super().__init__(mat)
-        check_density_spectrum(eigvals_hermitian(self))
-
-    @classmethod
-    def from_spectrum(cls, mat, eigenvalues: np.ndarray) -> "DensityOperator":
-        """The density operator of ``mat`` whose ascending eigenvalues are known: checked without another eigensolve."""
-        check_density_spectrum(eigenvalues)
-        rho = cls.__new__(cls)
-        HermitianOperator.__init__(rho, mat)
-        return rho
-
-
 class EigensolverError(RuntimeError):
     """LAPACK failed to converge; carries the operator dimension."""
 
@@ -219,13 +180,6 @@ def _fix_phases(U: np.ndarray) -> np.ndarray:
     first = np.argmax(np.abs(U) > 1e-12, axis=-2)
     lead = np.take_along_axis(U, first[..., None, :], axis=-2)
     return U * (lead.conj() / np.abs(lead))
-
-
-def _hermitian_array(A, checked: bool) -> np.ndarray:
-    """The matrix (or stack) of ``A``, checked Hermitian unless ``checked`` says it already is."""
-    if isinstance(A, HermitianOperator):
-        return A.mat
-    return np.asarray(A) if checked else hermitian_part(as_matrix(A))
 
 
 def _eig_2x2(M: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -330,7 +284,7 @@ def eig_hermitian(A, *, checked: bool = False) -> SpectralDecomposition:
     when they are read.  Every other d calls ``np.linalg.eigh``.  Every d
     gets the same phase convention (``_fix_phases``).
     """
-    M = _hermitian_array(A, checked)
+    M = np.asarray(A) if checked else hermitian_part(as_matrix(A))
     if M.shape[-1] == 2:
         lam, (h, b, r) = _eig_2x2(M)
         lam.setflags(write=False)
@@ -354,7 +308,7 @@ def eigvals_hermitian(A, *, checked: bool = False) -> np.ndarray:
     which cannot raise ``EigensolverError``; every other d calls
     ``np.linalg.eigvalsh``.
     """
-    M = _hermitian_array(A, checked)
+    M = np.asarray(A) if checked else hermitian_part(as_matrix(A))
     if M.shape[-1] == 2:
         return _eig_2x2(M)[0]
     try:
@@ -445,14 +399,17 @@ def density_spectrum(lam: np.ndarray, eig_atol: float) -> tuple[np.ndarray, np.n
     return lam, moved
 
 
-def project_to_density(A) -> DensityOperator:
-    """Frobenius-nearest density operator.
+def project_to_density(A) -> np.ndarray:
+    """Frobenius-nearest density matrix.
 
     Eigendecompose, project the eigenvalue vector onto the probability
-    simplex, reassemble with the same eigenvectors. An input that already
-    satisfies the density invariants is returned unchanged (re-tagged).
+    simplex, reassemble with the same eigenvectors and symmetrize.  An input
+    that already satisfies the density invariants comes back as
+    ``hermitian_part`` of it.
     """
-    op = HermitianOperator(A)
-    S = eig_hermitian(op)
+    M = hermitian_part(as_matrix(A))
+    if M.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    S = eig_hermitian(M, checked=True)
     lam, moved = density_spectrum(S.eigenvalues, DENSITY_ATOL)
-    return DensityOperator.from_spectrum(S.reassemble(lam) if moved else op, lam)
+    return hermitian_part(S.reassemble(lam)) if moved else M

@@ -42,13 +42,13 @@ import numpy as np
 
 from .operator_core import (
     _HERMITICITY_ATOL,
-    HermitianOperator,
     SpectralDecomposition,
     as_matrix,
     check_density_spectrum,
     density_spectrum,
     eig_hermitian,
     eigvals_hermitian,
+    hermitian_part,
 )
 from .limit_laws import _require_positive, qre_alt_gradient
 
@@ -223,9 +223,9 @@ def _checked_bloch(s, basis: PauliBasisSet) -> np.ndarray:
     return s
 
 
-def reconstruct(s: np.ndarray, basis: PauliBasisSet) -> HermitianOperator:
+def reconstruct(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:
     """(1/d)(I + sum_j s_j gamma_j): Hermitian, unit trace, not necessarily PSD."""
-    return HermitianOperator(_reconstruct_rows(_checked_bloch(s, basis), basis))
+    return hermitian_part(_reconstruct_rows(_checked_bloch(s, basis), basis))
 
 
 def _reconstruct_rows(s: np.ndarray, basis: PauliBasisSet) -> np.ndarray:

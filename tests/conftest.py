@@ -24,15 +24,15 @@ def rng():
 
 
 def rand_state(rng, dim, min_eig=0.05):
-    return random_density(dim, rng, min_eig=min_eig).mat
+    return random_density(dim, rng, min_eig=min_eig)
 
 
 def rand_herm(rng, dim, scale=1.0):
-    return random_hermitian(dim, rng, scale).mat
+    return random_hermitian(dim, rng, scale)
 
 
 def rand_direction(rng, dim, scale=1.0):
-    return random_traceless(dim, rng, scale).mat
+    return random_traceless(dim, rng, scale)
 
 
 def normal_cdf(var):
@@ -81,6 +81,6 @@ def two_hypotheses():
     """(states, sigma, grid) of a 1-qubit test whose second state often leaves the Bloch ball at n = 20."""
     basis = PauliBasisSet(1)
     sigma = np.eye(2) / 2
-    states = [reconstruct(np.array([0.1, 0.0, s3]), basis).mat for s3 in (0.3, 0.95)]
+    states = [reconstruct(np.array([0.1, 0.0, s3]), basis) for s3 in (0.3, 0.95)]
     divs = [umegaki(r, sigma).value for r in states]
     return states, sigma, HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.2))

@@ -22,10 +22,10 @@ import numpy as np
 from qdivstat.divergences import _sandwich_base, _sandwich_kept, check_sandwiched_alpha
 from qdivstat.frechet import _as_fn, _check_domain, build_divided_differences, frechet1
 from qdivstat.operator_core import (
-    HermitianOperator,
     as_matrix,
     eig_hermitian,
     eigvals_hermitian,
+    hermitian_part,
     schatten_norm,
     spectral_map,
 )
@@ -117,20 +117,20 @@ def frechet1_log_quadrature(A, H, rule: QuadratureRule | None = None,
     N = as_matrix(H)
     rule = rule or QuadratureRule.log_trapezoid(lo, hi)
 
-    def run(r: QuadratureRule) -> HermitianOperator:
+    def run(r: QuadratureRule) -> np.ndarray:
         acc = np.zeros_like(N)
         for tau, w in zip(r.nodes, r.weights):
             acc += w * _resolvent_sandwich(M, tau, N)
-        return HermitianOperator(acc)
+        return hermitian_part(acc)
 
     value = run(rule)
     if not return_error_estimate:
         return value
     coarse = run(QuadratureRule.log_trapezoid(lo, hi, step=0.8))
-    return value, schatten_norm(value.mat - coarse.mat, 1)
+    return value, schatten_norm(value - coarse, 1)
 
 
-def frechet2_log_quadrature(A, H1, H2, rule: QuadratureRule | None = None) -> HermitianOperator:
+def frechet2_log_quadrature(A, H1, H2, rule: QuadratureRule | None = None) -> np.ndarray:
     """D^2[log A](H1, H2) = -integral of the symmetrized double resolvent sandwich."""
     M = as_matrix(A)
     lo, hi = _spectrum_bounds(M)
@@ -139,7 +139,7 @@ def frechet2_log_quadrature(A, H1, H2, rule: QuadratureRule | None = None) -> He
     acc = np.zeros_like(N1)
     for tau, w in zip(rule.nodes, rule.weights):
         acc -= w * _resolvent_double(M, tau, N1, N2)
-    return HermitianOperator(acc)
+    return hermitian_part(acc)
 
 
 def _sine_constant(beta: float) -> float:
@@ -148,7 +148,7 @@ def _sine_constant(beta: float) -> float:
 
 
 def frechet_power_quadrature(A, H, alpha: float, order: int = 1, H2=None,
-                             rule: QuadratureRule | None = None) -> HermitianOperator:
+                             rule: QuadratureRule | None = None) -> np.ndarray:
     """D[A^alpha](H) or D^2[A^alpha](H, H2) by quadrature of power integral representations.
 
     Supported exponents: alpha in (-1, 0), (0, 1), or (1, 2).  The tau^alpha
@@ -178,10 +178,10 @@ def frechet_power_quadrature(A, H, alpha: float, order: int = 1, H2=None,
         for tau, w in zip(rule.nodes, rule.weights):
             acc += w * tau**alpha * _resolvent_double(M, tau, N, N2)
         if 0 < alpha < 1:
-            return HermitianOperator(-_sine_constant(alpha) * acc)
+            return hermitian_part(-_sine_constant(alpha) * acc)
         if alpha < 0:
-            return HermitianOperator(_sine_constant(alpha + 1) * acc)
-        return HermitianOperator(_sine_constant(alpha - 1) * acc)
+            return hermitian_part(_sine_constant(alpha + 1) * acc)
+        return hermitian_part(_sine_constant(alpha - 1) * acc)
 
     if alpha < 1:
         # D[A^alpha](H) = +-c integral tau^alpha R H R dtau
@@ -191,7 +191,7 @@ def frechet_power_quadrature(A, H, alpha: float, order: int = 1, H2=None,
         for tau, w in zip(rule.nodes, rule.weights):
             acc += w * tau**alpha * _resolvent_sandwich(M, tau, N)
         c = _sine_constant(alpha) if alpha > 0 else -_sine_constant(alpha + 1)
-        return HermitianOperator(c * acc)
+        return hermitian_part(c * acc)
 
     # alpha in (1, 2): the two terms of tau^(alpha-2) H - tau^alpha R H R only
     # converge jointly; combined stably as tau^(alpha-2) (A R H + tau R H A R)
@@ -202,7 +202,7 @@ def frechet_power_quadrature(A, H, alpha: float, order: int = 1, H2=None,
     for tau, w in zip(rule.nodes, rule.weights):
         R = np.linalg.inv(tau * eye + M)
         acc += w * tau ** (alpha - 2.0) * (M @ R @ N + tau * (R @ N @ M @ R))
-    return HermitianOperator((acc + acc.conj().T) / 2 * _sine_constant(alpha - 1))
+    return hermitian_part((acc + acc.conj().T) / 2 * _sine_constant(alpha - 1))
 
 
 def finite_difference_check(fn, A, H, h_step: float) -> float:
@@ -221,14 +221,14 @@ def finite_difference_check(fn, A, H, h_step: float) -> float:
     f_bwd = spectral_map(bwd, fn.f)
     table = build_divided_differences(M, fn)
     central = (f_fwd - f_bwd) / (2 * h_step)
-    return schatten_norm(central - frechet1(table, N).mat, 1)
+    return schatten_norm(central - frechet1(table, N), 1)
 
 
 # ---------------------------------------------------------------------------
 # Dual form of the sandwiched divergence
 # ---------------------------------------------------------------------------
 
-def sandwiched_dual_optimizer(rho, sigma, alpha: float) -> HermitianOperator:
+def sandwiched_dual_optimizer(rho, sigma, alpha: float) -> np.ndarray:
     """Maximizer of the variational (dual Schatten-norm) form of the sandwiched divergence.
 
     Returns T^(alpha-1) / ||T||_alpha^(alpha-1) for T = rho^(1/2) sigma^((1-alpha)/alpha) rho^(1/2),
@@ -245,7 +245,7 @@ def sandwiched_dual_optimizer(rho, sigma, alpha: float) -> HermitianOperator:
         raise ValueError("degenerate sigma support: variational base operator vanishes")
     norm_alpha = float(np.sum(lam**alpha)) ** (1.0 / alpha)
     num = spectral_map(S, lambda lam: lam ** (alpha - 1), kept)
-    return HermitianOperator(num / norm_alpha ** (alpha - 1))
+    return hermitian_part(num / norm_alpha ** (alpha - 1))
 
 
 def sandwiched_variational_objective(rho, sigma, alpha: float, eta) -> float:

@@ -1,7 +1,10 @@
 """Check that the library runs on numpy alone: no scipy module is imported.
 
 Imports ``qdivstat`` and its CLI, runs two small ``qdivstat experiment``s
-(``two_sample_alt`` and ``one_sample_null``, d = 2) and two small
+(``two_sample_alt`` and ``one_sample_null``, d = 2) and one whose sigma is
+4 x 4 against a 2 x 2 rho, which must exit 2 with a message naming both;
+one ``qdivstat divergence`` (``umegaki``), which must exit 0, and one with a
+non-Hermitian rho, which must exit 2 with a message naming rho; two small
 ``qdivstat hypothesis`` runs (one state, and six, more than the worker's
 slots) through ``qdivstat.cli.main``, and feeds it one
 malformed config (an unknown key and a float seed), one scenario whose
@@ -69,6 +72,13 @@ def main() -> int:
               "--n", "300", "--trials", "100", "--seed", "1"])
         _run(["experiment", "--kind", "one_sample_null", "--rho", str(rp), "--n", "300", "--trials", "100",
               "--seed", "1"])
+        bad, big = Path(tmp, "non_hermitian.json"), Path(tmp, "sigma4.json")
+        qio.dump_matrix(non_hermitian, str(bad))
+        qio.dump_matrix(np.eye(4) / 4, str(big))
+        _run(["experiment", "--kind", "two_sample_alt", "--rho", str(rp), "--sigma", str(big),
+              "--n", "300", "--trials", "100", "--seed", "1"], 2, "sigma has shape (4, 4), but rho has shape (2, 2)")
+        for given, expected, error in ((rp, 0, ""), (bad, 2, "rho: matrix is not Hermitian")):
+            _run(["divergence", "--kind", "umegaki", "--rho", str(given), "--sigma", str(sp)], expected, error)
         scenario = Path(tmp, "scenario.json")
         # more hypotheses than the worker holds values: diag(1 + z, 1 - z) / 2, each inside its bucket
         many = [np.diag([1 + z, 1 - z]) / 2 for z in np.linspace(0.1, 0.85, 6)]

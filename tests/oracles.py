@@ -10,18 +10,18 @@ import math
 import numpy as np
 
 from qdivstat.divergences import MASS_TOL, DivergenceValue, _kl_rows
-from qdivstat.operator_core import HermitianOperator, as_matrix, eigvals_hermitian, spectral_map, support_mask
+from qdivstat.operator_core import as_matrix, eigvals_hermitian, hermitian_part, spectral_map, support_mask
 from qdivstat.pauli_tomography import PauliBasisSet, bernoulli_weights
 
 
-def support_projector(A) -> HermitianOperator:
+def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda > SUPPORT_RTOL * max|lambda|."""
-    return HermitianOperator(spectral_map(A, np.ones_like, support_mask))
+    return hermitian_part(spectral_map(A, np.ones_like, support_mask))
 
 
-def moore_penrose_inverse(A) -> HermitianOperator:
+def moore_penrose_inverse(A) -> np.ndarray:
     """Generalized inverse: eigenvalues with |lambda| <= SUPPORT_RTOL * max|lambda| map to 0, others to 1/lambda."""
-    return HermitianOperator(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam))))
+    return hermitian_part(spectral_map(A, np.reciprocal, lambda lam: support_mask(np.abs(lam))))
 
 
 def loewner_leq(A, B, tol: float = 0.0) -> bool:

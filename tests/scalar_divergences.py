@@ -60,8 +60,8 @@ def measured_relative_entropy(rho, sigma, family, tol=TOL, tie_tol=1e-9):
     """(D, index of the lowest near-maximal member, near-maximal indices)."""
     values = []
     for M in family:
-        P = np.clip([float(np.trace(E.mat @ rho).real) for E in M.elements], 0.0, None)
-        Q = np.clip([float(np.trace(E.mat @ sigma).real) for E in M.elements], 0.0, None)
+        P = np.clip([float(np.trace(E @ rho).real) for E in M.elements], 0.0, None)
+        Q = np.clip([float(np.trace(E @ sigma).real) for E in M.elements], 0.0, None)
         values.append(_kl(P / P.sum(), Q / Q.sum(), tol))
     if math.inf in values:
         idx = values.index(math.inf)

@@ -68,7 +68,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def conditioned_positive(rng, dim, cond_max=1e3):
-    U = eig_hermitian(random_hermitian(dim, rng).mat).eigenvectors
+    U = eig_hermitian(random_hermitian(dim, rng)).eigenvectors
     cond = np.exp(rng.uniform(0, np.log(cond_max)))
     lam = np.exp(rng.uniform(np.log(1 / cond), 0.0, size=dim))
     lam[0], lam[-1] = 1 / cond, 1.0
@@ -84,13 +84,13 @@ def test_frechet_correctness():
     for i in range(100):
         d = (2, 4, 8)[i % 3]
         A = conditioned_positive(rng, d)
-        H = random_hermitian(d, rng).mat
+        H = random_hermitian(d, rng)
         H = H / schatten_norm(H, np.inf)
         lam_min = float(np.linalg.eigvalsh(A)[0])
         h0 = lam_min / 8
         for fn in fns:
             T = build_divided_differences(A, fn)
-            deriv = frechet1(T, H).mat
+            deriv = frechet1(T, H)
             errs = []
             for h in (h0, h0 / 2, h0 / 4):
                 fwd = eig_hermitian(A + h * H)
@@ -100,9 +100,9 @@ def test_frechet_correctness():
                 errs.append(schatten_norm(central - deriv, 1))
             ratios.extend([errs[0] / errs[1], errs[1] / errs[2]])
             if fn.name == "log":
-                q = frechet1_log_quadrature(A, H).mat
+                q = frechet1_log_quadrature(A, H)
             else:
-                q = frechet_power_quadrature(A, H, fn.alpha).mat
+                q = frechet_power_quadrature(A, H, fn.alpha)
             quad_errs.append(float(np.max(np.abs(deriv - q))))
     ratios = np.array(ratios)
     in_band = np.mean((ratios >= 3.4) & (ratios <= 4.6))
@@ -119,8 +119,8 @@ def test_divergence_identities():
     worst = {"eq3": 0.0, "fid": 0.0, "comm": 0.0, "order": 0.0}
     for i in range(200):
         d = (2, 3, 4)[i % 3]
-        rho = random_density(d, rng, min_eig=0.02).mat
-        sigma = random_density(d, rng, min_eig=0.02).mat
+        rho = random_density(d, rng, min_eig=0.02)
+        sigma = random_density(d, rng, min_eig=0.02)
         # entropy vs relative entropy to the maximally mixed state
         gap = abs(von_neumann_entropy(rho) + umegaki(rho, np.eye(d) / d).value - np.log(d))
         worst["eq3"] = max(worst["eq3"], gap)
@@ -159,10 +159,10 @@ def _alt_ratios(rng, limit_fn, value_fn, n_inst=50, t0=1e-3):
     """First-order check: one-sided difference quotients, O(t) error, halving ratio ~2."""
     ratios, reproduced = [], True
     for _ in range(n_inst):
-        rho = random_density(2, rng, min_eig=0.1).mat
-        sigma = random_density(2, rng, min_eig=0.1).mat
-        L1 = random_traceless(2, rng, 0.3).mat
-        L2 = random_traceless(2, rng, 0.3).mat
+        rho = random_density(2, rng, min_eig=0.1)
+        sigma = random_density(2, rng, min_eig=0.1)
+        L1 = random_traceless(2, rng, 0.3)
+        L2 = random_traceless(2, rng, 0.3)
         lim = limit_fn(rho, sigma, L1, L2)
         base = value_fn(rho, sigma)
         errs = [abs((value_fn(rho + t * L1, sigma + t * L2) - base) / t - lim)
@@ -176,9 +176,9 @@ def _null_ratios(rng, limit_fn, value_fn, n_inst=50, t0=2e-2):
     """Second-order check: symmetric average kills the odd term, ratio ~4."""
     ratios, reproduced = [], True
     for _ in range(n_inst):
-        rho = random_density(2, rng, min_eig=0.15).mat
-        L1 = random_traceless(2, rng, 0.3).mat
-        L2 = random_traceless(2, rng, 0.3).mat
+        rho = random_density(2, rng, min_eig=0.15)
+        L1 = random_traceless(2, rng, 0.3)
+        L2 = random_traceless(2, rng, 0.3)
         lim = limit_fn(rho, L1, L2)
         errs = []
         for t in (t0, t0 / 2, t0 / 4):
@@ -265,8 +265,8 @@ def test_tomography_gaussian_limit():
     rows = []
     ok = True
     for pair in range(5):
-        rho = random_density(2, rng, min_eig=0.12).mat
-        sigma = random_density(2, rng, min_eig=0.12).mat
+        rho = random_density(2, rng, min_eig=0.12)
+        sigma = random_density(2, rng, min_eig=0.12)
         base = umegaki(rho, sigma).value
         v1 = variance_v1(rho, sigma, basis)
         v2 = variance_v2(rho, sigma, basis)
@@ -339,15 +339,15 @@ def test_structural_properties():
     # trace identity over a projector and the trace-norm sandwich
     lemma_ok = True
     for _ in range(25):
-        block = random_hermitian(2, rng).mat
+        block = random_hermitian(2, rng)
         A = np.zeros((4, 4), dtype=complex)
         A[:2, :2] = block
         P = np.diag([1.0, 1.0, 0.0, 0.0])
-        B = random_hermitian(4, rng).mat
+        B = random_hermitian(4, rng)
         lemma_ok &= abs(np.trace(A @ B) - np.trace(P @ A @ P @ B @ P)) < 1e-10
-        D1 = random_density(4, rng).mat
-        D2 = random_density(4, rng).mat
-        M = random_hermitian(4, rng).mat
+        D1 = random_density(4, rng)
+        D2 = random_density(4, rng)
+        M = random_hermitian(4, rng)
         lemma_ok &= schatten_norm(M, 1) <= (schatten_norm(M - 2 * D1, 1)
                                             + schatten_norm(M + 2 * D2, 1) + 1e-10)
     ok &= lemma_ok
@@ -355,10 +355,10 @@ def test_structural_properties():
 
     proj_ok = True
     for _ in range(25):
-        A = random_hermitian(3, rng).mat
-        once = project_to_density(A).mat
-        proj_ok &= np.max(np.abs(project_to_density(once).mat - once)) < 1e-12
-        target = random_density(3, rng).mat
+        A = random_hermitian(3, rng)
+        once = project_to_density(A)
+        proj_ok &= np.max(np.abs(project_to_density(once) - once)) < 1e-12
+        target = random_density(3, rng)
         proj_ok &= (np.linalg.norm(once - target)
                     <= np.linalg.norm(A - target) + 1e-10)
     ok &= proj_ok
@@ -368,9 +368,9 @@ def test_structural_properties():
     for _ in range(25):
         U = haar_unitary(3, rng)
         M = eigenbasis_povm(U @ np.diag([1.0, 2.0, 3.0]) @ U.conj().T)
-        total = sum(E.mat for E in M.elements)
+        total = sum(E for E in M.elements)
         povm_ok &= np.max(np.abs(total - np.eye(3))) < 1e-10
-        povm_ok &= all(np.linalg.eigvalsh(E.mat)[0] > -1e-10 for E in M.elements)
+        povm_ok &= all(np.linalg.eigvalsh(E)[0] > -1e-10 for E in M.elements)
     with pytest.raises(ValueError):
         Povm([np.diag([0.5, 0.5])])
     ok &= povm_ok

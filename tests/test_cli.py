@@ -33,6 +33,22 @@ def run(capsys, argv):
     return rc, out
 
 
+DIVERGENCE_KINDS = ["umegaki", "petz", "sandwiched", "fidelity", "max", "measured"]
+
+
+def _divergence_argv(kind, rho_path, sigma_path, tmp_path):
+    """``qdivstat divergence`` of ``kind`` with what it needs: an alpha, or a 2 x 2 POVM file."""
+    argv = ["divergence", "--kind", kind, "--rho", rho_path, "--sigma", sigma_path]
+    if kind in ("petz", "sandwiched"):
+        argv += ["--alpha", "1.5"]
+    if kind == "measured":
+        pv = tmp_path / "povm.json"
+        with open(pv, "w") as fh:
+            json.dump([qio.matrix_to_json(np.diag([1.0, 0.0])), qio.matrix_to_json(np.diag([0.0, 1.0]))], fh)
+        argv += ["--povm", str(pv)]
+    return argv
+
+
 class TestDivergenceCommand:
     def test_umegaki(self, states, capsys):
         rho, sigma, rp, sp = states
@@ -77,7 +93,7 @@ class TestDivergenceCommand:
         rho, sigma, rp, sp = states
         pv = tmp_path / "povm.json"
         with open(pv, "w") as fh:
-            json.dump([qio.matrix_to_json(E.mat) for E in eigenbasis_povm(rho).elements], fh)
+            json.dump([qio.matrix_to_json(E) for E in eigenbasis_povm(rho).elements], fh)
         rc, out = run(capsys, ["divergence", "--kind", "measured", "--rho", rp,
                                "--sigma", sp, "--povm", str(pv)])
         assert rc == 0
@@ -96,6 +112,27 @@ class TestDivergenceCommand:
         rc = cli_main(["divergence", "--kind", "umegaki", "--rho", str(rp), "--sigma", str(sp)])
         assert rc == EXIT_NUMERIC
         assert "numeric failure: Hermitian eigensolver did not converge" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("kind", DIVERGENCE_KINDS)
+    @pytest.mark.parametrize("role", ["rho", "sigma"])
+    def test_non_hermitian_state_is_named(self, states, tmp_path, capsys, kind, role):
+        _, _, rp, sp = states
+        bad = tmp_path / "bad.json"
+        qio.dump_matrix(NON_HERMITIAN, str(bad))
+        paths = {"rho": rp, "sigma": sp, role: str(bad)}
+        rc = cli_main(_divergence_argv(kind, paths["rho"], paths["sigma"], tmp_path))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {role}: matrix is not Hermitian (asymmetry")
+
+    @pytest.mark.parametrize("kind", DIVERGENCE_KINDS)
+    def test_mismatched_dimensions_is_validation_error(self, states, tmp_path, capsys, kind):
+        _, _, rp, _ = states
+        big = tmp_path / "sigma4.json"
+        qio.dump_matrix(np.eye(4) / 4, str(big))
+        rc = cli_main(_divergence_argv(kind, rp, str(big), tmp_path))
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: sigma has shape (4, 4), but rho has shape (2, 2)\n"
 
 
 class TestLimitCommand:
@@ -334,6 +371,16 @@ class TestExperimentCommand:
                        "--n", "300", "--trials", "120", "--seed", "7"])
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {role}: matrix is not Hermitian")
+
+    @pytest.mark.parametrize("kind", ["two_sample_alt", "measured", "one_sample_null"])
+    def test_mismatched_dimensions_is_validation_error(self, states, tmp_path, capsys, kind):
+        _, _, rp, _ = states
+        big = tmp_path / "sigma4.json"
+        qio.dump_matrix(np.eye(4) / 4, str(big))
+        rc = cli_main(["experiment", "--kind", kind, "--rho", rp, "--sigma", str(big),
+                       "--n", "300", "--trials", "120", "--seed", "7"])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: sigma has shape (4, 4), but rho has shape (2, 2)\n"
 
     def test_missing_seed_is_validation_error(self, states, capsys):
         _, _, rp, sp = states

@@ -241,7 +241,7 @@ class TestDualOptimizer:
         for _ in range(20):
             rho, sigma = rand_state(rng, 3), rand_state(rng, 3)
             eta = sandwiched_dual_optimizer(rho, sigma, alpha)
-            lam = np.linalg.eigvalsh(eta.mat)
+            lam = np.linalg.eigvalsh(eta)
             assert np.all(lam > -1e-12)
             p = alpha / (alpha - 1)
             norm = float(np.sum(np.clip(lam, 1e-300, None) ** p)) ** (1 / p)
@@ -322,11 +322,21 @@ class TestMaxDivergence:
 
 class TestPovm:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            Povm([np.diag([0.5, 0.5])])  # does not sum to identity
-        with pytest.raises(ValueError):
-            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative element
-        Povm([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])])
+        with pytest.raises(ValueError, match="^POVM elements do not sum to the identity$"):
+            Povm([np.diag([0.5, 0.5])])
+        with pytest.raises(ValueError, match="^POVM element is not PSD$"):
+            Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+        with pytest.raises(ValueError, match="^a POVM needs at least one element$"):
+            Povm([])
+        with pytest.raises(ValueError, match="^POVM elements have mixed dimensions$"):
+            Povm([np.eye(2), np.zeros((3, 3))])
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            Povm([np.array([[0.5, 0.3], [0.0, 0.5]]), np.array([[0.5, -0.3], [0.0, 0.5]])])
+        with pytest.raises(ValueError, match="^expected a square matrix"):
+            Povm([np.full(2, 0.5), np.full(2, 0.5)])
+        M = Povm([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])])
+        assert M.elements.shape == (2, 2, 2) and not M.elements.flags.writeable
+        assert (M.outcome_count, M.dim) == (2, 2)
 
     def test_apply_computational_basis(self, rng):
         rho = rand_state(rng, 3)

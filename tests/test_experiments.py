@@ -448,7 +448,7 @@ class TestExactLaws:
         lam = null_law_weights(cfg, basis)
         w = bernoulli_weights(cfg.rho, basis) * (2 if cfg.two_sample else 1)
         table = build_divided_differences(cfg.rho, "log")
-        diag = [np.trace(g @ frechet1(table, g).mat).real for g in pauli_operators(basis)]
+        diag = [np.trace(g @ frechet1(table, g)).real for g in pauli_operators(basis)]
         mean = 0.5 * float(np.dot(w, diag))
         assert abs(lam.sum() - mean) <= 1e-12 * mean
         assert lam[0] > 0
@@ -469,7 +469,7 @@ class TestExactLaws:
         basis = build_pauli_basis(qubits_for_dim(d))
         table = build_divided_differences(cfg.rho, "log")
         s = np.sqrt(bernoulli_weights(cfg.rho, basis) * (2.0 if cfg.two_sample else 1.0))
-        form = np.column_stack([s * basis.coefficients(frechet1(table, g).mat) for g in pauli_operators(basis)])
+        form = np.column_stack([s * basis.coefficients(frechet1(table, g)) for g in pauli_operators(basis)])
         want = np.linalg.eigvalsh(form * (0.5 * s))
         assert np.max(np.abs(null_law_weights(cfg, basis) - want) / want) <= 1e-12
 

@@ -39,7 +39,8 @@ REMOVED = ["QuadratureRule", "frechet1_log_quadrature", "frechet2_log_quadrature
            "record_from_json", "povm_to_json", "load_matrix", "read_rows_csv",
            "support_projector", "moore_penrose_inverse", "loewner_leq", "classical_kl", "sample_gaussian_limit",
            "masked_log_trace", "BlochVector", "TestOutcome", "LimitDirection",
-           "MeasurementRecord", "sample_record", "estimate", "record_to_json", "support_contained"]
+           "MeasurementRecord", "sample_record", "estimate", "record_to_json", "support_contained",
+           "HermitianOperator", "DensityOperator"]
 
 
 def test_removed_names_stay_out_of_the_package():

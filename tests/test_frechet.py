@@ -57,7 +57,7 @@ class TestTables:
         assert "second" not in vars(T)
         # D^2 log(A)(I, I) = -A^-2, read from the table built on first access
         inv = np.linalg.inv(A)
-        assert np.max(np.abs(frechet2(T, np.eye(4), np.eye(4)).mat + inv @ inv)) < 1e-10
+        assert np.max(np.abs(frechet2(T, np.eye(4), np.eye(4)) + inv @ inv)) < 1e-10
         assert "second" in vars(T)
 
         def unbuilt(*args):
@@ -130,25 +130,25 @@ class TestFrechet1:
     def test_log_at_identity_is_identity_map(self, rng):
         H = rand_herm(rng, 3)
         T = build_divided_differences(np.eye(3), "log")
-        assert np.allclose(frechet1(T, H).mat, H)
+        assert np.allclose(frechet1(T, H), H)
 
     def test_square_commuting(self):
         A = np.diag([1.0, 3.0])
         H = np.diag([0.5, -2.0])
-        assert np.allclose(frechet1(build_divided_differences(A, 2.0), H).mat, 2 * A @ H)
+        assert np.allclose(frechet1(build_divided_differences(A, 2.0), H), 2 * A @ H)
 
     def test_log_offdiagonal(self):
         T = build_divided_differences(np.diag([1.0, 2.0]), "log")
         H = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(frechet1(T, H).mat, np.log(2.0) * H)
+        assert np.allclose(frechet1(T, H), np.log(2.0) * H)
 
     def test_linearity(self, rng):
         A = positive_matrix(rng, 4)
         T = build_divided_differences(A, "log")
         H1, H2 = rand_herm(rng, 4), rand_herm(rng, 4)
         a, b = 0.7, -1.3
-        lhs = frechet1(T, a * H1 + b * H2).mat
-        rhs = a * frechet1(T, H1).mat + b * frechet1(T, H2).mat
+        lhs = frechet1(T, a * H1 + b * H2)
+        rhs = a * frechet1(T, H1) + b * frechet1(T, H2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_commuting_reduction(self, rng):
@@ -156,7 +156,7 @@ class TestFrechet1:
         A = np.diag(lam)
         H = np.diag(rng.normal(size=3))
         T = build_divided_differences(A, "log")
-        assert np.max(np.abs(frechet1(T, H).mat - np.diag(1 / lam) @ H)) < 1e-10
+        assert np.max(np.abs(frechet1(T, H) - np.diag(1 / lam) @ H)) < 1e-10
 
     def test_dimension_mismatch(self):
         T = build_divided_differences(np.eye(2), "log")
@@ -167,8 +167,8 @@ class TestFrechet1:
         # D[A^-1](H) = -A^-1 H A^-1
         A = positive_matrix(rng, 4)
         H = rand_herm(rng, 4)
-        inv = moore_penrose_inverse(A).mat
-        got = frechet1(build_divided_differences(A, -1.0), H).mat
+        inv = moore_penrose_inverse(A)
+        got = frechet1(build_divided_differences(A, -1.0), H)
         assert np.max(np.abs(got + inv @ H @ inv)) < 1e-9
 
     def test_product_rule_cubic(self, rng):
@@ -176,8 +176,8 @@ class TestFrechet1:
         # an indefinite A takes the plain quotient at eigenvalues <= 0
         for A in (positive_matrix(rng, 3), rand_herm(rng, 3)):
             H = rand_herm(rng, 3)
-            lhs = frechet1(build_divided_differences(A, 3.0), H).mat
-            rhs = A @ frechet1(build_divided_differences(A, 2.0), H).mat + H @ A @ A
+            lhs = frechet1(build_divided_differences(A, 3.0), H)
+            rhs = A @ frechet1(build_divided_differences(A, 2.0), H) + H @ A @ A
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -185,23 +185,23 @@ class TestFrechet2:
     def test_log_at_identity(self, rng):
         H = rand_herm(rng, 3)
         T = build_divided_differences(np.eye(3), "log")
-        assert np.max(np.abs(frechet2(T, H, H).mat + H @ H)) < 1e-10
+        assert np.max(np.abs(frechet2(T, H, H) + H @ H)) < 1e-10
 
     def test_zero_direction(self, rng):
         T = build_divided_differences(positive_matrix(rng, 3), ScalarFn.power(0.5))
         H = rand_herm(rng, 3)
-        assert np.allclose(frechet2(T, H, np.zeros((3, 3))).mat, 0.0)
+        assert np.allclose(frechet2(T, H, np.zeros((3, 3))), 0.0)
 
     def test_square_exact(self, rng):
         A = positive_matrix(rng, 4)
         T = build_divided_differences(A, ScalarFn.power(2))
         H1, H2 = rand_herm(rng, 4), rand_herm(rng, 4)
-        assert np.max(np.abs(frechet2(T, H1, H2).mat - (H1 @ H2 + H2 @ H1))) < 1e-10
+        assert np.max(np.abs(frechet2(T, H1, H2) - (H1 @ H2 + H2 @ H1))) < 1e-10
 
     def test_symmetric_bilinear(self, rng):
         T = build_divided_differences(positive_matrix(rng, 4), "log")
         H1, H2 = rand_herm(rng, 4), rand_herm(rng, 4)
-        assert np.allclose(frechet2(T, H1, H2).mat, frechet2(T, H2, H1).mat)
+        assert np.allclose(frechet2(T, H1, H2), frechet2(T, H2, H1))
 
 
 class TestQuadratureOracle:
@@ -213,24 +213,24 @@ class TestQuadratureOracle:
         assert np.all(np.diff(rule.nodes) > 0)
 
     def test_log_identity_case(self):
-        got = frechet1_log_quadrature(np.eye(2), np.eye(2)).mat
+        got = frechet1_log_quadrature(np.eye(2), np.eye(2))
         assert np.max(np.abs(got - np.eye(2))) < 1e-8
 
     def test_log_diagonal_case(self):
         A = np.diag([1.0, 2.0])
         H = np.diag([3.0, 5.0])
-        got = frechet1_log_quadrature(A, H).mat
+        got = frechet1_log_quadrature(A, H)
         assert np.max(np.abs(got - np.diag([3.0, 2.5]))) < 1e-8
 
     def test_power_identity_case(self):
-        got = frechet_power_quadrature(np.eye(2), np.eye(2), 0.5).mat
+        got = frechet_power_quadrature(np.eye(2), np.eye(2), 0.5)
         assert np.max(np.abs(got - np.eye(2) / 2)) < 1e-9
 
     def test_power_commuting_case(self, rng):
         lam = np.array([0.4, 1.3, 2.2])
         h = rng.normal(size=3)
         for alpha in (0.3, 0.5, 1.5, -0.5):
-            got = frechet_power_quadrature(np.diag(lam), np.diag(h), alpha).mat
+            got = frechet_power_quadrature(np.diag(lam), np.diag(h), alpha)
             want = np.diag(alpha * lam ** (alpha - 1) * h)
             assert np.max(np.abs(got - want)) < 1e-9, alpha
 
@@ -239,7 +239,7 @@ class TestQuadratureOracle:
         H = rand_herm(rng, 3)
         val, est = frechet1_log_quadrature(A, H, return_error_estimate=True)
         T = build_divided_differences(A, "log")
-        true_err = np.max(np.abs(val.mat - frechet1(T, H).mat))
+        true_err = np.max(np.abs(val - frechet1(T, H)))
         assert true_err < max(est, 1e-9)
 
     def test_rejects_invalid_inputs(self, rng):
@@ -265,9 +265,9 @@ class TestQuadratureOracle:
             A = positive_matrix(local, d, spread=1e3)
             H = rand_herm(local, d)
             T = build_divided_differences(A, "log")
-            err = float(np.max(np.abs(frechet1(T, H).mat - frechet1_log_quadrature(A, H).mat)))
+            err = float(np.max(np.abs(frechet1(T, H) - frechet1_log_quadrature(A, H))))
             rows.append(("log", d, seed, err))
-            err2 = float(np.max(np.abs(frechet2(T, H, H).mat - frechet2_log_quadrature(A, H, H).mat)))
+            err2 = float(np.max(np.abs(frechet2(T, H, H) - frechet2_log_quadrature(A, H, H))))
             rows.append(("log_second", d, seed, err2))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -286,7 +286,7 @@ class TestQuadratureOracle:
             A = positive_matrix(local, 3, spread=1e3)
             H = rand_herm(local, 3)
             T = build_divided_differences(A, ScalarFn.power(alpha))
-            err = np.max(np.abs(frechet1(T, H).mat - frechet_power_quadrature(A, H, alpha).mat))
+            err = np.max(np.abs(frechet1(T, H) - frechet_power_quadrature(A, H, alpha)))
             assert err <= 1e-6
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, -0.5])
@@ -299,8 +299,8 @@ class TestQuadratureOracle:
             A = positive_matrix(local, 3, spread=1e2)
             H = rand_herm(local, 3)
             T = build_divided_differences(A, ScalarFn.power(alpha))
-            err2 = np.max(np.abs(frechet2(T, H, H).mat
-                                 - frechet_power_quadrature(A, H, alpha, order=2, H2=H).mat))
+            err2 = np.max(np.abs(frechet2(T, H, H)
+                                 - frechet_power_quadrature(A, H, alpha, order=2, H2=H)))
             assert err2 <= 1e-6
 
 
@@ -325,3 +325,18 @@ class TestFiniteDifference:
     def test_domain_violation_raises(self):
         with pytest.raises(ValueError):
             finite_difference_check("log", np.diag([1.0, 1e-6]), np.eye(2), 0.1)
+
+
+@pytest.mark.parametrize("which", ["frechet1", "frechet2-H1", "frechet2-H2"])
+def test_bad_direction_is_rejected(rng, which):
+    # the result goes through hermitian_part, so a non-Hermitian direction raises there
+    T = build_divided_differences(positive_matrix(rng, 2), "log")
+    good = rand_herm(rng, 2)
+    call = {"frechet1": lambda H: frechet1(T, H), "frechet2-H1": lambda H: frechet2(T, H, good),
+            "frechet2-H2": lambda H: frechet2(T, good, H)}[which]
+    assert np.array_equal(call(good), call(good).conj().T)
+    with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+        call(np.array([[0.5, 0.3], [0.0, 0.5]]))
+    for wrong in (np.eye(3), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="^direction"):
+            call(wrong)

@@ -219,7 +219,7 @@ class TestSimulation:
     def _scenario(self, rng):
         basis = build_pauli_basis(1)
         sigma = np.eye(2) / 2
-        states = [reconstruct(np.array([0.0, 0.0, s3]), basis).mat for s3 in (0.3, 0.8)]
+        states = [reconstruct(np.array([0.0, 0.0, s3]), basis) for s3 in (0.3, 0.8)]
         divs = [umegaki(r, sigma).value for r in states]
         eps = (0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.2)
         return states, sigma, HypothesisGrid(eps), basis
@@ -314,7 +314,7 @@ class TestSimulation:
         # at n = 20 the estimates of the nearly pure second state often leave the Bloch ball
         basis = build_pauli_basis(1)
         sigma = np.eye(2) / 2
-        states = [reconstruct(np.array([0.1, 0.0, s3]), basis).mat for s3 in (0.3, 0.95)]
+        states = [reconstruct(np.array([0.1, 0.0, s3]), basis) for s3 in (0.3, 0.95)]
         divs = [umegaki(r, sigma).value for r in states]
         grid = HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.2))
         n, trials, c = 20, 150, 0.5
@@ -369,8 +369,8 @@ class TestSimulation:
 
 def _random_scenario(rng, d):
     """sigma and two random full-rank states, in increasing D, each inside its bucket."""
-    sigma = random_density(d, rng, min_eig=0.02).mat
-    states = sorted((random_density(d, rng, min_eig=0.01).mat for _ in range(2)),
+    sigma = random_density(d, rng, min_eig=0.02)
+    states = sorted((random_density(d, rng, min_eig=0.01) for _ in range(2)),
                     key=lambda rho: umegaki(rho, sigma).value)
     divs = [umegaki(rho, sigma).value for rho in states]
     return states, sigma, HypothesisGrid((0.0, (divs[0] + divs[1]) / 2, divs[1] + 0.3))
@@ -435,7 +435,7 @@ class TestFirstOrderScreen:
         # so trials near it need the exact path and the others are screened
         basis = build_pauli_basis(1)
         sigma = np.eye(2) / 2
-        states = [reconstruct(np.array([0.2, 0.0, s3]), basis).mat for s3 in (0.3, 0.9)]
+        states = [reconstruct(np.array([0.2, 0.0, s3]), basis) for s3 in (0.3, 0.9)]
         divs = [umegaki(r, sigma).value for r in states]
         n = 2000
         edge = divs[0] + 0.5 * math.sqrt(variance_v1(states[0], sigma, basis) / n)
@@ -451,7 +451,7 @@ class TestFirstOrderScreen:
         # screen settles no trial and most err, at 1e7 it settles every trial of all states but the last
         rng, d = np.random.default_rng(64), 64
         sigma = np.eye(d) / d
-        states = [random_density_spectrum(np.linspace(1 - a, 1 + a, d) / d, rng).mat
+        states = [random_density_spectrum(np.linspace(1 - a, 1 + a, d) / d, rng)
                   for a in np.linspace(0.3, 0.9, 6)]
         divs = [umegaki(rho, sigma).value for rho in states]
         grid = HypothesisGrid((0.0, *((a + b) / 2 for a, b in zip(divs, divs[1:])), 1.0))

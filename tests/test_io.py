@@ -47,10 +47,10 @@ class TestMatrixFormat:
 class TestPovmFormat:
     def test_povm_round_trip(self, rng):
         M = eigenbasis_povm(rand_state(rng, 3))
-        back = qio.povm_from_json(json.loads(json.dumps([qio.matrix_to_json(E.mat) for E in M.elements])))
+        back = qio.povm_from_json(json.loads(json.dumps([qio.matrix_to_json(E) for E in M.elements])))
         assert back.outcome_count == M.outcome_count
         for a, b in zip(M.elements, back.elements):
-            assert np.allclose(a.mat, b.mat)
+            assert np.allclose(a, b)
 
 
 class TestScenarioAndConfig:

@@ -13,10 +13,8 @@ from qdivstat.experiments import ExperimentConfig, run_convergence_experiment
 from qdivstat.hypothesis_testing import min_eigenvalue_bound
 from qdivstat.operator_core import (
     _fix_phases,
-    DensityOperator,
     EigensolverError,
-    HermitianOperator,
-    as_matrix,
+    check_density_spectrum,
     eig_hermitian,
     eigvals_hermitian,
     hermitian_part,
@@ -28,7 +26,7 @@ from qdivstat.operator_core import (
     support_mask,
 )
 
-from qdivstat.random_ops import haar_unitary, random_density_spectrum
+from qdivstat.random_ops import haar_unitary, random_density, random_density_spectrum
 
 from qdivstat.pauli_tomography import build_pauli_basis, estimate_sigma_stack, estimate_stack, sample_counts
 
@@ -40,43 +38,29 @@ from oracles import loewner_leq, moore_penrose_inverse, support_projector
 class TestConstruction:
     def test_symmetrizes_tiny_asymmetry(self):
         A = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]], dtype=complex)
-        op = HermitianOperator(A)
-        assert np.allclose(op.mat, op.mat.conj().T)
+        op = hermitian_part(A)
+        assert np.allclose(op, op.conj().T)
+        assert np.array_equal(hermitian_part(op), op)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            HermitianOperator(np.zeros((2, 3)))
+            hermitian_part(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="NaN or inf"):
-            HermitianOperator(np.array([[bad, 0], [0, 1]]))
+            hermitian_part(np.array([[bad, 0], [0, 1]]))
 
     def test_density_invariants(self):
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([0.6, 0.6]))
-        with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.5, -0.5]))
-        DensityOperator(np.diag([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            DensityOperator.from_spectrum(np.diag([1.5, -0.5]), np.array([-0.5, 1.5]))
-        DensityOperator.from_spectrum(np.diag([0.5, 0.5]), np.array([0.5, 0.5]))
-
-    def test_density_operator_is_a_hermitian_operator(self, rng):
-        # its matrix is that of HermitianOperator, bit for bit, and an operator passed in is taken as it is
-        A = rand_state(rng, 4)
-        op = HermitianOperator(A)
-        for rho in (DensityOperator(A), DensityOperator.from_spectrum(A, eigvals_hermitian(A))):
-            assert isinstance(rho, HermitianOperator) and rho.dim == 4
-            assert np.array_equal(rho.mat, op.mat) and np.array_equal(as_matrix(rho), op.mat)
-            assert not rho.mat.flags.writeable
-        assert DensityOperator(op).mat is op.mat and HermitianOperator(DensityOperator(op)).mat is op.mat
-        assert np.array_equal(hermitian_part(op.mat), op.mat)
-        assert repr(DensityOperator(op)) == "DensityOperator(dim=4)"
+        with pytest.raises(ValueError, match="^matrix has trace off 1"):
+            check_density_spectrum(eigvals_hermitian(np.diag([0.6, 0.6])))
+        with pytest.raises(ValueError, match="^matrix has negative eigenvalue"):
+            check_density_spectrum(eigvals_hermitian(np.diag([1.5, -0.5])))
+        check_density_spectrum(eigvals_hermitian(np.diag([0.5, 0.5])))
 
 
 class TestEig:
@@ -227,9 +211,9 @@ class TestSchatten:
 
 class TestSupport:
     def test_projector_examples(self):
-        assert np.allclose(support_projector(np.diag([1.0, 0.0])).mat, np.diag([1.0, 0.0]))
-        assert np.allclose(support_projector(np.eye(3)).mat, np.eye(3))
-        got = support_projector(np.diag([1.0, 1e-15])).mat
+        assert np.allclose(support_projector(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]))
+        assert np.allclose(support_projector(np.eye(3)), np.eye(3))
+        got = support_projector(np.diag([1.0, 1e-15]))
         assert np.allclose(got, np.diag([1.0, 0.0]))
 
     @pytest.mark.parametrize("f,kernel_free", [
@@ -243,7 +227,7 @@ class TestSupport:
             assert np.allclose(got, np.diag([kernel_free, 0.0, 0.0]))
 
     def test_projector_idempotent(self, rng):
-        P = support_projector(rand_state(rng, 4, min_eig=0.0)).mat
+        P = support_projector(rand_state(rng, 4, min_eig=0.0))
         assert np.max(np.abs(P @ P - P)) < 1e-10
 
     def test_containment(self):
@@ -255,19 +239,19 @@ class TestSupport:
 
 class TestPseudoInverse:
     def test_examples(self):
-        assert np.allclose(moore_penrose_inverse(np.diag([2.0, 0.0])).mat, np.diag([0.5, 0.0]))
-        assert np.allclose(moore_penrose_inverse(np.eye(2)).mat, np.eye(2))
-        assert np.allclose(moore_penrose_inverse(np.diag([4.0, 1e-16])).mat, np.diag([0.25, 0.0]))
+        assert np.allclose(moore_penrose_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+        assert np.allclose(moore_penrose_inverse(np.eye(2)), np.eye(2))
+        assert np.allclose(moore_penrose_inverse(np.diag([4.0, 1e-16])), np.diag([0.25, 0.0]))
         # indefinite: the mask is taken on |lambda|, so -4 is kept and 1e-12 < 1e-10 * 1e3 is not
-        assert np.allclose(moore_penrose_inverse(np.diag([2.0, -4.0, 1e-16])).mat, np.diag([0.5, -0.25, 0.0]))
-        assert np.allclose(moore_penrose_inverse(np.diag([1e-12, -1e3])).mat, np.diag([0.0, -1e-3]))
+        assert np.allclose(moore_penrose_inverse(np.diag([2.0, -4.0, 1e-16])), np.diag([0.5, -0.25, 0.0]))
+        assert np.allclose(moore_penrose_inverse(np.diag([1e-12, -1e3])), np.diag([0.0, -1e-3]))
 
     def test_penrose_identity(self, rng):
         U = eig_hermitian(rand_herm(rng, 4)).eigenvectors
         A = (U * np.array([2.0, -1.0, 1e-14, 0.5])) @ U.conj().T
-        A = HermitianOperator(A)
-        pinv = moore_penrose_inverse(A).mat
-        assert np.max(np.abs(A.mat @ pinv @ A.mat - A.mat)) < 1e-8
+        A = hermitian_part(A)
+        pinv = moore_penrose_inverse(A)
+        assert np.max(np.abs(A @ pinv @ A - A)) < 1e-8
 
 
 class TestLoewner:
@@ -284,21 +268,25 @@ class TestLoewner:
 class TestDensityProjection:
     def test_fixed_point(self):
         rho = np.diag([0.5, 0.5])
-        assert np.allclose(project_to_density(rho).mat, rho)
+        assert np.allclose(project_to_density(rho), rho)
 
     def test_negative_eigenvalue(self):
-        got = project_to_density(np.diag([1.2, -0.2])).mat
+        got = project_to_density(np.diag([1.2, -0.2]))
         assert np.allclose(got, np.diag([1.0, 0.0]))
 
     def test_excess_trace(self):
-        got = project_to_density(np.diag([0.8, 0.8])).mat
+        got = project_to_density(np.diag([0.8, 0.8]))
         assert np.allclose(got, np.diag([0.5, 0.5]))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(3, 2, 2\)$"):
+            project_to_density(np.stack([np.eye(2) / 2] * 3))
 
     def test_idempotent(self, rng):
         for _ in range(10):
             A = rand_herm(rng, 4)
-            once = project_to_density(A).mat
-            twice = project_to_density(once).mat
+            once = project_to_density(A)
+            twice = project_to_density(once)
             assert np.max(np.abs(once - twice)) < 1e-12
 
     def test_nonexpansive(self, rng):
@@ -307,7 +295,7 @@ class TestDensityProjection:
             A = rand_herm(rng, 3)
             target = rand_state(rng, 3, min_eig=0.0)
             before = np.linalg.norm(A - target)
-            after = np.linalg.norm(project_to_density(A).mat - target)
+            after = np.linalg.norm(project_to_density(A) - target)
             assert after <= before + 1e-10
 
     def test_simplex_projection_row_wise(self, rng):
@@ -338,7 +326,6 @@ class TestRandomDensitySpectrum:
     @pytest.mark.parametrize("spectrum", [[0.5, 0.5], [0.7, 0.2, 0.1, 0.0], [1.0, 0.0, 0.0], [1e-9, 0.25, 0.75 - 1e-9]])
     def test_prescribed_spectrum_comes_back(self, rng, spectrum):
         rho = random_density_spectrum(spectrum, rng)
-        assert isinstance(rho, DensityOperator)
         assert np.allclose(eigvals_hermitian(rho), np.sort(spectrum), atol=1e-12)
 
     @pytest.mark.parametrize("spectrum", [[0.5, 0.6], [1.2, -0.2], [0.5, 0.5 - 1e-9]])
@@ -471,7 +458,7 @@ def _fail_lapack(monkeypatch):
 # Every function that once called np.linalg.eigvalsh directly, on a state pair
 # (rho, sigma) of dimension d.
 ROUTED = {
-    "DensityOperator": lambda rho, sigma: DensityOperator(rho),
+    "random_density": lambda rho, sigma: random_density(len(rho), np.random.default_rng(0)),
     "schatten_norm": lambda rho, sigma: schatten_norm(rho - sigma, 1),
     "loewner_leq": lambda rho, sigma: loewner_leq(rho, sigma),
     "Povm": lambda rho, sigma: Povm([rho, np.eye(len(rho)) - rho]),

@@ -93,7 +93,7 @@ class TestTransform:
         H = rand_herm(rng, d)
         s = _loop_coefficients(H, B)
         assert np.max(np.abs(bloch_coefficients(H, B) - s)) < tol
-        assert np.max(np.abs(reconstruct(s, B).mat - _loop_combination(s, B, 1.0) / d)) < tol
+        assert np.max(np.abs(reconstruct(s, B) - _loop_combination(s, B, 1.0) / d)) < tol
 
         rho = rand_state(rng, d, 0.05 / d)
         std = np.sqrt((1 - _loop_coefficients(rho, B) ** 2) / d**2)
@@ -121,7 +121,7 @@ class TestTransform:
         rho, sigma = rand_state(rng, d, 0.05 / d), rand_state(rng, d, 0.05 / d)
         table = build_divided_differences(sigma, "log")
         w = (1 - _loop_coefficients(sigma, B) ** 2) / d**2
-        terms = [np.trace(rho @ frechet1(table, g).mat).real ** 2 for g in pauli_operators(B)]
+        terms = [np.trace(rho @ frechet1(table, g)).real ** 2 for g in pauli_operators(B)]
         want = variance_v1(rho, sigma, B) + float(np.sum(w * terms))
         assert variance_v2(rho, sigma, B) == pytest.approx(want, rel=1e-12 * d)
 
@@ -159,13 +159,13 @@ class TestBloch:
         B = build_pauli_basis(2)
         rho = rand_state(rng, 4)
         s = bloch_coefficients(rho, B)
-        assert np.max(np.abs(reconstruct(s, B).mat - rho)) < 1e-10
+        assert np.max(np.abs(reconstruct(s, B) - rho)) < 1e-10
 
     def test_reconstruct_examples(self):
         B = build_pauli_basis(1)
-        assert np.allclose(reconstruct(np.zeros(3), B).mat, np.eye(2) / 2)
-        assert np.allclose(reconstruct(np.array([0, 0, 1.0]), B).mat, np.diag([1.0, 0.0]))
-        out = reconstruct(np.array([0, 0, 2.0]), B).mat
+        assert np.allclose(reconstruct(np.zeros(3), B), np.eye(2) / 2)
+        assert np.allclose(reconstruct(np.array([0, 0, 1.0]), B), np.diag([1.0, 0.0]))
+        out = reconstruct(np.array([0, 0, 2.0]), B)
         assert np.allclose(out, np.diag([1.5, -0.5]))  # unit trace, not PSD
         with pytest.raises(ValueError):
             reconstruct(np.zeros(4), B)
@@ -307,7 +307,7 @@ class TestEstimators:
         # s = (0.4, 0, 0.2) is exactly representable with n = 10 shots
         B = build_pauli_basis(1)
         s = np.array([0.4, 0.0, 0.2])
-        rho = reconstruct(s, B).mat
+        rho = reconstruct(s, B)
         counts = np.array([[7, 5, 6]])
         assert np.allclose((2 * counts[0] - 10) / 10, s)
         mats, _, projected = estimate_stack(counts, 10, B)
@@ -340,7 +340,7 @@ class TestEstimators:
     def test_sigma_estimator_formula(self):
         B = build_pauli_basis(1)
         s = np.array([0.4, 0.0, 0.2])
-        sigma = reconstruct(s, B).mat
+        sigma = reconstruct(s, B)
         est = estimate_sigma_stack(np.array([[7, 5, 6]]), 10, B)[0].reassemble()[0]
         want = np.eye(2) / 20 + 0.9 * sigma
         assert np.max(np.abs(est - want)) < 1e-12
@@ -363,7 +363,7 @@ class TestEstimators:
 
     def test_projection_rarity_decreases_with_n(self, rng):
         B = build_pauli_basis(1)
-        rho = reconstruct(np.array([0.6, 0.0, 0.6]), B).mat  # min eig ~ 0.076
+        rho = reconstruct(np.array([0.6, 0.0, 0.6]), B)  # min eig ~ 0.076
         fracs = []
         for n in (60, 240, 960):
             hits = sum(estimate_stack(sample_counts(rho, B, n, range(1), 77 * n + t), n, B)[2][0]
@@ -377,7 +377,7 @@ class TestEstimators:
         B = build_pauli_basis(2)
         counts = sample_counts(np.diag([1.0, 0.0, 0.0, 0.0]), B, 10, range(64), 3)
         mats, lam, projected = estimate_stack(counts, 10, B)
-        raw = np.stack([reconstruct((2 * c - 10) / 10, B).mat for c in counts])
+        raw = np.stack([reconstruct((2 * c - 10) / 10, B) for c in counts])
         S = eig_hermitian(raw)
         want_lam, want_projected = density_spectrum(S.eigenvalues, 1e-12)
         want = np.where(want_projected[:, None, None], S.reassemble(want_lam), raw)
@@ -470,7 +470,7 @@ class TestGaussianLimit:
         from qdivstat.experiments import ks_statistic
 
         B = build_pauli_basis(1)
-        rho = reconstruct(np.array([0.3, 0.1, 0.4]), B).mat
+        rho = reconstruct(np.array([0.3, 0.1, 0.4]), B)
         s = bloch_coefficients(rho, B)
         n, trials = 10_000, 2000
         draws = np.empty(trials)
